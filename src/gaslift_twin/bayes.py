@@ -12,7 +12,6 @@ Metropolis sampler.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -100,11 +99,6 @@ class Chain:
 
     def post_burn(self) -> np.ndarray:
         return self.samples[self.burn_in :]
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(
-            np.ascontiguousarray(self.samples).tobytes()
-        ).hexdigest()[:16]
 
 
 def mcmc_sample(
@@ -324,7 +318,6 @@ def propagate_uncertainty(
 @dataclass(frozen=True)
 class ModelEnsemble:
     members: np.ndarray          # (size, n_params)
-    source_fingerprint: str
 
     def __post_init__(self):
         if len(self.members) < 1:
@@ -374,7 +367,6 @@ def reduce_ensemble(
     if sizes[0] > n or sizes[-1] < 1:
         raise ValueError("sizes must lie within the sample count")
 
-    fingerprint = hashlib.sha256(np.ascontiguousarray(samples).tobytes()).hexdigest()[:16]
     full = propagate_uncertainty(
         samples, spec, layout, y_window, U,
         confidence=confidence, u_history=u_history,
@@ -406,7 +398,7 @@ def reduce_ensemble(
             "full ensemble",
             NoInflectionWarning,
         )
-        ensemble = ModelEnsemble(members=samples.copy(), source_fingerprint=fingerprint)
+        ensemble = ModelEnsemble(members=samples.copy())
         report = ReductionReport(
             sizes=sizes, width_ratios=tuple(ratios),
             inflection_size=None, chosen_size=n,
@@ -416,7 +408,7 @@ def reduce_ensemble(
     chosen = min(n, int(np.ceil(safety_factor * inflection)))
     idx = rng.choice(n, size=chosen, replace=False)
     idx.sort()
-    ensemble = ModelEnsemble(members=samples[idx], source_fingerprint=fingerprint)
+    ensemble = ModelEnsemble(members=samples[idx])
     report = ReductionReport(
         sizes=sizes, width_ratios=tuple(ratios),
         inflection_size=inflection, chosen_size=chosen,

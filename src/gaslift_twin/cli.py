@@ -14,7 +14,6 @@ import os
 import sys
 
 from .config import RunConfig, default_config, describe_keys, parse_config
-from .errors import GasLiftError
 from .pipeline import run_stage
 
 CONFIG_ENV_VAR = "GASLIFT_TWIN_CONFIG"
@@ -72,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         result = run_stage(
             cfg, args.command, scenario=getattr(args, "scenario", None)
         )
-    except GasLiftError as e:
+    except Exception as e:
         print(
             json.dumps({"error": type(e).__name__, "message": str(e)}),
             file=sys.stderr,

@@ -515,10 +515,6 @@ class CognitiveTwin:
             and len(self._u_hist) >= self._u_depth
         )
 
-    @property
-    def step_count(self) -> int:
-        return self._k
-
     def max_z(self) -> int:
         return max(self.states[c].Z for c in self.channels)
 

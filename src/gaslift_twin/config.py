@@ -115,10 +115,6 @@ REGISTRY: dict[str, tuple[str, _Key]] = {
     "cognitive.retrain_lr_factor": ("cognitive",
                                     _Key("retrain_lr_factor", "float", 0.1,
                                          lambda v: v > 0, "> 0")),
-    "cognitive.calibration": ("cognitive", _Key("calibration", "int", 100,
-                                                lambda v: v >= 0, ">= 0")),
-    "cognitive.margin": ("cognitive", _Key("margin", "float", 5e-4,
-                                           lambda v: v >= 0, ">= 0")),
 
     "sil.scenarios": ("sil", _Key("scenarios", "str", "1,2,3")),
     "sil.warmup": ("sil", _Key("warmup", "float", 200.0,
@@ -241,19 +237,6 @@ class ReductionSettings:
 
 
 @dataclass(frozen=True)
-class CognitiveSettings:
-    mh: int
-    a_offset: int
-    ct: int
-    confidence: float
-    wait_buffer: int
-    retrain_epochs: int
-    retrain_lr_factor: float
-    calibration: int
-    margin: float
-
-
-@dataclass(frozen=True)
 class SilSettings:
     scenarios: str
     warmup: float
@@ -271,7 +254,7 @@ _GROUP_TYPES = {
     "hyperband": HyperbandSettings,
     "mcmc": McmcSettings,
     "reduction": ReductionSettings,
-    "cognitive": CognitiveSettings,
+    "cognitive": CognitiveConfig,
     "sil": SilSettings,
 }
 
@@ -288,7 +271,7 @@ class RunConfig:
     hyperband: HyperbandSettings
     mcmc: McmcSettings
     reduction: ReductionSettings
-    cognitive: CognitiveSettings
+    cognitive: CognitiveConfig
     sil: SilSettings
 
     def value_of(self, key: str) -> object:
@@ -328,15 +311,6 @@ class RunConfig:
             eta=self.hyperband.eta,
             seed=self.hyperband.seed,
             batch_size=self.hyperband.batch_size,
-        )
-
-    def cognitive_config(self) -> CognitiveConfig:
-        c = self.cognitive
-        return CognitiveConfig(
-            mh=c.mh, a_offset=c.a_offset, ct=c.ct, confidence=c.confidence,
-            wait_buffer=c.wait_buffer, retrain_epochs=c.retrain_epochs,
-            retrain_lr_factor=c.retrain_lr_factor,
-            calibration=c.calibration, margin=c.margin,
         )
 
     def scenario_ids(self) -> tuple[int, ...]:

@@ -20,11 +20,12 @@ of them with the same config reproduces its artifacts byte for byte.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import sil as sil_mod
-from .artifacts import StageStore, read_csv, write_csv, write_json, write_text
+from .artifacts import StageStore, read_csv, read_json, write_csv, write_json, write_text
 from .bayes import reduce_ensemble, sample_weight_posterior
 from .cognitive import OfflineArtifact, make_artifact
 from .config import RunConfig
@@ -74,6 +75,32 @@ def _result(stage: str, store: StageStore, fingerprint: str, **extra) -> dict:
         "fingerprint": fingerprint,
         **extra,
     }
+
+
+# The stored form of a network spec and a normalization, shared by tune,
+# fit and reduce and by their loaders. tune's record also keeps the seed.
+_SPEC_FIELDS = ("layer_sizes", "activations", "learning_rate", "batch_size")
+
+
+def _encode_spec(spec: NetworkSpec) -> dict:
+    return {k: getattr(spec, k) for k in _SPEC_FIELDS}
+
+
+def _decode_spec(doc: dict) -> NetworkSpec:
+    return NetworkSpec(
+        layer_sizes=tuple(doc["layer_sizes"]),
+        activations=tuple(doc["activations"]),
+        learning_rate=doc["learning_rate"],
+        batch_size=doc["batch_size"],
+    )
+
+
+def _decode_norm(doc: dict) -> NormalizationSpec:
+    return NormalizationSpec(
+        y_min=doc["y_min"], y_max=doc["y_max"],
+        u_min=np.array(doc["u_min"], dtype=float),
+        u_max=np.array(doc["u_max"], dtype=float),
+    )
 
 
 # ---------------------------------------------------------------- gen-data
@@ -257,13 +284,7 @@ def stage_tune(cfg: RunConfig) -> dict:
     best = result.best_spec
     tune_path = write_json(out / "tune.json", {
         "channel": cfg.hyperband.channel,
-        "best": {
-            "layer_sizes": list(best.layer_sizes),
-            "activations": list(best.activations),
-            "learning_rate": best.learning_rate,
-            "batch_size": best.batch_size,
-            "seed": best.seed,
-        },
+        "best": {**_encode_spec(best), "seed": best.seed},
         "best_val_loss": result.best_loss,
         "total_epochs": result.total_epochs,
     })
@@ -293,15 +314,8 @@ def stage_tune(cfg: RunConfig) -> dict:
 def _load_spec(cfg: RunConfig) -> tuple[NetworkSpec, str]:
     store = _art_store(cfg)
     _, fp = store.require("tune", config_hash=cfg.stage_hash("tune"))
-    doc = json.loads((store.stage_dir("tune") / "tune.json").read_text())
-    b = doc["best"]
-    return NetworkSpec(
-        layer_sizes=tuple(b["layer_sizes"]),
-        activations=tuple(b["activations"]),
-        learning_rate=b["learning_rate"],
-        batch_size=b["batch_size"],
-        seed=b["seed"],
-    ), fp
+    best = read_json(store.stage_dir("tune") / "tune.json")["best"]
+    return replace(_decode_spec(best), seed=best["seed"]), fp
 
 
 # -------------------------------------------------------------------- fit
@@ -325,15 +339,9 @@ def stage_fit(cfg: RunConfig) -> dict:
         val = min(res.val_loss) if res.val_loss else float("nan")
         paths.append(write_json(out / "weights" / f"{name}.json", {
             "channel": name,
-            "layer_sizes": list(spec.layer_sizes),
-            "activations": list(spec.activations),
-            "learning_rate": spec.learning_rate,
-            "batch_size": spec.batch_size,
+            **_encode_spec(spec),
             "theta": res.weights.theta,
-            "norm": {
-                "y_min": ds.norm.y_min, "y_max": ds.norm.y_max,
-                "u_min": ds.norm.u_min, "u_max": ds.norm.u_max,
-            },
+            "norm": asdict(ds.norm),
             "best_epoch": res.best_epoch,
             "val_mse": val,
             "test_mse": test.mse,
@@ -361,23 +369,11 @@ def _load_weights(cfg: RunConfig) -> tuple[dict[str, dict], str]:
     _, fp = store.require("fit", config_hash=cfg.stage_hash("fit"))
     out = {}
     for name in CHANNEL_NAMES:
-        path = store.stage_dir("fit") / "weights" / f"{name}.json"
-        if not path.is_file():
-            raise MissingArtifact(f"fit stage lacks weights for {name}")
-        doc = json.loads(path.read_text())
+        doc = read_json(store.stage_dir("fit") / "weights" / f"{name}.json")
         out[name] = {
-            "spec": NetworkSpec(
-                layer_sizes=tuple(doc["layer_sizes"]),
-                activations=tuple(doc["activations"]),
-                learning_rate=doc["learning_rate"],
-                batch_size=doc["batch_size"],
-            ),
+            "spec": _decode_spec(doc),
             "theta": np.array(doc["theta"], dtype=float),
-            "norm": NormalizationSpec(
-                y_min=doc["norm"]["y_min"], y_max=doc["norm"]["y_max"],
-                u_min=np.array(doc["norm"]["u_min"], dtype=float),
-                u_max=np.array(doc["norm"]["u_max"], dtype=float),
-            ),
+            "norm": _decode_norm(doc["norm"]),
         }
     return out, fp
 
@@ -493,15 +489,9 @@ def stage_reduce(cfg: RunConfig) -> dict:
         )
         paths.append(write_json(out / "ensembles" / f"{name}.json", {
             "channel": name,
-            "layer_sizes": list(entry["spec"].layer_sizes),
-            "activations": list(entry["spec"].activations),
-            "learning_rate": entry["spec"].learning_rate,
-            "batch_size": entry["spec"].batch_size,
-            "layout": {"n_b": layout.n_b, "n_a": layout.n_a, "n_u": layout.n_u},
-            "norm": {
-                "y_min": norm.y_min, "y_max": norm.y_max,
-                "u_min": norm.u_min, "u_max": norm.u_max,
-            },
+            **_encode_spec(entry["spec"]),
+            "layout": asdict(layout),
+            "norm": asdict(norm),
             "map_theta": entry["theta"],
             "members": ensemble.members,
             "artifact_fingerprint": artifact.fingerprint,
@@ -536,24 +526,10 @@ def load_offline_artifacts(cfg: RunConfig) -> tuple[dict[str, OfflineArtifact], 
     _, fp = store.require("reduce", config_hash=cfg.stage_hash("reduce"))
     artifacts = {}
     for name in CHANNEL_NAMES:
-        path = store.stage_dir("reduce") / "ensembles" / f"{name}.json"
-        if not path.is_file():
-            raise MissingArtifact(f"reduce stage lacks an ensemble for {name}")
-        doc = json.loads(path.read_text())
-        spec = NetworkSpec(
-            layer_sizes=tuple(doc["layer_sizes"]),
-            activations=tuple(doc["activations"]),
-            learning_rate=doc["learning_rate"],
-            batch_size=doc["batch_size"],
-        )
-        layout = NarxLayout(**doc["layout"])
-        norm = NormalizationSpec(
-            y_min=doc["norm"]["y_min"], y_max=doc["norm"]["y_max"],
-            u_min=np.array(doc["norm"]["u_min"], dtype=float),
-            u_max=np.array(doc["norm"]["u_max"], dtype=float),
-        )
+        doc = read_json(store.stage_dir("reduce") / "ensembles" / f"{name}.json")
         artifact = make_artifact(
-            doc["channel"], spec, layout, norm,
+            doc["channel"], _decode_spec(doc), NarxLayout(**doc["layout"]),
+            _decode_norm(doc["norm"]),
             np.array(doc["map_theta"], dtype=float),
             np.array(doc["members"], dtype=float),
         )
@@ -588,7 +564,7 @@ def stage_sil(cfg: RunConfig, scenario: int | None = None) -> list[dict]:
         stage = f"sil-scenario{sid}"
         out = store.stage_dir(stage)
         log = sil_mod.run_scenario(
-            script, artifacts, cfg.cognitive_config(),
+            script, artifacts, cfg.cognitive,
             params=cfg.plant_params(),
             seed=cfg.sil.seed + sid,
             warmup_s=cfg.sil.warmup,
@@ -600,17 +576,9 @@ def stage_sil(cfg: RunConfig, scenario: int | None = None) -> list[dict]:
             json.dumps(sil_mod.log_to_dict(log), sort_keys=True,
                        separators=(",", ":")) + "\n",
         )
-        events_path = write_text(out / "events.jsonl", "".join(
-            json.dumps({
-                "detection_step": e.detection_step,
-                "cause": e.cause,
-                "action": e.action,
-                "retrain_step": e.retrain_step,
-                "post_retrain_z": e.post_retrain_z,
-                "status": "completed" if e.retrain_step is not None else "truncated",
-            }, sort_keys=True) + "\n"
-            for e in log.events
-        ))
+        events_path = write_text(
+            out / "events.jsonl", sil_mod.events_jsonl(log.events)
+        )
         fp = store.write_manifest(
             stage,
             config_hash=cfg.stage_hash(stage),
@@ -636,7 +604,7 @@ def load_sil_log(cfg: RunConfig, sid: int) -> tuple[sil_mod.SilLog, str]:
     store = _art_store(cfg)
     stage = f"sil-scenario{sid}"
     _, fp = store.require(stage, config_hash=cfg.stage_hash(stage))
-    doc = json.loads((store.stage_dir(stage) / "log.json").read_text())
+    doc = read_json(store.stage_dir(stage) / "log.json")
     return sil_mod.log_from_dict(doc), fp
 
 

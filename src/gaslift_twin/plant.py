@@ -306,22 +306,6 @@ class Trajectory:
 CHANNEL_NAMES = ("well1_mg", "well1_ml", "well2_mg", "well2_ml", "well3_mg", "well3_ml")
 INPUT_NAMES = ("Qg1", "Qg2", "Qg3", "Ppump")
 
-TRAJECTORY_CSV_COLUMNS = (
-    "t", "Qg1", "Qg2", "Qg3", "Ppump", "CV101", "CV102", "CV103",
-    "mg1", "ml1", "mg2", "ml2", "mg3", "ml3",
-)
-
-
-def trajectory_table(traj: Trajectory) -> np.ndarray:
-    """Trajectory as the canonical 14-column array (TRAJECTORY_CSV_COLUMNS)."""
-    return np.column_stack([
-        traj.t, traj.Q_g, traj.P_pump, traj.v_o,
-        traj.m_g[:, 0], traj.m_l[:, 0],
-        traj.m_g[:, 1], traj.m_l[:, 1],
-        traj.m_g[:, 2], traj.m_l[:, 2],
-    ])
-
-
 _INTERNAL_DT = 0.1   # s, RK4 substep
 _LOG_DT = 1.0        # s, sampling cadence
 

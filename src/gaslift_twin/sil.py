@@ -8,11 +8,12 @@ twin, and records everything alongside a frozen static model for contrast.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import jsonable, write_csv, write_json, write_text
 from .cognitive import (
     ACTION_OFFLINE,
     ACTION_WAIT,
@@ -26,7 +27,6 @@ from .cognitive import (
     handle_drift,
     one_step_regressor,
 )
-from .errors import IoFailure
 from .network import forward
 from .plant import (
     CHANNEL_NAMES,
@@ -441,21 +441,15 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _jsonsafe(x):
-    """Finite floats pass through; non-finite ones become null."""
-    if isinstance(x, (float, np.floating)):
-        return float(x) if np.isfinite(x) else None
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, dict):
-        return {k: _jsonsafe(v) for k, v in x.items()}
-    return x
+def events_jsonl(events: tuple[DriftEvent, ...]) -> str:
+    """One sorted-key JSON line per drift event, with its retrain status."""
+    return "".join(
+        json.dumps({
+            **asdict(e),
+            "status": "completed" if e.retrain_step is not None else "truncated",
+        }, sort_keys=True) + "\n"
+        for e in events
+    )
 
 
 def emit_report(log: SilLog, out_dir: str | Path) -> list[Path]:
@@ -466,109 +460,37 @@ def emit_report(log: SilLog, out_dir: str | Path) -> list[Path]:
     same log is idempotent.
     """
     out = Path(out_dir)
-    try:
-        (out / "channels").mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-
-        header = "t,measured,predicted,lower,upper,static,indicator,Z\n"
-        for j, c in enumerate(log.channels):
-            path = out / "channels" / f"{c}.csv"
-            lines = [header]
-            for i in range(log.n_steps):
-                lines.append(",".join([
-                    _fmt(log.t[i]), _fmt(log.truth[i, j]),
-                    _fmt(log.predicted[i, j]), _fmt(log.lower[i, j]),
-                    _fmt(log.upper[i, j]), _fmt(log.static_pred[i, j]),
-                    str(int(log.indicator[i, j])), str(int(log.Z[i, j])),
-                ]) + "\n")
-            path.write_text("".join(lines))
-            written.append(path)
-
-        events_path = out / "events.jsonl"
-        ev_lines = []
-        for e in log.events:
-            ev_lines.append(json.dumps({
-                "detection_step": e.detection_step,
-                "cause": e.cause,
-                "action": e.action,
-                "retrain_step": e.retrain_step,
-                "post_retrain_z": e.post_retrain_z,
-                "status": "completed" if e.retrain_step is not None else "truncated",
-            }, sort_keys=True) + "\n")
-        events_path.write_text("".join(ev_lines))
-        written.append(events_path)
-
-        comparison = compare_static_vs_dt(log) if log.n_steps else None
-        summary = {
-            "scenario": log.script.id,
-            "duration_s": log.script.duration_s,
-            "seed": log.seed,
-            "channels": list(log.channels),
-            "config": {
-                "mh": log.config.mh, "a_offset": log.config.a_offset,
-                "ct": log.config.ct, "confidence": log.config.confidence,
-                "wait_buffer": log.config.wait_buffer,
-                "retrain_epochs": log.config.retrain_epochs,
-                "retrain_lr_factor": log.config.retrain_lr_factor,
-            },
-            "n_events": len(log.events),
-            "n_retrains": len(log.retrain_steps()),
-            "metrics": None if comparison is None else {
-                "onset_step": comparison.onset_step,
-                "detection_step": comparison.detection_step,
-                "retrain_step": comparison.retrain_step,
-                "time_to_trigger": comparison.time_to_trigger,
-                "time_to_recovery": comparison.time_to_recovery,
-                "pre_violation_fraction": comparison.pre_violation_fraction,
-                "post_violation_fraction": comparison.post_violation_fraction,
-                "per_channel": {
-                    c: _jsonsafe({
-                        "pre_mse_static": m.pre_mse_static,
-                        "pre_mse_twin": m.pre_mse_twin,
-                        "post_mse_static": m.post_mse_static,
-                        "post_mse_twin": m.post_mse_twin,
-                        "pre_violation_fraction": m.pre_violation_fraction,
-                        "post_violation_fraction": m.post_violation_fraction,
-                    })
-                    for c, m in comparison.per_channel.items()
-                },
-            },
-        }
-        summary_path = out / "summary.json"
-        summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-        written.append(summary_path)
-        return written
-    except OSError as exc:
-        raise IoFailure(f"could not write report under {out}: {exc}") from exc
+    written = [
+        write_csv(
+            out / "channels" / f"{c}.csv",
+            ("t", "measured", "predicted", "lower", "upper", "static",
+             "indicator", "Z"),
+            zip(log.t, log.truth[:, j], log.predicted[:, j], log.lower[:, j],
+                log.upper[:, j], log.static_pred[:, j], log.indicator[:, j],
+                log.Z[:, j]),
+        )
+        for j, c in enumerate(log.channels)
+    ]
+    written.append(write_text(out / "events.jsonl", events_jsonl(log.events)))
+    comparison = compare_static_vs_dt(log) if log.n_steps else None
+    written.append(write_json(out / "summary.json", {
+        "scenario": log.script.id,
+        "duration_s": log.script.duration_s,
+        "seed": log.seed,
+        "channels": log.channels,
+        "config": asdict(log.config),
+        "n_events": len(log.events),
+        "n_retrains": len(log.retrain_steps()),
+        "metrics": None if comparison is None else asdict(comparison),
+    }))
+    return written
 
 
 def log_to_dict(log: SilLog) -> dict:
     """JSON-ready rendering of a log; floats round-trip exactly."""
-    s = log.script
     return {
-        "script": {
-            "id": s.id,
-            "duration_s": s.duration_s,
-            "baseline": {
-                "Q_g": s.baseline.Q_g.tolist(),
-                "v_o": s.baseline.v_o.tolist(),
-                "P_pump": s.baseline.P_pump,
-            },
-            "disturbances": [
-                {"time_s": d.time_s, "valve": d.valve, "kind": d.kind,
-                 "magnitude": d.magnitude, "slope": d.slope}
-                for d in s.disturbances
-            ],
-            "drift_source_identified": s.drift_source_identified,
-            "wait_buffer": s.wait_buffer,
-        },
-        "config": {
-            "mh": log.config.mh, "a_offset": log.config.a_offset,
-            "ct": log.config.ct, "confidence": log.config.confidence,
-            "wait_buffer": log.config.wait_buffer,
-            "retrain_epochs": log.config.retrain_epochs,
-            "retrain_lr_factor": log.config.retrain_lr_factor,
-        },
+        "script": jsonable(asdict(log.script)),
+        "config": asdict(log.config),
         "seed": log.seed,
         "channels": list(log.channels),
         "t": log.t.tolist(),
@@ -582,29 +504,17 @@ def log_to_dict(log: SilLog) -> dict:
         "indicator": log.indicator.tolist(),
         "Z": log.Z.tolist(),
         "monitored": log.monitored.tolist(),
-        "events": [
-            {"detection_step": e.detection_step, "cause": e.cause,
-             "action": e.action, "retrain_step": e.retrain_step,
-             "post_retrain_z": e.post_retrain_z}
-            for e in log.events
-        ],
+        "events": [asdict(e) for e in log.events],
     }
 
 
 def log_from_dict(d: dict) -> SilLog:
     s = d["script"]
-    script = ScenarioScript(
-        id=s["id"],
-        duration_s=s["duration_s"],
-        baseline=PlantInputs(
-            Q_g=np.array(s["baseline"]["Q_g"]),
-            v_o=np.array(s["baseline"]["v_o"]),
-            P_pump=s["baseline"]["P_pump"],
-        ),
-        disturbances=tuple(Disturbance(**e) for e in s["disturbances"]),
-        drift_source_identified=s["drift_source_identified"],
-        wait_buffer=s["wait_buffer"],
-    )
+    script = ScenarioScript(**{
+        **s,
+        "baseline": PlantInputs(**s["baseline"]),
+        "disturbances": tuple(Disturbance(**e) for e in s["disturbances"]),
+    })
     return SilLog(
         script=script,
         config=CognitiveConfig(**d["config"]),

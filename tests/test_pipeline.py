@@ -1,0 +1,177 @@
+"""End-to-end CLI runs of the pipeline, gen-data through report, on a tiny config."""
+
+import contextlib
+import io
+import json
+import shutil
+from dataclasses import replace
+
+import pytest
+
+from gaslift_twin import cli, pipeline, sil
+from gaslift_twin.config import parse_config
+
+STAGES = ("gen-data", "rank-inputs", "select-structure", "tune", "fit",
+          "mcmc", "reduce", "sil", "report")
+
+# perfbench/identify.cfg, plus a short online phase
+TINY = """\
+doe.n = 12
+doe.hold = 30
+doe.settle = 50
+doe.seed = 5
+structure.n_max = 6
+structure.max_rows = 200
+hyperband.r_max = 27
+hyperband.seed = 11
+training.epochs = 20
+mcmc.samples = 24
+mcmc.burn_in = 8
+mcmc.likelihood_rows = 300
+reduction.val_window = 50
+sil.warmup = 20
+sil.retrain_experiments = 4
+sil.retrain_hold = 40
+cognitive.retrain_epochs = 2
+cognitive.MH = 20
+"""
+
+SCENARIO_S = 40
+
+
+def write_config(root, extra=""):
+    path = root / "run.cfg"
+    path.write_text(
+        f"paths.data_dir = {root / 'data'}\n"
+        f"paths.artifact_dir = {root / 'artifacts'}\n"
+        f"paths.report_dir = {root / 'reports'}\n"
+        + TINY + extra
+    )
+    return path
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([str(a) for a in argv])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def error_of(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+def snapshot(root):
+    return {
+        p.relative_to(root): p.read_bytes()
+        for p in sorted(root.rglob("*")) if p.is_file() and p.suffix != ".cfg"
+    }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def short_scenarios():
+    """The standard scenarios cut to 40 s with the disturbance at 20 s."""
+    library = sil.scenario_library()
+    short = {
+        k: replace(s, duration_s=SCENARIO_S, disturbances=tuple(
+            replace(d, time_s=SCENARIO_S // 2) for d in s.disturbances))
+        for k, s in library.items()
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sil, "scenario_library", lambda: short)
+        yield
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """Every stage run once through the CLI: (root, config, stdout per stage)."""
+    root = tmp_path_factory.mktemp("pipeline")
+    cfg = write_config(root)
+    outputs = {}
+    for stage in STAGES:
+        rc, out, err = run_cli("--config", cfg, stage)
+        assert rc == 0, f"{stage}: {err}"
+        outputs[stage] = json.loads(out)
+    return root, cfg, outputs
+
+
+class TestEndToEnd:
+    def test_every_stage_reports_its_result(self, run):
+        _, _, outputs = run
+        for stage in STAGES[:7]:
+            assert outputs[stage]["stage"] == stage
+            assert len(outputs[stage]["fingerprint"]) == 64
+        assert [r["stage"] for r in outputs["sil"]] == [
+            "sil-scenario1", "sil-scenario2", "sil-scenario3"]
+        assert outputs["report"]["scenarios"] == [
+            "scenario1", "scenario2", "scenario3"]
+
+    def test_report_files(self, run):
+        root, _, outputs = run
+        report = root / "reports" / "report"
+        index = json.loads((report / "index.json").read_text())
+        # scenario 2's cause is unknown and its 5000-row buffer never fills
+        assert index["scenario2"]["n_retrains"] == 0
+        events = (report / "scenario2" / "events.jsonl").read_text()
+        assert json.loads(events)["status"] == "truncated"
+        assert (root / "artifacts" / "sil-scenario2" / "events.jsonl").read_text() \
+            == events
+        for sid in (1, 2, 3):
+            summary = json.loads(
+                (report / f"scenario{sid}" / "summary.json").read_text())
+            assert summary["config"]["mh"] == 20
+            assert summary["n_events"] == outputs["sil"][sid - 1]["n_events"]
+            assert len(list((report / f"scenario{sid}" / "channels").glob("*.csv"))) == 6
+
+    def test_rerun_reproduces_bytes(self, run):
+        root, cfg, _ = run
+        before = snapshot(root)
+        for argv in (*STAGES[:7], ("sil", "--scenario", 1), "report"):
+            argv = (argv,) if isinstance(argv, str) else argv
+            rc, _, err = run_cli("--config", cfg, *argv)
+            assert rc == 0, err
+        assert snapshot(root) == before
+
+
+class TestFailures:
+    def test_tampered_ensemble_is_refused(self, run, tmp_path):
+        root, _, _ = run
+        shutil.copytree(root / "artifacts", tmp_path / "artifacts")
+        cfg = write_config(tmp_path)
+        path = tmp_path / "artifacts" / "reduce" / "ensembles" / "well1_mg.json"
+        doc = json.loads(path.read_text())
+        doc["members"][0][0] += 1e-9
+        path.write_text(json.dumps(doc))
+        rc, out, err = run_cli("--config", cfg, "sil", "--scenario", 2)
+        assert rc == 1
+        assert out == ""
+        assert error_of(err)["error"] == "FingerprintMismatch"
+
+    def test_any_exception_becomes_a_json_error(self, tmp_path, monkeypatch):
+        def boom(cfg):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setitem(pipeline.STAGES, "gen-data", boom)
+        rc, out, err = run_cli("--config", write_config(tmp_path), "gen-data")
+        assert rc == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert error_of(err) == {"error": "RuntimeError", "message": "disk on fire"}
+
+    @pytest.mark.parametrize("key", ["cognitive.calibration", "cognitive.margin"])
+    def test_unimplemented_cognitive_keys_are_unknown(self, tmp_path, key):
+        cfg = write_config(tmp_path, f"{key} = 1\n")
+        rc, _, err = run_cli("--config", cfg, "gen-data")
+        assert rc == 1
+        assert error_of(err)["error"] == "UnknownKey"
+
+
+def test_only_confidence_of_the_cognitive_keys_reaches_reduce(tmp_path):
+    cfg = parse_config(write_config(tmp_path))
+    other = replace(cfg, cognitive=replace(cfg.cognitive, mh=30, retrain_epochs=3))
+    assert other.stage_hash("reduce") == cfg.stage_hash("reduce")
+    assert other.stage_hash("sil") != cfg.stage_hash("sil")
+    tighter = replace(cfg, cognitive=replace(cfg.cognitive, confidence=0.9))
+    assert tighter.stage_hash("reduce") != cfg.stage_hash("reduce")
