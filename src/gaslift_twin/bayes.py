@@ -258,7 +258,6 @@ class CoverageSeries:
     lower: np.ndarray
     upper: np.ndarray
     median: np.ndarray
-    spread: np.ndarray       # member standard deviation per step
     confidence: float
     n_members: int
 
@@ -309,7 +308,6 @@ def propagate_uncertainty(
         lower=np.quantile(paths, lo_q, axis=0),
         upper=np.quantile(paths, 1.0 - lo_q, axis=0),
         median=np.quantile(paths, 0.5, axis=0),
-        spread=paths.std(axis=0),
         confidence=confidence,
         n_members=int(len(paths)),
     )

@@ -14,6 +14,7 @@ import os
 import sys
 
 from .config import RunConfig, default_config, describe_keys, parse_config
+from .errors import UsageError
 from .pipeline import run_stage
 
 CONFIG_ENV_VAR = "GASLIFT_TWIN_CONFIG"
@@ -31,8 +32,15 @@ _STAGE_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaslift-twin",
         description="Offline identification and online cognitive-twin "
                     "pipeline for the simulated gas-lift process.",
@@ -65,8 +73,8 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args.config)
         result = run_stage(
             cfg, args.command, scenario=getattr(args, "scenario", None)

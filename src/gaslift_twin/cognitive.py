@@ -213,10 +213,8 @@ class OnlineChannelModel:
             raise InvalidRegion(f"no finite predictions available on {self.channel}")
         alpha = (1.0 - confidence) / 2.0
         lo_n, hi_n = np.quantile(preds_n, [alpha, 1.0 - alpha])
-        point = float(self.norm.denormalize_target(np.array([point_n]))[0])
-        lo = float(self.norm.denormalize_target(np.array([lo_n]))[0])
-        hi = float(self.norm.denormalize_target(np.array([hi_n]))[0])
-        return point, lo, hi
+        point, lo, hi = self.norm.denormalize_target(np.array([point_n, lo_n, hi_n]))
+        return float(point), float(lo), float(hi)
 
 
 def transfer_warm_start(artifact: OfflineArtifact) -> OnlineChannelModel:

@@ -115,6 +115,10 @@ class IoFailure(GasLiftError):
     """A report or artifact could not be written."""
 
 
+class UsageError(GasLiftError):
+    """The command line names an unknown stage or an invalid option value."""
+
+
 # --- warnings ---
 
 class GasLiftWarning(UserWarning):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GasLiftError
-from .network import NetworkSpec, NetworkWeights, train_channel
+from .network import NetworkSpec, train_channel
 
 DEFAULT_LEARNING_RATES = (1e-3, 1e-2, 1e-1)
 DEFAULT_DENSE_COUNTS = (1, 2, 3, 4)
@@ -68,7 +68,6 @@ class TrialRecord:
 class HyperbandResult:
     best_spec: NetworkSpec
     best_loss: float
-    best_weights: NetworkWeights
     trials: tuple[TrialRecord, ...]
 
     @property
@@ -124,7 +123,6 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
     trials: list[TrialRecord] = []
     best: tuple[float, int] | None = None
     best_spec = None
-    best_weights = None
     next_id = 0
 
     for bracket in bracket_schedule(config):
@@ -167,7 +165,7 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
                     scored.append((loss, trial_id, spec, ckpt, rung["epochs"]))
                     if best is None or (loss, trial_id) < best:
                         best = (loss, trial_id)
-                        best_spec, best_weights = spec, ckpt
+                        best_spec = spec
             if i == len(bracket["rungs"]) - 1:
                 break
             scored.sort(key=lambda rec: (rec[0], rec[1]))
@@ -181,6 +179,5 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
     return HyperbandResult(
         best_spec=best_spec,
         best_loss=best[0],
-        best_weights=best_weights,
         trials=tuple(trials),
     )

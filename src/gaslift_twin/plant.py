@@ -153,8 +153,8 @@ def _chain(m_g, m_l, w_g, v_o, pp_pa, params: PlantParams, clamp: bool):
     """Evaluate the algebraic chain for all wells at once.
 
     Returns the tuple of ALGEBRAIC_FIELDS arrays. With ``clamp`` the two
-    square roots saturate at zero flow instead of raising; used by live
-    loops that must not crash on transiently nonphysical states.
+    square roots saturate at zero flow, with a ClampedFlowWarning, instead
+    of raising NegativeSqrtArgument.
     """
     V_l = m_l / params.rho_l
     V_g = params.V_total - V_l
@@ -291,11 +291,7 @@ class Trajectory:
 
     def states_matrix(self) -> np.ndarray:
         """Columns mg1, ml1, mg2, ml2, mg3, ml3 (the six output channels)."""
-        cols = []
-        for w in range(N_WELLS):
-            cols.append(self.m_g[:, w])
-            cols.append(self.m_l[:, w])
-        return np.stack(cols, axis=1)
+        return channel_values(self.m_g, self.m_l)
 
     def inputs_matrix(self) -> np.ndarray:
         """Columns Qg1, Qg2, Qg3, Ppump (the four exogenous inputs)."""
@@ -306,8 +302,14 @@ class Trajectory:
 CHANNEL_NAMES = ("well1_mg", "well1_ml", "well2_mg", "well2_ml", "well3_mg", "well3_ml")
 INPUT_NAMES = ("Qg1", "Qg2", "Qg3", "Ppump")
 
-_INTERNAL_DT = 0.1   # s, RK4 substep
+INTERNAL_DT = 0.1    # s, RK4 substep
 _LOG_DT = 1.0        # s, sampling cadence
+SUBSTEPS = int(round(_LOG_DT / INTERNAL_DT))   # RK4 substeps per logged second
+
+
+def channel_values(m_g: np.ndarray, m_l: np.ndarray) -> np.ndarray:
+    """Per-well masses (..., 3) interleaved into CHANNEL_NAMES order (..., 6)."""
+    return np.stack([m_g, m_l], axis=-1).reshape(*m_g.shape[:-1], 2 * N_WELLS)
 
 
 def _log_sample(store, idx, t, m_g, m_l, Q_g, v_o, P_pump, outs):
@@ -322,20 +324,13 @@ def _log_sample(store, idx, t, m_g, m_l, Q_g, v_o, P_pump, outs):
 
 
 def _alloc_store(n):
-    store = {
-        "t": np.empty(n),
-        "m_g": np.empty((n, N_WELLS)),
-        "m_l": np.empty((n, N_WELLS)),
-        "Q_g": np.empty((n, N_WELLS)),
-        "v_o": np.empty((n, N_WELLS)),
-        "P_pump": np.empty(n),
-    }
-    for name in ALGEBRAIC_FIELDS:
+    store = {"t": np.empty(n), "P_pump": np.empty(n)}
+    for name in ("m_g", "m_l", "Q_g", "v_o", *ALGEBRAIC_FIELDS):
         store[name] = np.empty((n, N_WELLS))
     return store
 
 
-def _store_to_trajectory(store, final_state, steady, noise_std, seed):
+def _store_to_trajectory(store, final_state, steady, noise_std=0.0, seed=0):
     m_g = store["m_g"]
     m_l = store["m_l"]
     if noise_std > 0.0:
@@ -350,9 +345,22 @@ def _store_to_trajectory(store, final_state, steady, noise_std, seed):
     )
 
 
+def _integrate(store, first, m_g, m_l, t0, Q_g, v_o, P_pump, params):
+    """Integrate and log one second per input row from store row ``first`` on."""
+    for i in range(len(P_pump)):
+        w_g = Q_g[i] * SL_PER_MIN_TO_KG_S
+        pp_pa = P_pump[i] * BAR_TO_PA
+        for _ in range(SUBSTEPS):
+            m_g, m_l = _rk4(m_g, m_l, w_g, v_o[i], pp_pa, params, INTERNAL_DT, False)
+        _check_bounds(m_g, m_l, params)
+        outs = _chain(m_g, m_l, w_g, v_o[i], pp_pa, params, False)
+        _log_sample(store, first + i, t0 + (i + 1) * _LOG_DT, m_g, m_l,
+                    Q_g[i], v_o[i], P_pump[i], outs)
+    return m_g, m_l
+
+
 def simulate_experiment(inputs: PlantInputs, duration: float, params: PlantParams,
-                        initial: PlantState, *, clamp: bool = False,
-                        noise_std: float = 0.0, seed: int = 0,
+                        initial: PlantState, *, noise_std: float = 0.0, seed: int = 0,
                         ss_rel_tol: float = 1.0e-4) -> Trajectory:
     """Hold ``inputs`` constant for ``duration`` seconds and log at 1 Hz.
 
@@ -369,31 +377,25 @@ def simulate_experiment(inputs: PlantInputs, duration: float, params: PlantParam
 
     w_g = inputs.Q_g * SL_PER_MIN_TO_KG_S
     pp_pa = inputs.P_pump * BAR_TO_PA
-    m_g, m_l = initial.m_g.copy(), initial.m_l.copy()
-    t = initial.t
+    outs = _chain(initial.m_g, initial.m_l, w_g, inputs.v_o, pp_pa, params, False)
+    _log_sample(store, 0, initial.t, initial.m_g, initial.m_l,
+                inputs.Q_g, inputs.v_o, inputs.P_pump, outs)
+    m_g, m_l = _integrate(
+        store, 1, initial.m_g, initial.m_l, initial.t,
+        np.broadcast_to(inputs.Q_g, (n_seconds, N_WELLS)),
+        np.broadcast_to(inputs.v_o, (n_seconds, N_WELLS)),
+        np.full(n_seconds, inputs.P_pump), params,
+    )
 
-    outs = _chain(m_g, m_l, w_g, inputs.v_o, pp_pa, params, clamp)
-    _log_sample(store, 0, t, m_g, m_l, inputs.Q_g, inputs.v_o, inputs.P_pump, outs)
-
-    substeps = int(round(_LOG_DT / _INTERNAL_DT))
-    for sec in range(1, n_seconds + 1):
-        for _ in range(substeps):
-            m_g, m_l = _rk4(m_g, m_l, w_g, inputs.v_o, pp_pa, params, _INTERNAL_DT, clamp)
-        _check_bounds(m_g, m_l, params)
-        t = initial.t + sec * _LOG_DT
-        outs = _chain(m_g, m_l, w_g, inputs.v_o, pp_pa, params, clamp)
-        _log_sample(store, sec, t, m_g, m_l, inputs.Q_g, inputs.v_o, inputs.P_pump, outs)
-
-    dm_g, dm_l = _rhs(m_g, m_l, w_g, inputs.v_o, pp_pa, params, clamp)
+    dm_g, dm_l = _rhs(m_g, m_l, w_g, inputs.v_o, pp_pa, params, False)
     rel = max(np.max(np.abs(dm_g) / np.abs(m_g)), np.max(np.abs(dm_l) / np.abs(m_l)))
-    final_state = PlantState(m_g=m_g, m_l=m_l, t=t)
+    final_state = PlantState(m_g=m_g, m_l=m_l, t=store["t"][-1])
     return _store_to_trajectory(store, final_state, rel < ss_rel_tol, noise_std, seed)
 
 
 def simulate_schedule(Q_g: np.ndarray, v_o: np.ndarray, P_pump: np.ndarray,
-                      hold: float, params: PlantParams, initial: PlantState,
-                      *, clamp: bool = False, noise_std: float = 0.0,
-                      seed: int = 0) -> Trajectory:
+                      hold: float, params: PlantParams,
+                      initial: PlantState) -> Trajectory:
     """Run a piecewise-constant input schedule as one continuous simulation.
 
     Row k of the (k, 3)/(k,) input arrays is held for ``hold`` seconds;
@@ -401,32 +403,15 @@ def simulate_schedule(Q_g: np.ndarray, v_o: np.ndarray, P_pump: np.ndarray,
     the initial state, so the result has exactly n_plateaus*hold rows and
     plateau boundaries fall on multiples of ``hold``.
     """
-    Q_g = np.atleast_2d(np.asarray(Q_g, dtype=float))
-    v_o = np.atleast_2d(np.asarray(v_o, dtype=float))
-    P_pump = np.atleast_1d(np.asarray(P_pump, dtype=float))
-    n_plateaus = Q_g.shape[0]
     hold_s = int(round(hold))
     if hold_s < 1:
         raise ValueError("hold must be at least 1 s")
     initial.validate(params)
-
-    n_rows = n_plateaus * hold_s
-    store = _alloc_store(n_rows)
-    m_g, m_l = initial.m_g.copy(), initial.m_l.copy()
-    substeps = int(round(_LOG_DT / _INTERNAL_DT))
-
-    idx = 0
-    for k in range(n_plateaus):
-        w_g = Q_g[k] * SL_PER_MIN_TO_KG_S
-        pp_pa = P_pump[k] * BAR_TO_PA
-        for _ in range(hold_s):
-            for _ in range(substeps):
-                m_g, m_l = _rk4(m_g, m_l, w_g, v_o[k], pp_pa, params, _INTERNAL_DT, clamp)
-            _check_bounds(m_g, m_l, params)
-            t = initial.t + (idx + 1) * _LOG_DT
-            outs = _chain(m_g, m_l, w_g, v_o[k], pp_pa, params, clamp)
-            _log_sample(store, idx, t, m_g, m_l, Q_g[k], v_o[k], P_pump[k], outs)
-            idx += 1
-
+    Q_g = np.repeat(np.atleast_2d(np.asarray(Q_g, dtype=float)), hold_s, axis=0)
+    v_o = np.repeat(np.atleast_2d(np.asarray(v_o, dtype=float)), hold_s, axis=0)
+    P_pump = np.repeat(np.atleast_1d(np.asarray(P_pump, dtype=float)), hold_s)
+    store = _alloc_store(len(P_pump))
+    m_g, m_l = _integrate(store, 0, initial.m_g, initial.m_l, initial.t,
+                          Q_g, v_o, P_pump, params)
     final_state = PlantState(m_g=m_g, m_l=m_l, t=store["t"][-1])
-    return _store_to_trajectory(store, final_state, False, noise_std, seed)
+    return _store_to_trajectory(store, final_state, False)

@@ -25,23 +25,23 @@ from .cognitive import (
     DriftEvent,
     OfflineArtifact,
     handle_drift,
-    one_step_regressor,
 )
 from .network import forward
 from .plant import (
     CHANNEL_NAMES,
+    INTERNAL_DT,
+    SUBSTEPS,
     PlantInputs,
     PlantParams,
+    channel_values,
     default_initial_state,
     simulate_experiment,
     step as plant_step,
 )
+from .structure import build_lag_matrix
 
 KIND_STEP = "step"
 KIND_RAMP = "ramp"
-
-_SUBSTEPS = 10          # RK4 substeps per logged second
-_INTERNAL_DT = 0.1
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,7 @@ def run_scenario(
     for c in channels:
         if c not in CHANNEL_NAMES:
             raise ValueError(f"harness channels must be plant channels, got {c!r}")
-    well_col = {c: CHANNEL_NAMES.index(c) for c in channels}
-    statics = {c: artifacts[c] for c in channels}
+    cols = [CHANNEL_NAMES.index(c) for c in channels]
 
     n = script.duration_s
     n_c = len(channels)
@@ -231,16 +230,9 @@ def run_scenario(
     predicted = np.full((n, n_c), np.nan)
     lower = np.full((n, n_c), np.nan)
     upper = np.full((n, n_c), np.nan)
-    static_pred = np.full((n, n_c), np.nan)
     indicator = np.zeros((n, n_c), dtype=int)
     z_log = np.zeros((n, n_c), dtype=int)
     monitored = np.zeros(n, dtype=bool)
-
-    y_hist: list[np.ndarray] = []      # measured outputs, for the static model
-    u_hist: list[np.ndarray] = []
-    max_depth = max(
-        max(a.layout.n_b, a.layout.n_a) for a in statics.values()
-    )
 
     events: list[DriftEvent] = []
     active: DriftEvent | None = None
@@ -252,32 +244,13 @@ def run_scenario(
         inputs = PlantInputs(
             Q_g=script.baseline.Q_g, v_o=v_now, P_pump=script.baseline.P_pump
         )
-        for _ in range(_SUBSTEPS):
-            state = plant_step(state, inputs, params, _INTERNAL_DT)
-        y_now = np.empty(n_c)
-        for j, c in enumerate(channels):
-            w = well_col[c]
-            y_now[j] = (state.m_g[w // 2] if w % 2 == 0 else state.m_l[w // 2])
+        for _ in range(SUBSTEPS):
+            state = plant_step(state, inputs, params, INTERNAL_DT)
+        y_now = channel_values(state.m_g, state.m_l)[cols]
 
         log_vo[i] = v_now
         log_u[i] = u_row
         truth[i] = y_now
-
-        # frozen static model sees the same measured history as the twin
-        if len(y_hist) >= max_depth:
-            u_win = np.vstack([*u_hist[-(max_depth - 1):], u_row]) if max_depth > 1 \
-                else u_row[None]
-            for j, c in enumerate(channels):
-                art = statics[c]
-                y_win = np.array([h[j] for h in y_hist[-art.layout.n_b:]])
-                x = one_step_regressor(art.layout, y_win, u_win)
-                xn = art.norm.normalize_regressors(x[None], art.layout)
-                pn = float(forward(art.map_theta, art.spec, xn)[0])
-                static_pred[i, j] = float(
-                    art.norm.denormalize_target(np.array([pn]))[0]
-                )
-        y_hist.append(y_now)
-        u_hist.append(u_row)
 
         r = twin.step(u_row, y_now)
         predicted[i] = r.predicted
@@ -320,6 +293,20 @@ def run_scenario(
 
     if active is not None:
         events.append(active)       # truncated: run ended while waiting
+
+    # the frozen static model sees the same measured history as the twin, from
+    # the deepest lag of any channel on; one matmul per regressor row, as in
+    # the twin's single-row predict, keeps the two bit-identical until the
+    # twin retrains
+    static_pred = np.full((n, n_c), np.nan)
+    rows = np.arange(max(artifacts[c].layout.max_lag for c in channels), n)
+    if len(rows):
+        for j, c in enumerate(channels):
+            art = artifacts[c]
+            X, _, _ = build_lag_matrix(truth[:, j], log_u, art.layout, None, rows)
+            xn = art.norm.normalize_regressors(X, art.layout)
+            pn = forward(art.map_theta, art.spec, xn[:, None, :])[:, 0]
+            static_pred[rows, j] = art.norm.denormalize_target(pn)
 
     return SilLog(
         script=script, config=config, seed=seed, channels=channels,

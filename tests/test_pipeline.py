@@ -160,6 +160,20 @@ class TestFailures:
         assert "Traceback" not in err
         assert error_of(err) == {"error": "RuntimeError", "message": "disk on fire"}
 
+    @pytest.mark.parametrize("argv", [("bogus",), ("sil", "--scenario", "7"), ()])
+    def test_bad_command_line_becomes_a_json_error(self, argv):
+        rc, out, err = run_cli(*argv)
+        assert rc == 1
+        assert out == ""
+        assert error_of(err)["error"] == "UsageError"
+
+    def test_help_still_exits_0(self):
+        with pytest.raises(SystemExit) as exc, \
+                contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.main(["sil", "--help"])
+        assert exc.value.code == 0
+        assert "--scenario" in out.getvalue()
+
     @pytest.mark.parametrize("key", ["cognitive.calibration", "cognitive.margin"])
     def test_unimplemented_cognitive_keys_are_unknown(self, tmp_path, key):
         cfg = write_config(tmp_path, f"{key} = 1\n")

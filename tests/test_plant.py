@@ -229,7 +229,7 @@ class TestSimulateSchedule:
         one = simulate_schedule(np.array([[3.0, 3.0, 3.0]]), np.ones((1, 3)),
                                 np.array([2.65]), 50, PARAMS, start)
         two = simulate_experiment(MID, 50.0, PARAMS, start)
-        np.testing.assert_allclose(one.m_l[-1], two.m_l[-1], rtol=1e-14)
+        assert np.array_equal(one.m_l[-1], two.m_l[-1])
 
 
 @st.composite

@@ -21,9 +21,8 @@ MINI_CHANNELS = ("well1_mg", "well1_ml", "well3_ml")
 
 
 @pytest.fixture(scope="module")
-def mini_artifacts():
-    """Small fitted twin: linear nets on a short experiment batch, ensemble
-    members spread around the fit by a few residual standard deviations."""
+def mini_series():
+    """States and inputs of a short experiment batch from the settled plant."""
     params = PlantParams()
     plan = lhs_sample(20, TABLE_BOUNDS, seed=11)
     sched = build_input_sequence(plan, 30.0)
@@ -31,11 +30,17 @@ def mini_artifacts():
                                  default_initial_state(params))
     traj = simulate_schedule(sched.Q_g, sched.v_o, sched.P_pump, sched.hold,
                              params, settle.final_state)
-    layout = NarxLayout(2, 1, 4)
-    ds = assemble_narx_dataset(traj.states_matrix(), traj.inputs_matrix(),
-                               30, layout, seed=0)
+    return traj.states_matrix(), traj.inputs_matrix()
+
+
+def fit_mini_twin(series, layouts):
+    """Small fitted twin: linear nets on ``series``, one lag layout per
+    channel, ensemble members spread around the fit by a few residual
+    standard deviations."""
+    Y, U = series
     arts = {}
-    for c in MINI_CHANNELS:
+    for c, layout in zip(MINI_CHANNELS, layouts):
+        ds = assemble_narx_dataset(Y, U, 30, layout, seed=0)
         spec = nw.NetworkSpec((layout.width, 1), ("linear",), learning_rate=0.05,
                               epochs=150, batch_size=32, seed=0)
         res = nw.train_channel(ds[c], spec)
@@ -48,6 +53,19 @@ def mini_artifacts():
         arts[c] = cg.make_artifact(c, spec, layout, ds[c].norm,
                                    res.weights.theta, members)
     return arts
+
+
+@pytest.fixture(scope="module")
+def mini_artifacts(mini_series):
+    return fit_mini_twin(mini_series, [NarxLayout(2, 1, 4)] * len(MINI_CHANNELS))
+
+
+@pytest.fixture(scope="module")
+def mixed_artifacts(mini_series):
+    """Channels with different lag depths: the twin and the static model
+    both start predicting at the deepest one."""
+    return fit_mini_twin(mini_series, [NarxLayout(3, 2, 4), NarxLayout(2, 1, 4),
+                                       NarxLayout(3, 1, 4)])
 
 
 def quiet_script(duration=300):
@@ -149,8 +167,14 @@ class TestScenarioLibrary:
 
 class TestRunScenario:
     def test_quiet_run_never_triggers(self, mini_artifacts):
-        log = sil.run_scenario(quiet_script(), mini_artifacts, mini_config(),
-                               seed=0)
+        self.check_quiet_run(mini_artifacts)
+
+    def test_quiet_run_never_triggers_with_mixed_layouts(self, mixed_artifacts):
+        self.check_quiet_run(mixed_artifacts)
+
+    @staticmethod
+    def check_quiet_run(artifacts):
+        log = sil.run_scenario(quiet_script(), artifacts, mini_config(), seed=0)
         assert log.events == ()
         assert log.retrain_steps() == ()
         assert log.indicator.sum() == 0
