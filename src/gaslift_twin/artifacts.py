@@ -5,13 +5,15 @@ Every pipeline stage writes its outputs into one directory next to a
 seeds used, a sha256 per output file and the fingerprint of each upstream
 stage it consumed. A stage's fingerprint is the sha256 of its manifest
 bytes, so verifying a manifest transitively pins the exact content of the
-whole chain. All writers are deterministic: sorted JSON keys, repr-exact
-floats, no timestamps.
+whole chain. Arrays are stored as ``.npy``, small metadata as JSON and
+tables as CSV. All writers are deterministic: fixed ``.npy`` headers, sorted
+JSON keys, full-precision CSV floats, no timestamps. No reader unpickles.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -32,13 +34,14 @@ def file_sha256(path: Path) -> str:
 
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays; non-finite floats -> null."""
+    # bool before int: bool is an int subclass
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
         return f if np.isfinite(f) else None
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
     if isinstance(obj, dict):
@@ -48,30 +51,45 @@ def jsonable(obj):
     return obj
 
 
-def dump_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def write_text(path: Path, text: str) -> Path:
+def _write(path: Path, data: bytes) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_bytes(data)
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
     return path
 
 
+def write_text(path: Path, text: str) -> Path:
+    return _write(path, text.encode())
+
+
 def write_json(path: Path, obj) -> Path:
-    return write_text(path, dump_json(obj))
+    return write_text(path, json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n")
+
+
+def write_array(path: Path, a: np.ndarray) -> Path:
+    buf = io.BytesIO()
+    np.save(buf, a, allow_pickle=False)
+    return _write(path, buf.getvalue())
+
+
+def _read(path: Path, parse):
+    """``parse(path)``; a missing file is MissingArtifact, a bad one IoFailure."""
+    try:
+        return parse(path)
+    except FileNotFoundError:
+        raise MissingArtifact(f"expected artifact file {path}") from None
+    except (OSError, ValueError, EOFError) as e:
+        raise IoFailure(f"cannot read {path}: {e}") from e
 
 
 def read_json(path: Path):
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise MissingArtifact(f"expected artifact file {path}") from None
-    except (OSError, json.JSONDecodeError) as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
+    return _read(path, lambda p: json.loads(p.read_text()))
+
+
+def read_array(path: Path) -> np.ndarray:
+    return _read(path, lambda p: np.load(p, allow_pickle=False))
 
 
 def csv_cell(x) -> str:
@@ -90,16 +108,14 @@ def write_csv(path: Path, header: tuple[str, ...], rows) -> Path:
 
 def read_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Header plus an all-float matrix; raises MissingArtifact when absent."""
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise MissingArtifact(f"expected artifact file {path}") from None
-    except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
-    lines = text.splitlines()
-    header = tuple(lines[0].split(","))
+    return _read(path, _parse_csv)
+
+
+def _parse_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+    first, *lines = path.read_text().splitlines()     # ValueError when empty
+    header = tuple(first.split(","))
     data = np.array(
-        [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
+        [[float(v) for v in line.split(",")] for line in lines], dtype=float
     )
     if data.size == 0:
         data = data.reshape(0, len(header))

@@ -1,7 +1,8 @@
 """Stage-by-stage identification pipeline over on-disk artifacts.
 
 Each stage reads its upstream artifacts (validated by fingerprint), runs one
-module of the methodology and writes plain JSON/CSV outputs plus a manifest:
+module of the methodology and writes its outputs (arrays as ``.npy``, metadata
+as JSON, tables as CSV) plus a manifest:
 
     gen-data          LHS plan, correlation audit, simulated training series
     rank-inputs       per-channel exogenous-input relevance ranking
@@ -19,13 +20,21 @@ of them with the same config reproduces its artifacts byte for byte.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import sil as sil_mod
-from .artifacts import StageStore, read_csv, read_json, write_csv, write_json, write_text
+from .artifacts import (
+    StageStore,
+    read_array,
+    read_csv,
+    read_json,
+    write_array,
+    write_csv,
+    write_json,
+    write_text,
+)
 from .bayes import reduce_ensemble, sample_weight_posterior
 from .cognitive import OfflineArtifact, make_artifact
 from .config import RunConfig
@@ -337,10 +346,10 @@ def stage_fit(cfg: RunConfig) -> dict:
         X_te, y_te = ds.normalized_split("test")
         test = evaluate(res.weights, spec, X_te, y_te)
         val = min(res.val_loss) if res.val_loss else float("nan")
+        paths.append(write_array(out / "weights" / f"{name}.npy", res.weights.theta))
         paths.append(write_json(out / "weights" / f"{name}.json", {
             "channel": name,
             **_encode_spec(spec),
-            "theta": res.weights.theta,
             "norm": asdict(ds.norm),
             "best_epoch": res.best_epoch,
             "val_mse": val,
@@ -367,12 +376,13 @@ def _load_weights(cfg: RunConfig) -> tuple[dict[str, dict], str]:
     """Per-channel fitted weights, spec fields and normalization ranges."""
     store = _art_store(cfg)
     _, fp = store.require("fit", config_hash=cfg.stage_hash("fit"))
+    weights = store.stage_dir("fit") / "weights"
     out = {}
     for name in CHANNEL_NAMES:
-        doc = read_json(store.stage_dir("fit") / "weights" / f"{name}.json")
+        doc = read_json(weights / f"{name}.json")
         out[name] = {
             "spec": _decode_spec(doc),
-            "theta": np.array(doc["theta"], dtype=float),
+            "theta": read_array(weights / f"{name}.npy"),
             "norm": _decode_norm(doc["norm"]),
         }
     return out, fp
@@ -402,15 +412,10 @@ def stage_mcmc(cfg: RunConfig) -> dict:
             likelihood_rows=cfg.mcmc.likelihood_rows,
             prior_half_width=cfg.mcmc.prior_half_width,
         )
-        lines = []
-        for k in range(chain.length):
-            lines.append(json.dumps({
-                "index": k,
-                "log_posterior": float(chain.log_posteriors[k]),
-                "accepted": bool(chain.accepted[k]),
-                "theta": chain.samples[k].tolist(),
-            }, sort_keys=True) + "\n")
-        paths.append(write_text(out / "chains" / f"{name}.jsonl", "".join(lines)))
+        paths += [
+            write_array(out / "chains" / name / f"{field}.npy", getattr(chain, field))
+            for field in ("samples", "log_posteriors", "accepted")
+        ]
         summary[name] = {
             "sigma": sigma,
             "acceptance_rate": chain.acceptance_rate,
@@ -438,11 +443,8 @@ def stage_mcmc(cfg: RunConfig) -> dict:
 
 
 def _load_chain_samples(cfg: RunConfig, name: str) -> np.ndarray:
-    path = _art_store(cfg).stage_dir("mcmc") / "chains" / f"{name}.jsonl"
-    if not path.is_file():
-        raise MissingArtifact(f"mcmc stage lacks a chain for {name}")
-    rows = [json.loads(line)["theta"] for line in path.read_text().splitlines()]
-    return np.array(rows, dtype=float)
+    chain_dir = _art_store(cfg).stage_dir("mcmc") / "chains" / name
+    return read_array(chain_dir / "samples.npy")
 
 
 # ----------------------------------------------------------------- reduce
@@ -487,15 +489,18 @@ def stage_reduce(cfg: RunConfig) -> dict:
         artifact = make_artifact(
             name, entry["spec"], layout, norm, entry["theta"], ensemble.members
         )
-        paths.append(write_json(out / "ensembles" / f"{name}.json", {
-            "channel": name,
-            **_encode_spec(entry["spec"]),
-            "layout": asdict(layout),
-            "norm": asdict(norm),
-            "map_theta": entry["theta"],
-            "members": ensemble.members,
-            "artifact_fingerprint": artifact.fingerprint,
-        }))
+        ens_dir = out / "ensembles" / name
+        paths += [
+            write_array(ens_dir / "map_theta.npy", entry["theta"]),
+            write_array(ens_dir / "members.npy", ensemble.members),
+            write_json(ens_dir / "artifact.json", {
+                "channel": name,
+                **_encode_spec(entry["spec"]),
+                "layout": asdict(layout),
+                "norm": asdict(norm),
+                "artifact_fingerprint": artifact.fingerprint,
+            }),
+        ]
         summary[name] = {
             "n_kept": len(kept),
             "sizes": list(report.sizes),
@@ -526,12 +531,13 @@ def load_offline_artifacts(cfg: RunConfig) -> tuple[dict[str, OfflineArtifact], 
     _, fp = store.require("reduce", config_hash=cfg.stage_hash("reduce"))
     artifacts = {}
     for name in CHANNEL_NAMES:
-        doc = read_json(store.stage_dir("reduce") / "ensembles" / f"{name}.json")
+        ens_dir = store.stage_dir("reduce") / "ensembles" / name
+        doc = read_json(ens_dir / "artifact.json")
         artifact = make_artifact(
             doc["channel"], _decode_spec(doc), NarxLayout(**doc["layout"]),
             _decode_norm(doc["norm"]),
-            np.array(doc["map_theta"], dtype=float),
-            np.array(doc["members"], dtype=float),
+            read_array(ens_dir / "map_theta.npy"),
+            read_array(ens_dir / "members.npy"),
         )
         if artifact.fingerprint != doc["artifact_fingerprint"]:
             raise FingerprintMismatch(
@@ -571,18 +577,13 @@ def stage_sil(cfg: RunConfig, scenario: int | None = None) -> list[dict]:
             retrain_experiments=cfg.sil.retrain_experiments,
             retrain_hold=cfg.sil.retrain_hold,
         )
-        log_path = write_text(
-            out / "log.json",
-            json.dumps(sil_mod.log_to_dict(log), sort_keys=True,
-                       separators=(",", ":")) + "\n",
-        )
         events_path = write_text(
             out / "events.jsonl", sil_mod.events_jsonl(log.events)
         )
         fp = store.write_manifest(
             stage,
             config_hash=cfg.stage_hash(stage),
-            outputs=[log_path, events_path],
+            outputs=[*sil_mod.write_log(log, out / "log"), events_path],
             inputs={"reduce": fp_reduce},
             seeds={"sil.seed": cfg.sil.seed + sid},
             extra={
@@ -604,8 +605,7 @@ def load_sil_log(cfg: RunConfig, sid: int) -> tuple[sil_mod.SilLog, str]:
     store = _art_store(cfg)
     stage = f"sil-scenario{sid}"
     _, fp = store.require(stage, config_hash=cfg.stage_hash(stage))
-    doc = read_json(store.stage_dir(stage) / "log.json")
-    return sil_mod.log_from_dict(doc), fp
+    return sil_mod.read_log(store.stage_dir(stage) / "log"), fp
 
 
 # ----------------------------------------------------------------- report

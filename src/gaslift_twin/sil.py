@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import jsonable, write_csv, write_json, write_text
+from .artifacts import read_array, read_json, write_array, write_csv, write_json, write_text
 from .cognitive import (
     ACTION_OFFLINE,
     ACTION_WAIT,
@@ -203,10 +203,7 @@ def run_scenario(
     until the wait threshold fills.
     """
     params = params if params is not None else PlantParams()
-    wait_buffer = (
-        script.wait_buffer if script.wait_buffer is not None else config.wait_buffer
-    )
-    if script.wait_buffer is not None and script.wait_buffer != config.wait_buffer:
+    if script.wait_buffer is not None:
         config = replace(config, wait_buffer=script.wait_buffer)
 
     settle = simulate_experiment(
@@ -280,10 +277,10 @@ def run_scenario(
             else:
                 twin.begin_buffering()
                 active = DriftEvent(t_step, CAUSE_UNKNOWN, ACTION_WAIT)
-        elif active is not None and twin.buffer_size >= wait_buffer:
+        elif active is not None and twin.buffer_size >= config.wait_buffer:
             data = handle_drift(
                 CAUSE_UNKNOWN, buffered=twin.buffer_data(),
-                wait_buffer=wait_buffer,
+                wait_buffer=config.wait_buffer,
             )
             twin.retrain(data, seed=seed + len(events) + 1)
             events.append(replace(
@@ -357,8 +354,7 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
     the MH-step windows each side of the first retrain.
     """
     onset = log.script.onset()
-    events = [e for e in log.events]
-    detection = events[0].detection_step if events else None
+    detection = log.events[0].detection_step if log.events else None
     retrains = log.retrain_steps()
     retrain = retrains[0] if retrains else None
     mh = log.config.mh
@@ -372,6 +368,12 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
     else:
         pre_rows = idx[rows_ok & (step_of_row < onset)]
         post_rows = idx[rows_ok & (step_of_row >= onset)]
+    if retrain is None:
+        pre_w = post_w = idx[:0]
+    else:
+        r = retrain - 1        # row index of the retrain step
+        pre_w = idx[max(0, r - mh + 1): r + 1]
+        post_w = idx[r + 1: r + 1 + mh]
 
     per_channel: dict[str, ChannelComparison] = {}
     for j, c in enumerate(log.channels):
@@ -381,13 +383,6 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
             d = pred[rows, j] - log.truth[rows, j]
             return float(np.mean(d * d))
 
-        if retrain is None:
-            pre_w = idx[:0]
-            post_w = idx[:0]
-        else:
-            r = retrain - 1        # row index of the retrain step
-            pre_w = idx[max(0, r - mh + 1): r + 1]
-            post_w = idx[r + 1: r + 1 + mh]
         per_channel[c] = ChannelComparison(
             pre_mse_static=mse(pre_rows, log.static_pred),
             pre_mse_twin=mse(pre_rows, log.predicted),
@@ -399,16 +394,7 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
                 log.indicator[:, j], log.monitored, post_w),
         )
 
-    if retrain is None:
-        pre_f = post_f = 0.0
-    else:
-        r = retrain - 1
-        pre_w = idx[max(0, r - mh + 1): r + 1]
-        post_w = idx[r + 1: r + 1 + mh]
-        joint = log.indicator.mean(axis=1)
-        pre_f = _window_fraction(joint, log.monitored, pre_w)
-        post_f = _window_fraction(joint, log.monitored, post_w)
-
+    joint = log.indicator.mean(axis=1)
     return SilComparison(
         per_channel=per_channel,
         onset_step=onset,
@@ -422,8 +408,8 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
             retrain - detection
             if retrain is not None and detection is not None else None
         ),
-        pre_violation_fraction=pre_f,
-        post_violation_fraction=post_f,
+        pre_violation_fraction=_window_fraction(joint, log.monitored, pre_w),
+        post_violation_fraction=_window_fraction(joint, log.monitored, post_w),
         n_retrains=len(retrains),
     )
 
@@ -473,30 +459,31 @@ def emit_report(log: SilLog, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def log_to_dict(log: SilLog) -> dict:
-    """JSON-ready rendering of a log; floats round-trip exactly."""
-    return {
-        "script": jsonable(asdict(log.script)),
-        "config": asdict(log.config),
-        "seed": log.seed,
-        "channels": list(log.channels),
-        "t": log.t.tolist(),
-        "v_o": log.v_o.tolist(),
-        "U": log.U.tolist(),
-        "truth": log.truth.tolist(),
-        "predicted": log.predicted.tolist(),
-        "lower": log.lower.tolist(),
-        "upper": log.upper.tolist(),
-        "static_pred": log.static_pred.tolist(),
-        "indicator": log.indicator.tolist(),
-        "Z": log.Z.tolist(),
-        "monitored": log.monitored.tolist(),
-        "events": [asdict(e) for e in log.events],
-    }
+# the SilLog fields stored one .npy each; the rest goes to meta.json
+LOG_ARRAYS = ("t", "v_o", "U", "truth", "predicted", "lower", "upper",
+              "static_pred", "indicator", "Z", "monitored")
 
 
-def log_from_dict(d: dict) -> SilLog:
-    s = d["script"]
+def write_log(log: SilLog, out_dir: str | Path) -> list[Path]:
+    """Store a log exactly: one .npy per array field plus ``meta.json``."""
+    out = Path(out_dir)
+    return [
+        *(write_array(out / f"{k}.npy", getattr(log, k)) for k in LOG_ARRAYS),
+        write_json(out / "meta.json", {
+            "script": asdict(log.script),
+            "config": asdict(log.config),
+            "seed": log.seed,
+            "channels": log.channels,
+            "events": [asdict(e) for e in log.events],
+        }),
+    ]
+
+
+def read_log(in_dir: str | Path) -> SilLog:
+    """The log that :func:`write_log` stored in ``in_dir``."""
+    src = Path(in_dir)
+    meta = read_json(src / "meta.json")
+    s = meta["script"]
     script = ScenarioScript(**{
         **s,
         "baseline": PlantInputs(**s["baseline"]),
@@ -504,19 +491,9 @@ def log_from_dict(d: dict) -> SilLog:
     })
     return SilLog(
         script=script,
-        config=CognitiveConfig(**d["config"]),
-        seed=d["seed"],
-        channels=tuple(d["channels"]),
-        t=np.array(d["t"], dtype=float),
-        v_o=np.array(d["v_o"], dtype=float),
-        U=np.array(d["U"], dtype=float),
-        truth=np.array(d["truth"], dtype=float),
-        predicted=np.array(d["predicted"], dtype=float),
-        lower=np.array(d["lower"], dtype=float),
-        upper=np.array(d["upper"], dtype=float),
-        static_pred=np.array(d["static_pred"], dtype=float),
-        indicator=np.array(d["indicator"], dtype=int),
-        Z=np.array(d["Z"], dtype=int),
-        monitored=np.array(d["monitored"], dtype=bool),
-        events=tuple(DriftEvent(**e) for e in d["events"]),
+        config=CognitiveConfig(**meta["config"]),
+        seed=meta["seed"],
+        channels=tuple(meta["channels"]),
+        events=tuple(DriftEvent(**e) for e in meta["events"]),
+        **{k: read_array(src / f"{k}.npy") for k in LOG_ARRAYS},
     )

@@ -6,6 +6,7 @@ import json
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gaslift_twin import cli, pipeline, sil
@@ -140,10 +141,10 @@ class TestFailures:
         root, _, _ = run
         shutil.copytree(root / "artifacts", tmp_path / "artifacts")
         cfg = write_config(tmp_path)
-        path = tmp_path / "artifacts" / "reduce" / "ensembles" / "well1_mg.json"
-        doc = json.loads(path.read_text())
-        doc["members"][0][0] += 1e-9
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "artifacts" / "reduce" / "ensembles" / "well1_mg" / "members.npy"
+        members = np.load(path, allow_pickle=False)
+        members[0, 0] += 1e-9
+        np.save(path, members, allow_pickle=False)
         rc, out, err = run_cli("--config", cfg, "sil", "--scenario", 2)
         assert rc == 1
         assert out == ""

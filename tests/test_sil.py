@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gaslift_twin import cognitive as cg
 from gaslift_twin import network as nw
 from gaslift_twin import sil
+from gaslift_twin.artifacts import jsonable
 from gaslift_twin.doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from gaslift_twin.plant import (
     PlantInputs,
@@ -349,3 +351,35 @@ class TestSilLogValidation:
         import dataclasses
         with pytest.raises(ValueError):
             dataclasses.replace(log, t=np.array([1.0, 3.0] + list(log.t[2:])))
+
+
+class TestLogCodec:
+    @pytest.mark.parametrize("replay", [True, False])
+    def test_round_trip_is_exact(self, mini_artifacts, tmp_path, replay):
+        if replay:
+            log = sil.run_scenario(
+                step_script(identified=True), mini_artifacts, mini_config(),
+                seed=3, retrain_experiments=4, retrain_hold=40,
+            )
+            assert np.isnan(log.predicted[0]).all()
+            assert log.events[0].retrain_step is not None
+        else:
+            log = empty_log()
+        written = sil.write_log(log, tmp_path)
+        assert sorted(p.name for p in written) == sorted(
+            [f"{k}.npy" for k in sil.LOG_ARRAYS] + ["meta.json"])
+        # strict JSON: no bare NaN or Infinity tokens
+        json.loads((tmp_path / "meta.json").read_text(),
+                   parse_constant=lambda c: pytest.fail(f"{c} in meta.json"))
+
+        back = sil.read_log(tmp_path)
+        for k in sil.LOG_ARRAYS:
+            a, b = getattr(log, k), getattr(back, k)
+            assert (b.dtype, b.shape) == (a.dtype, a.shape), k
+            assert b.tobytes() == a.tobytes(), k
+        assert back.indicator.dtype.kind == back.Z.dtype.kind == "i"
+        assert back.monitored.dtype == bool
+        assert back.script.drift_source_identified is True
+        assert jsonable(asdict(back.script)) == jsonable(asdict(log.script))
+        assert (back.config, back.seed, back.channels, back.events) == \
+            (log.config, log.seed, log.channels, log.events)
