@@ -175,46 +175,109 @@ def one_step_regressor(
 
 
 class OnlineChannelModel:
-    """Mutable per-channel model: point weights plus the reduced ensemble."""
+    """Mutable per-channel model: point weights plus the reduced ensemble.
+
+    ``weights`` holds the point weights in row 0 and the members after it.
+    Inside a ``CognitiveTwin`` it is a view into the twin's stack for the
+    channel's group, so ``theta`` and ``members`` write through to it.
+    """
 
     def __init__(self, artifact: OfflineArtifact):
         self.channel = artifact.channel
         self.spec = artifact.spec
         self.layout = artifact.layout
         self.norm = artifact.norm
-        self.theta = artifact.map_theta.copy()
-        self.members = artifact.members.copy()
+        self.weights = np.vstack([artifact.map_theta, artifact.members])
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.weights[0]
+
+    @theta.setter
+    def theta(self, value: np.ndarray) -> None:
+        self.weights[0] = value
+
+    @property
+    def members(self) -> np.ndarray:
+        return self.weights[1:]
+
+    @members.setter
+    def members(self, value: np.ndarray) -> None:
+        self.weights[1:] = value
 
     @property
     def n_members(self) -> int:
-        return self.members.shape[0]
+        return self.weights.shape[0] - 1
 
     def predict(
         self, y_window: np.ndarray, u_window: np.ndarray, confidence: float
     ) -> tuple[float, float, float]:
         """One-step-ahead point prediction and coverage interval, both in
-        engineering units."""
+        engineering units: the twin's stacked step for a group of one."""
         if not 0.0 < confidence < 1.0:
             raise InvalidRegion("confidence must lie in (0, 1)")
         x = one_step_regressor(self.layout, y_window, u_window)
-        xn = self.norm.normalize_regressors(x[None], self.layout)
+        band = _ChannelGroup([self], self.weights[None]).band(x[None], confidence)
+        point, lo, hi = band[:, 0]
+        return float(point), float(lo), float(hi)
+
+
+class _ChannelGroup:
+    """Channels sharing one network shape and one lag layout, evaluated as one
+    stack.
+
+    ``weights`` is (channels, 1 + max members, n_params): row 0 of a channel
+    is its point weights, rows 1..n_members its ensemble, and any rows past
+    those are zero padding that no quantile sees. ``offset`` and ``scale``
+    stack each channel's ``regressor_scaling``, so one subtraction and one
+    division normalize every row.
+    """
+
+    def __init__(self, models: list[OnlineChannelModel], weights: np.ndarray):
+        self.channels = tuple(m.channel for m in models)
+        self.spec, self.layout = models[0].spec, models[0].layout
+        self.weights = weights
+        self.n_members = np.array([m.n_members for m in models])
+        # (member count, channel rows) pairs: one quantile per distinct count
+        self.by_count = [(n, np.flatnonzero(self.n_members == n))
+                         for n in np.unique(self.n_members)]
+        scaling = [m.norm.regressor_scaling(self.layout) for m in models]
+        self.offset = np.stack([offset for offset, _ in scaling])
+        self.scale = np.stack([scale for _, scale in scaling])
+
+    def band(self, x: np.ndarray, confidence: float) -> np.ndarray:
+        """Point, lower and upper bound, (3, channels) in engineering units,
+        from one regressor row per channel, (channels, width)."""
+        xn = (x - self.offset) / self.scale
         with np.errstate(over="ignore", invalid="ignore"):
-            point_n = float(forward(self.theta, self.spec, xn)[0])
-            preds_n = np.asarray(forward(self.members, self.spec, xn)).ravel()
-        finite = np.isfinite(preds_n)
+            preds = forward(self.weights, self.spec, xn[:, None, None, :])[..., 0]
+        point, members = preds[:, 0], preds[:, 1:]
+        alpha = (1.0 - confidence) / 2.0
+        q = [alpha, 1.0 - alpha]
+        out = np.empty((3, len(self.channels)))
+        out[0] = point
+        with np.errstate(invalid="ignore"):
+            for n, rows in self.by_count:
+                out[1:, rows] = np.quantile(members[rows, :n], q, axis=1)
+        for c in np.flatnonzero(~np.isfinite(preds).all(axis=1)):
+            n = self.n_members[c]
+            out[1:, c] = self._finite_quantile(c, point[c], members[c, :n], q)
+        # column 0 is the newest output lag, scaled as the target is
+        return out * self.scale[:, 0] + self.offset[:, 0]
+
+    def _finite_quantile(self, c: int, point: float, preds: np.ndarray, q):
+        finite = np.isfinite(preds)
         if not finite.all():
             warnings.warn(
                 f"{int((~finite).sum())} non-finite member prediction(s) dropped "
-                f"on {self.channel}",
-                MemberDroppedWarning, stacklevel=2,
+                f"on {self.channels[c]}",
+                MemberDroppedWarning, stacklevel=4,
             )
-            preds_n = preds_n[finite]
-        if not np.isfinite(point_n) or preds_n.size == 0:
-            raise InvalidRegion(f"no finite predictions available on {self.channel}")
-        alpha = (1.0 - confidence) / 2.0
-        lo_n, hi_n = np.quantile(preds_n, [alpha, 1.0 - alpha])
-        point, lo, hi = self.norm.denormalize_target(np.array([point_n, lo_n, hi_n]))
-        return float(point), float(lo), float(hi)
+        if not np.isfinite(point) or not finite.any():
+            raise InvalidRegion(
+                f"no finite predictions available on {self.channels[c]}"
+            )
+        return np.quantile(preds[finite], q)
 
 
 def transfer_warm_start(artifact: OfflineArtifact) -> OnlineChannelModel:
@@ -413,8 +476,21 @@ def online_retrain(
     keeping its role as a distinct posterior draw, so the ensemble spread
     survives retraining. A member whose fine-tune diverges is reset to the
     fine-tuned point weights. Normalization widens only when the new data
-    falls outside the fitted ranges.
+    falls outside the fitted ranges. The model takes the new weights and
+    normalization only once every fine-tune has run.
     """
+    model.norm, model.weights = _retrained(
+        model, data, epochs=epochs, lr_factor=lr_factor, seed=seed
+    )
+    return model
+
+
+def _retrained(
+    model: OnlineChannelModel, data: RetrainData, *, epochs: int,
+    lr_factor: float, seed: int,
+) -> tuple[NormalizationSpec, np.ndarray]:
+    """``online_retrain``'s new normalization and weights, leaving the model
+    as it is."""
     if model.channel not in data.channels:
         raise ShapeMismatch(f"data carries no channel {model.channel!r}")
     col = data.channels.index(model.channel)
@@ -424,10 +500,11 @@ def online_retrain(
         raise InsufficientSamples(
             f"{len(t_raw)} usable rows is too few to fine-tune on"
         )
-    if not model.norm.covers(y, data.U):
-        model.norm = model.norm.expanded(y, data.U)
-    Xn = model.norm.normalize_regressors(X_raw, model.layout)
-    tn = model.norm.normalize_target(t_raw)
+    norm = model.norm
+    if not norm.covers(y, data.U):
+        norm = norm.expanded(y, data.U)
+    Xn = norm.normalize_regressors(X_raw, model.layout)
+    tn = norm.normalize_target(t_raw)
     tr, va, _ = split_rows(len(tn), (0.85, 0.15, 0.0), seed)
     lr = model.spec.learning_rate * lr_factor
 
@@ -449,17 +526,16 @@ def online_retrain(
     with np.errstate(over="ignore", invalid="ignore"):
         base_pred = np.asarray(forward(theta_before, model.spec, Xn)).ravel()
         member_pred = np.asarray(forward(model.members, model.spec, Xn))
-    new_members = np.empty_like(model.members)
+    weights = np.empty_like(model.weights)
+    weights[0] = tuned_map
     for i in range(model.n_members):
         offset = member_pred[i] - base_pred
         if not np.isfinite(offset).all():
-            new_members[i] = tuned_map
+            weights[1 + i] = tuned_map
             continue
         tuned = fine_tune(model.members[i], tn + offset)
-        new_members[i] = tuned_map if tuned is None else tuned
-    model.theta = tuned_map
-    model.members = new_members
-    return model
+        weights[1 + i] = tuned_map if tuned is None else tuned
+    return norm, weights
 
 
 @dataclass(frozen=True)
@@ -483,6 +559,14 @@ class CognitiveTwin:
     resulting measurement: predictions for the step are made before the
     measurement enters the history, so the twin only ever uses the past. The
     twin triggers when any channel's violation count reaches the threshold.
+
+    Channels that share a network shape and a lag layout form one group, and
+    the group's weights are one stack with a leading channel axis: one
+    regressor row per channel, one forward over every channel's point weights
+    and members, one quantile per member count and one denormalisation give
+    the whole group's bands per step. The stacks are the only copy of the
+    weights (each model's ``weights`` is a view into its group's stack); they
+    are built here and again after every retrain.
     """
 
     def __init__(self, artifacts: dict[str, OfflineArtifact], config: CognitiveConfig):
@@ -496,6 +580,7 @@ class CognitiveTwin:
         if len(n_u) != 1:
             raise ShapeMismatch("channels disagree on the exogenous input count")
         self.n_inputs = n_u.pop()
+        self._stack_groups()
         self._y_depth = max(self.models[c].layout.n_b for c in self.channels)
         u_depth = max(self.models[c].layout.n_a for c in self.channels) - 1
         self._y_hist: deque[np.ndarray] = deque(maxlen=self._y_depth)
@@ -535,15 +620,19 @@ class CognitiveTwin:
         trigger = False
         monitored = self.warmed_up
         if monitored:
-            u_win = np.vstack([*self._u_hist, u_now]) if self._u_depth else u_now[None]
-            y_hist = np.stack(self._y_hist)         # (depth, n_channels)
-            for i, c in enumerate(self.channels):
-                model = self.models[c]
-                point, lo, hi = model.predict(
-                    y_hist[:, i], u_win, self.config.confidence
+            # newest first, the order of the regressor columns
+            y_lags = np.stack(self._y_hist)[::-1]              # (depth, n_channels)
+            u_lags = np.vstack([u_now, *reversed(self._u_hist)])   # (depth, n_u)
+            for cols, group in self._groups:
+                n_b, n_a = group.layout.n_b, group.layout.n_a
+                x = np.empty((len(cols), group.layout.width))
+                x[:, :n_b] = y_lags[:n_b, cols].T
+                x[:, n_b:] = u_lags[:n_a].T.reshape(-1)
+                predicted[cols], lower[cols], upper[cols] = group.band(
+                    x, self.config.confidence
                 )
-                predicted[i], lower[i], upper[i] = point, lo, hi
-                indicator[i] = violation_indicator(y_now[i], lo, hi)
+            for i, c in enumerate(self.channels):
+                indicator[i] = violation_indicator(y_now[i], lower[i], upper[i])
                 _, z_i, trig = cognitive_update(self.states[c], indicator[i])
                 z[i] = z_i
                 trigger = trigger or trig
@@ -575,20 +664,49 @@ class CognitiveTwin:
             channels=self.channels,
         )
 
+    def _stack_groups(self) -> None:
+        """Copy the weights of each group of channels sharing a network shape
+        and a lag layout into one stack, and make every model's weights a
+        view into it."""
+        keys: dict[tuple, list[int]] = {}
+        for i, c in enumerate(self.channels):
+            m = self.models[c]
+            keys.setdefault((m.spec.layer_sizes, m.spec.activations, m.layout),
+                            []).append(i)
+        self._groups = []
+        for cols in keys.values():
+            models = [self.models[self.channels[i]] for i in cols]
+            stack = np.zeros((len(models), 1 + max(m.n_members for m in models),
+                              models[0].spec.n_params))
+            for row, m in zip(stack, models):
+                row[: 1 + m.n_members] = m.weights
+                m.weights = row[: 1 + m.n_members]
+            self._groups.append((np.array(cols), _ChannelGroup(models, stack)))
+
     def retrain(self, data: RetrainData, *, seed: int = 0) -> None:
         """Fine-tune every channel, then reset monitors and the live buffer.
+
+        All or nothing: every channel is fine-tuned into new weights and
+        normalization first, and only when all have succeeded does the twin
+        take them and rebuild its stacks. If any channel raises, the weights,
+        normalizations, monitors and buffer stay as they were.
 
         Called between steps, so the updated ensemble takes over at the next
         step boundary; measurement history is kept, predictions continue
         seamlessly.
         """
-        for c in self.channels:
-            online_retrain(
+        tuned = [
+            _retrained(
                 self.models[c], data,
                 epochs=self.config.retrain_epochs,
                 lr_factor=self.config.retrain_lr_factor,
                 seed=seed,
             )
+            for c in self.channels
+        ]
+        for c, (norm, weights) in zip(self.channels, tuned):
+            self.models[c].norm, self.models[c].weights = norm, weights
+        self._stack_groups()
         self.states = {c: CognitiveState(self.config) for c in self.channels}
         self._buffering = False
         self._buffer_y.clear()

@@ -4,7 +4,11 @@ Parameters live in one flat vector per network: each layer contributes
 its weight matrix (row-major) followed by its bias vector, (in+1)*out
 entries in total. Forward, gradient and closed-loop simulation all accept
 either a single parameter vector or a stack of them (leading member
-axis), so ensemble operations run vectorized.
+axis), so ensemble operations run vectorized. The leading axes may be
+more than one: the online twin evaluates a (channels, 1 + members,
+n_params) stack on rows shaped (channels, 1, 1, width), one regressor row
+per channel, in one call. Each matmul then takes a single row, the same
+float operations as a single parameter vector on a single row.
 """
 
 from __future__ import annotations

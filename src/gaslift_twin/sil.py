@@ -293,8 +293,8 @@ def run_scenario(
 
     # the frozen static model sees the same measured history as the twin, from
     # the deepest lag of any channel on; one matmul per regressor row, as in
-    # the twin's single-row predict, keeps the two bit-identical until the
-    # twin retrains
+    # the twin's stacked step, keeps the two bit-identical until the twin
+    # retrains
     static_pred = np.full((n, n_c), np.nan)
     rows = np.arange(max(artifacts[c].layout.max_lag for c in channels), n)
     if len(rows):

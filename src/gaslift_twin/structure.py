@@ -339,14 +339,18 @@ class NormalizationSpec:
     def normalize_inputs(self, U: np.ndarray) -> np.ndarray:
         return (U - self.u_min) / self._scale(self.u_min, self.u_max)
 
+    def regressor_scaling(self, layout: NarxLayout) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column offset and scale of a regressor row: ``(X - offset) /
+        scale`` normalizes it, output lags first, then each input's lags."""
+        offset = np.concatenate([np.full(layout.n_b, self.y_min),
+                                 np.repeat(self.u_min, layout.n_a)])
+        scale = np.concatenate([np.full(layout.n_b, self._scale(self.y_min, self.y_max)),
+                                np.repeat(self._scale(self.u_min, self.u_max), layout.n_a)])
+        return offset, scale
+
     def normalize_regressors(self, X: np.ndarray, layout: NarxLayout) -> np.ndarray:
-        out = np.empty_like(X, dtype=float)
-        out[:, : layout.n_b] = self.normalize_target(X[:, : layout.n_b])
-        scale = self._scale(self.u_min, self.u_max)
-        for j in range(layout.n_u):
-            s = layout.n_b + j * layout.n_a
-            out[:, s : s + layout.n_a] = (X[:, s : s + layout.n_a] - self.u_min[j]) / scale[j]
-        return out
+        offset, scale = self.regressor_scaling(layout)
+        return (X - offset) / scale
 
     def expanded(self, y: np.ndarray, U: np.ndarray) -> "NormalizationSpec":
         """Widen ranges to cover new data; unchanged if already covered."""

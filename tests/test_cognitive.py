@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -512,3 +514,142 @@ class TestCognitiveTwin:
             assert np.array_equal(pa, pb, equal_nan=True)
             assert np.array_equal(la, lb, equal_nan=True)
             assert np.array_equal(za, zb)
+
+
+SIX = tuple(f"c{i}" for i in range(6))
+
+
+def six_channel_artifacts(members=(5,) * 6, layouts=(NarxLayout(3, 2, 2),) * 6,
+                          seed=0):
+    """Six channels of one two-hidden-layer network shape with random weights,
+    members scattered around them and a normalization of their own."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arts = {}
+    for c, n, layout in zip(SIX, members, layouts):
+        spec = nw.NetworkSpec((layout.width, 8, 6, 1), ("tanh", "relu", "linear"),
+                              batch_size=16)
+        theta = rng.normal(scale=0.5, size=spec.n_params)
+        y_min = rng.uniform(-1.0, 0.0)
+        norm = NormalizationSpec(y_min, y_min + rng.uniform(0.5, 2.0),
+                                 rng.uniform(-1.0, 0.0, size=2),
+                                 rng.uniform(1.0, 2.0, size=2))
+        arts[c] = cg.make_artifact(
+            c, spec, layout, norm, theta,
+            theta + rng.normal(scale=0.05, size=(n, spec.n_params)),
+        )
+    return arts
+
+
+def six_channel_stream(T, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.uniform(-0.5, 1.5, size=(T, 6)), rng.uniform(-0.5, 1.5, size=(T, 2))
+
+
+class TestStackedStep:
+    def _twin(self, arts):
+        cfg = cg.CognitiveConfig(mh=20, ct=20, confidence=0.9, retrain_epochs=3,
+                                 retrain_lr_factor=10.0)
+        return cg.CognitiveTwin(arts, cfg)
+
+    def test_homogeneous_twin_equals_predict(self, step_matches_predict):
+        twin = self._twin(six_channel_artifacts())
+        Y, U = six_channel_stream(60, 1)
+        assert step_matches_predict(twin, Y, U) == 57
+
+    def test_retrain_rebuilds_the_stacks(self, step_matches_predict):
+        twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
+        Y, U = six_channel_stream(200, 2)
+        step_matches_predict(twin, Y, U, range(40))
+        before = {c: twin.models[c].weights.copy() for c in SIX}
+        twin.retrain(cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX))
+        ((_, group),) = twin._groups
+        for c in SIX:
+            model = twin.models[c]
+            assert not np.array_equal(model.weights, before[c])
+            assert np.shares_memory(model.weights, group.weights)
+        assert step_matches_predict(twin, Y, U, range(40, 100)) == 60
+
+    def test_retrain_is_all_or_nothing(self):
+        arts = six_channel_artifacts()
+        last = arts["c5"]
+        arts["c5"] = cg.make_artifact(
+            "c5", dataclasses.replace(last.spec, batch_size=10_000), last.layout,
+            last.norm, last.map_theta, last.members,
+        )
+        twin = self._twin(arts)
+        Y, U = six_channel_stream(200, 3)
+        for t in range(20):
+            twin.step(U[t], Y[t])
+        twin.begin_buffering()
+        for t in range(20, 200):
+            twin.step(U[t], Y[t])
+        models = [twin.models[c] for c in SIX]
+        thetas = [m.theta.copy() for m in models]
+        members = [m.members.copy() for m in models]
+        norms = [m.norm for m in models]
+        z = [twin.states[c].Z for c in SIX]
+        with pytest.raises(InsufficientSamples):
+            twin.retrain(twin.buffer_data())
+        for m, theta, ens, norm in zip(models, thetas, members, norms):
+            assert np.array_equal(m.theta, theta)
+            assert np.array_equal(m.members, ens)
+            assert m.norm is norm
+        assert [twin.states[c].Z for c in SIX] == z
+        assert twin.buffer_size == 180
+
+    def test_one_forward_per_group(self, monkeypatch):
+        calls = []
+        real = cg.forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "forward", counting)
+        two_layouts = (NarxLayout(3, 2, 2),) * 3 + (NarxLayout(2, 1, 2),) * 3
+        for layouts, groups in (((NarxLayout(3, 2, 2),) * 6, 1), (two_layouts, 2)):
+            twin = self._twin(six_channel_artifacts(layouts=layouts))
+            Y, U = six_channel_stream(10, 4)
+            for t in range(10):
+                calls.clear()
+                r = twin.step(U[t], Y[t])
+                assert len(calls) == (groups if r.monitored else 0)
+
+    def test_non_finite_member_drops_on_its_channel_only(self):
+        arts = six_channel_artifacts()
+        clean, twin = self._twin(arts), self._twin(arts)
+        twin.models["c2"].members[1] = np.nan     # writes through to the stack
+        Y, U = six_channel_stream(12, 5)
+        others = [0, 1, 3, 4, 5]
+        for t in range(12):
+            a = clean.step(U[t], Y[t])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                b = twin.step(U[t], Y[t])
+            if not b.monitored:
+                assert not caught
+                continue
+            assert [(w.category, str(w.message)) for w in caught] == [
+                (MemberDroppedWarning,
+                 "1 non-finite member prediction(s) dropped on c2")
+            ]
+            for field in ("predicted", "lower", "upper"):
+                assert np.array_equal(getattr(a, field)[others],
+                                      getattr(b, field)[others])
+            assert b.predicted[2] == a.predicted[2]
+            assert np.isfinite([b.lower[2], b.upper[2]]).all()
+
+    @pytest.mark.parametrize("bad", ["point", "members"])
+    def test_no_finite_prediction_raises(self, bad):
+        twin = self._twin(six_channel_artifacts())
+        if bad == "point":
+            twin.models["c3"].theta = np.nan
+        else:
+            twin.models["c3"].members = np.nan
+        Y, U = six_channel_stream(4, 6)
+        for t in range(3):
+            assert not twin.step(U[t], Y[t]).monitored
+        warns = (pytest.warns(MemberDroppedWarning, match="on c3$")
+                 if bad == "members" else contextlib.nullcontext())
+        with warns, pytest.raises(InvalidRegion, match="on c3$"):
+            twin.step(U[3], Y[3])

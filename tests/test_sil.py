@@ -10,6 +10,7 @@ from gaslift_twin import sil
 from gaslift_twin.artifacts import jsonable
 from gaslift_twin.doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from gaslift_twin.plant import (
+    CHANNEL_NAMES,
     PlantInputs,
     PlantParams,
     default_initial_state,
@@ -183,6 +184,22 @@ class TestRunScenario:
         # the twin never retrained, so its point predictions are the static
         # model's, bit for bit
         assert np.array_equal(log.predicted, log.static_pred, equal_nan=True)
+
+    def test_step_equals_predict_with_mixed_layouts_and_member_counts(
+        self, mini_series, step_matches_predict
+    ):
+        # well1_mg and well3_ml share a layout but not a member count, so
+        # their group's stack carries padding rows
+        arts = fit_mini_twin(mini_series, [NarxLayout(2, 1, 4), NarxLayout(3, 2, 4),
+                                           NarxLayout(2, 1, 4)])
+        counts = {"well1_mg": 4, "well1_ml": 3, "well3_ml": 2}
+        arts = {c: cg.make_artifact(c, a.spec, a.layout, a.norm, a.map_theta,
+                                    a.members[: counts[c]])
+                for c, a in arts.items()}
+        twin = cg.CognitiveTwin(arts, mini_config())
+        Y, U = mini_series
+        cols = [CHANNEL_NAMES.index(c) for c in MINI_CHANNELS]
+        assert step_matches_predict(twin, Y[:200, cols], U[:200]) == 197
 
     def test_log_shape_and_cadence(self, mini_artifacts):
         log = sil.run_scenario(quiet_script(120), mini_artifacts, mini_config(),
