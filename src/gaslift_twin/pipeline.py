@@ -35,7 +35,7 @@ from .artifacts import (
     write_json,
     write_text,
 )
-from .bayes import reduce_ensemble, sample_weight_posterior
+from .bayes import Chain, burn_in_trim, reduce_ensemble, sample_weight_posterior
 from .cognitive import OfflineArtifact, make_artifact
 from .config import RunConfig
 from .doe import (
@@ -390,6 +390,9 @@ def _load_weights(cfg: RunConfig) -> tuple[dict[str, dict], str]:
 
 # ------------------------------------------------------------------- mcmc
 
+_CHAIN_ARRAYS = ("samples", "log_posteriors", "accepted")
+
+
 def stage_mcmc(cfg: RunConfig) -> dict:
     """Metropolis chains over each channel's network weights."""
     Y, U, fp_data = _load_series(cfg)
@@ -414,7 +417,7 @@ def stage_mcmc(cfg: RunConfig) -> dict:
         )
         paths += [
             write_array(out / "chains" / name / f"{field}.npy", getattr(chain, field))
-            for field in ("samples", "log_posteriors", "accepted")
+            for field in _CHAIN_ARRAYS
         ]
         summary[name] = {
             "sigma": sigma,
@@ -443,8 +446,16 @@ def stage_mcmc(cfg: RunConfig) -> dict:
 
 
 def _load_chain_samples(cfg: RunConfig, name: str) -> np.ndarray:
-    chain_dir = _art_store(cfg).stage_dir("mcmc") / "chains" / name
-    return read_array(chain_dir / "samples.npy")
+    """One channel's stored chain past its burn-in, as ``burn_in_trim`` cuts it."""
+    mcmc_dir = _art_store(cfg).stage_dir("mcmc")
+    recorded = read_json(mcmc_dir / "mcmc.json")[name]
+    chain = Chain(
+        **{f: read_array(mcmc_dir / "chains" / name / f"{f}.npy") for f in _CHAIN_ARRAYS},
+        proposal_scale=recorded["proposal_scale_final"],
+        seed=cfg.mcmc.seed + CHANNEL_NAMES.index(name),
+        burn_in=recorded["burn_in"],
+    )
+    return burn_in_trim(chain, cfg.mcmc.burn_in)
 
 
 # ----------------------------------------------------------------- reduce
@@ -471,8 +482,7 @@ def stage_reduce(cfg: RunConfig) -> dict:
     for name_i, name in enumerate(CHANNEL_NAMES):
         entry = fitted[name]
         norm: NormalizationSpec = entry["norm"]
-        samples = _load_chain_samples(cfg, name)
-        kept = samples[cfg.mcmc.burn_in:]
+        kept = _load_chain_samples(cfg, name)
         sizes = cfg.reduction_sizes(len(kept))
 
         y_window = norm.normalize_target(Y[start - layout.n_b:start, name_i])

@@ -6,6 +6,14 @@ integrated with fixed-step RK4. SI units internally; boundary inputs use
 engineering units (sL/min gas injection, bar pump pressure) and are
 converted on entry. Wells share the pump pressure but are otherwise
 hydraulically independent.
+
+``step`` and the 1 Hz loop behind ``simulate_experiment`` and
+``simulate_schedule`` integrate each well in turn with a kernel over plain
+Python floats (``_well_derivatives``, ``_advance``) that runs the float
+operations of the numpy chain ``_chain`` in the same order, so results are
+bit-identical to integrating the chain itself. The algebraic outputs are
+computed only at the logged samples, by one ``_chain`` call per run;
+``_chain`` also serves ``solve_algebraic``.
 """
 
 from __future__ import annotations
@@ -150,11 +158,15 @@ ALGEBRAIC_FIELDS = (
 
 
 def _chain(m_g, m_l, w_g, v_o, pp_pa, params: PlantParams, clamp: bool):
-    """Evaluate the algebraic chain for all wells at once.
+    """Evaluate the algebraic chain for all wells at once, elementwise over
+    arrays of any matching shape (one state or a run's logged samples).
 
-    Returns the tuple of ALGEBRAIC_FIELDS arrays. With ``clamp`` the two
-    square roots saturate at zero flow, with a ClampedFlowWarning, instead
-    of raising NegativeSqrtArgument.
+    Serves ``solve_algebraic`` and the logged samples; the integrator runs
+    ``_well_derivatives``, which repeats these float operations in this
+    order, so any change here must be made there too. Returns the tuple of
+    ALGEBRAIC_FIELDS arrays. With ``clamp`` the two square roots saturate at
+    zero flow, with a ClampedFlowWarning, instead of raising
+    NegativeSqrtArgument.
     """
     V_l = m_l / params.rho_l
     V_g = params.V_total - V_l
@@ -167,7 +179,7 @@ def _chain(m_g, m_l, w_g, v_o, pp_pa, params: PlantParams, clamp: bool):
     if np.any(dp_res < 0.0):
         if not clamp:
             raise NegativeSqrtArgument(
-                f"pump pressure {pp_pa:.1f} Pa below injection-point pressure {P_bi}")
+                f"pump pressure {pp_pa} Pa below injection-point pressure {P_bi}")
         warnings.warn("reservoir flow clamped to zero (P_pump < P_bi)",
                       ClampedFlowWarning, stacklevel=2)
         dp_res = np.maximum(dp_res, 0.0)
@@ -214,41 +226,104 @@ def solve_algebraic(state: PlantState, inputs: PlantInputs, params: PlantParams,
     return AlgebraicOutputs(**dict(zip(ALGEBRAIC_FIELDS, values)))
 
 
-def _rhs(m_g, m_l, w_g, v_o, pp_pa, params, clamp):
-    out = _chain(m_g, m_l, w_g, v_o, pp_pa, params, clamp)
-    w_l, w_g_in = out[0], out[1]
-    w_l_out, w_g_out = out[10], out[11]
-    return w_g_in - w_g_out, w_l - w_l_out
-
-
 def step(state: PlantState, inputs: PlantInputs, params: PlantParams, dt: float,
          *, clamp: bool = False) -> PlantState:
     """Advance the mass balances one explicit RK4 step of size ``dt``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    w_g = inputs.Q_g * SL_PER_MIN_TO_KG_S
-    pp_pa = inputs.P_pump * BAR_TO_PA
-    m_g, m_l = _rk4(state.m_g, state.m_l, w_g, inputs.v_o, pp_pa, params, dt, clamp)
+    w_g, vo_theta, pp_pa = _well_inputs(inputs.Q_g, inputs.v_o, inputs.P_pump, params)
+    m_g, m_l = _advance(_well_derivatives(params, clamp), state.m_g.tolist(),
+                        state.m_l.tolist(), w_g, vo_theta, params.theta_top, pp_pa, dt, 1)
     _check_bounds(m_g, m_l, params)
     return PlantState(m_g=m_g, m_l=m_l, t=state.t + dt)
 
 
-def _rk4(m_g, m_l, w_g, v_o, pp_pa, params, dt, clamp):
-    k1g, k1l = _rhs(m_g, m_l, w_g, v_o, pp_pa, params, clamp)
-    k2g, k2l = _rhs(m_g + 0.5 * dt * k1g, m_l + 0.5 * dt * k1l, w_g, v_o, pp_pa, params, clamp)
-    k3g, k3l = _rhs(m_g + 0.5 * dt * k2g, m_l + 0.5 * dt * k2l, w_g, v_o, pp_pa, params, clamp)
-    k4g, k4l = _rhs(m_g + dt * k3g, m_l + dt * k3l, w_g, v_o, pp_pa, params, clamp)
-    new_g = m_g + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-    new_l = m_l + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
-    return new_g, new_l
+def _well_inputs(Q_g, v_o, P_pump, params):
+    """Gas injection (kg/s), v_o * theta_res and pump pressure (Pa) as Python
+    floats, nested like the inputs; the same products ``_chain`` forms."""
+    return ((Q_g * SL_PER_MIN_TO_KG_S).tolist(),
+            (v_o * np.asarray(params.theta_res)).tolist(),
+            (np.asarray(P_pump) * BAR_TO_PA).tolist())
+
+
+def _well_derivatives(params: PlantParams, clamp: bool):
+    """One well's (dm_g/dt, dm_l/dt) over plain floats.
+
+    The returned ``derivs(m_g, m_l, w_g, vo_theta, theta_top, pp_pa)`` runs
+    ``_chain``'s float operations in ``_chain``'s order, so it equals the
+    numpy chain bit for bit, and skips the outputs the mass balance does not
+    use. ``128.0 * mu_mix`` and ``D ** 4`` are evaluated first in ``_chain``
+    too, so reading them once here changes no bit. Errors and clamping follow
+    ``_chain``. A negative total mass, which only an unstable RK4 stage
+    reaches, makes the top-valve root's argument negative; that raises
+    IntegrationUnstable rather than giving NaN holdups.
+    """
+    rho_l, V_total, R, T, M_g = params.rho_l, params.V_total, params.R, params.T, params.M_g
+    mu_128, L, D_4 = 128.0 * params.mu_mix, params.L, params.D ** 4
+    g, delta_h, P_atm, pi, sqrt = params.g, params.delta_h, params.P_atm, math.pi, math.sqrt
+
+    def derivs(m_g, m_l, w_g, vo_theta, theta_top, pp_pa):
+        V_g = V_total - m_l / rho_l
+        if V_g <= 0.0:
+            raise DegenerateHoldup(f"gas volume non-positive: V_g={V_g}")
+        P_bi = m_g / V_g * R * T / M_g
+        dp = pp_pa - P_bi
+        if dp < 0.0:
+            if not clamp:
+                raise NegativeSqrtArgument(
+                    f"pump pressure {pp_pa:.1f} Pa below injection-point pressure {P_bi}")
+            warnings.warn("reservoir flow clamped to zero (P_pump < P_bi)",
+                          ClampedFlowWarning, stacklevel=2)
+            dp = 0.0
+        w_l = vo_theta * sqrt(rho_l * dp)
+        m = m_g + m_l
+        rho_mix = m / V_total
+        P_rh = P_bi - rho_mix * g * delta_h - mu_128 * (w_g + w_l) * L / (pi * rho_mix * D_4)
+        dp = P_rh - P_atm
+        if dp < 0.0:
+            if not clamp:
+                raise NegativeSqrtArgument(
+                    f"riser-head pressure below atmospheric: P_rh={P_rh}")
+            warnings.warn("top-valve flow clamped to zero (P_rh < P_atm)",
+                          ClampedFlowWarning, stacklevel=2)
+            dp = 0.0
+        arg = rho_mix * dp
+        if arg < 0.0:
+            raise IntegrationUnstable(f"total mass negative during integration: {m}")
+        w_total = theta_top * sqrt(arg)
+        w_l_out = m_l / m * w_total
+        return w_g - (w_total - w_l_out), w_l - w_l_out
+
+    return derivs
+
+
+def _advance(derivs, m_g, m_l, w_g, vo_theta, theta_top, pp_pa, dt, n):
+    """``n`` RK4 steps of size ``dt``, one well after the other.
+
+    The wells share only the pump pressure, so each runs all its steps before
+    the next starts. Per-well lists in, new lists out.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    m_g, m_l = list(m_g), list(m_l)
+    for w in range(N_WELLS):
+        mg, ml, wg, vt, tt = m_g[w], m_l[w], w_g[w], vo_theta[w], theta_top[w]
+        for _ in range(n):
+            k1g, k1l = derivs(mg, ml, wg, vt, tt, pp_pa)
+            k2g, k2l = derivs(mg + half * k1g, ml + half * k1l, wg, vt, tt, pp_pa)
+            k3g, k3l = derivs(mg + half * k2g, ml + half * k2l, wg, vt, tt, pp_pa)
+            k4g, k4l = derivs(mg + dt * k3g, ml + dt * k3l, wg, vt, tt, pp_pa)
+            mg = mg + sixth * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+            ml = ml + sixth * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
+        m_g[w], m_l[w] = mg, ml
+    return m_g, m_l
 
 
 def _check_bounds(m_g, m_l, params):
     upper = params.rho_l * params.V_total
-    for name, arr in (("m_g", m_g), ("m_l", m_l)):
-        if np.any(arr <= 0.0) or np.any(arr >= upper):
+    for name, values in (("m_g", m_g), ("m_l", m_l)):
+        if any(v <= 0.0 or v >= upper for v in values):
             raise IntegrationUnstable(
-                f"{name} left (0, rho_l*V_total) during integration: {arr}")
+                f"{name} left (0, rho_l*V_total) during integration: {values}")
 
 
 def default_initial_state(params: PlantParams, *, fill_fraction: float = 0.6,
@@ -312,51 +387,37 @@ def channel_values(m_g: np.ndarray, m_l: np.ndarray) -> np.ndarray:
     return np.stack([m_g, m_l], axis=-1).reshape(*m_g.shape[:-1], 2 * N_WELLS)
 
 
-def _log_sample(store, idx, t, m_g, m_l, Q_g, v_o, P_pump, outs):
-    store["t"][idx] = t
-    store["m_g"][idx] = m_g
-    store["m_l"][idx] = m_l
-    store["Q_g"][idx] = Q_g
-    store["v_o"][idx] = v_o
-    store["P_pump"][idx] = P_pump
-    for name, value in zip(ALGEBRAIC_FIELDS, outs):
-        store[name][idx] = value
+def _integrate(initial: PlantState, Q_g, v_o, P_pump, params):
+    """Hold input row i over the i-th logged second, rows (k, 3)/(k,).
+
+    Returns the (k, 3) gas and liquid holdups at the end of each second.
+    """
+    derivs = _well_derivatives(params, clamp=False)
+    w_g, vo_theta, pp_pa = _well_inputs(Q_g, v_o, P_pump, params)
+    m_g, m_l = initial.m_g.tolist(), initial.m_l.tolist()
+    log = np.empty((2, len(pp_pa), N_WELLS))
+    for i, pp in enumerate(pp_pa):
+        m_g, m_l = _advance(derivs, m_g, m_l, w_g[i], vo_theta[i], params.theta_top, pp,
+                            INTERNAL_DT, SUBSTEPS)
+        _check_bounds(m_g, m_l, params)
+        log[0, i], log[1, i] = m_g, m_l
+    return log[0], log[1]
 
 
-def _alloc_store(n):
-    store = {"t": np.empty(n), "P_pump": np.empty(n)}
-    for name in ("m_g", "m_l", "Q_g", "v_o", *ALGEBRAIC_FIELDS):
-        store[name] = np.empty((n, N_WELLS))
-    return store
-
-
-def _store_to_trajectory(store, final_state, steady, noise_std=0.0, seed=0):
-    m_g = store["m_g"]
-    m_l = store["m_l"]
+def _trajectory(t, Q_g, v_o, P_pump, m_g, m_l, params, noise_std=0.0, seed=0):
+    """Trajectory of logged holdups under their input rows; one ``_chain``
+    call over all log points gives the algebraic outputs."""
+    outs = _chain(m_g, m_l, Q_g * SL_PER_MIN_TO_KG_S, v_o, P_pump[:, None] * BAR_TO_PA,
+                  params, False)
+    final_state = PlantState(m_g=m_g[-1], m_l=m_l[-1], t=t[-1])
     if noise_std > 0.0:
         rng = np.random.Generator(np.random.PCG64(seed))
         m_g = m_g + rng.normal(0.0, noise_std, m_g.shape)
         m_l = m_l + rng.normal(0.0, noise_std, m_l.shape)
     return Trajectory(
-        t=store["t"], Q_g=store["Q_g"], v_o=store["v_o"], P_pump=store["P_pump"],
-        m_g=m_g, m_l=m_l,
-        algebraic={name: store[name] for name in ALGEBRAIC_FIELDS},
-        steady_state_reached=steady, final_state=final_state,
+        t=t, Q_g=Q_g, v_o=v_o, P_pump=P_pump, m_g=m_g, m_l=m_l,
+        algebraic=dict(zip(ALGEBRAIC_FIELDS, outs)), final_state=final_state,
     )
-
-
-def _integrate(store, first, m_g, m_l, t0, Q_g, v_o, P_pump, params):
-    """Integrate and log one second per input row from store row ``first`` on."""
-    for i in range(len(P_pump)):
-        w_g = Q_g[i] * SL_PER_MIN_TO_KG_S
-        pp_pa = P_pump[i] * BAR_TO_PA
-        for _ in range(SUBSTEPS):
-            m_g, m_l = _rk4(m_g, m_l, w_g, v_o[i], pp_pa, params, INTERNAL_DT, False)
-        _check_bounds(m_g, m_l, params)
-        outs = _chain(m_g, m_l, w_g, v_o[i], pp_pa, params, False)
-        _log_sample(store, first + i, t0 + (i + 1) * _LOG_DT, m_g, m_l,
-                    Q_g[i], v_o[i], P_pump[i], outs)
-    return m_g, m_l
 
 
 def simulate_experiment(inputs: PlantInputs, duration: float, params: PlantParams,
@@ -372,25 +433,21 @@ def simulate_experiment(inputs: PlantInputs, duration: float, params: PlantParam
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
     initial.validate(params)
-    n_seconds = int(math.floor(duration))
-    store = _alloc_store(n_seconds + 1)
+    n = int(math.floor(duration)) + 1
+    Q_g, v_o = np.tile(inputs.Q_g, (n, 1)), np.tile(inputs.v_o, (n, 1))
+    P_pump = np.full(n, inputs.P_pump)
+    m_g, m_l = _integrate(initial, Q_g[1:], v_o[1:], P_pump[1:], params)
+    m_g, m_l = np.vstack([initial.m_g, m_g]), np.vstack([initial.m_l, m_l])
+    traj = _trajectory(initial.t + np.arange(n) * _LOG_DT, Q_g, v_o, P_pump, m_g, m_l,
+                       params, noise_std, seed)
 
-    w_g = inputs.Q_g * SL_PER_MIN_TO_KG_S
-    pp_pa = inputs.P_pump * BAR_TO_PA
-    outs = _chain(initial.m_g, initial.m_l, w_g, inputs.v_o, pp_pa, params, False)
-    _log_sample(store, 0, initial.t, initial.m_g, initial.m_l,
-                inputs.Q_g, inputs.v_o, inputs.P_pump, outs)
-    m_g, m_l = _integrate(
-        store, 1, initial.m_g, initial.m_l, initial.t,
-        np.broadcast_to(inputs.Q_g, (n_seconds, N_WELLS)),
-        np.broadcast_to(inputs.v_o, (n_seconds, N_WELLS)),
-        np.full(n_seconds, inputs.P_pump), params,
-    )
-
-    dm_g, dm_l = _rhs(m_g, m_l, w_g, inputs.v_o, pp_pa, params, False)
-    rel = max(np.max(np.abs(dm_g) / np.abs(m_g)), np.max(np.abs(dm_l) / np.abs(m_l)))
-    final_state = PlantState(m_g=m_g, m_l=m_l, t=store["t"][-1])
-    return _store_to_trajectory(store, final_state, rel < ss_rel_tol, noise_std, seed)
+    # the mass balance at the final sample, from the flows logged there
+    alg = traj.algebraic
+    dm_g = alg["w_g"][-1] - alg["w_g_out"][-1]
+    dm_l = alg["w_l"][-1] - alg["w_l_out"][-1]
+    rel = max(np.max(np.abs(dm_g) / np.abs(m_g[-1])), np.max(np.abs(dm_l) / np.abs(m_l[-1])))
+    traj.steady_state_reached = rel < ss_rel_tol
+    return traj
 
 
 def simulate_schedule(Q_g: np.ndarray, v_o: np.ndarray, P_pump: np.ndarray,
@@ -410,8 +467,6 @@ def simulate_schedule(Q_g: np.ndarray, v_o: np.ndarray, P_pump: np.ndarray,
     Q_g = np.repeat(np.atleast_2d(np.asarray(Q_g, dtype=float)), hold_s, axis=0)
     v_o = np.repeat(np.atleast_2d(np.asarray(v_o, dtype=float)), hold_s, axis=0)
     P_pump = np.repeat(np.atleast_1d(np.asarray(P_pump, dtype=float)), hold_s)
-    store = _alloc_store(len(P_pump))
-    m_g, m_l = _integrate(store, 0, initial.m_g, initial.m_l, initial.t,
-                          Q_g, v_o, P_pump, params)
-    final_state = PlantState(m_g=m_g, m_l=m_l, t=store["t"][-1])
-    return _store_to_trajectory(store, final_state, False)
+    m_g, m_l = _integrate(initial, Q_g, v_o, P_pump, params)
+    t = initial.t + np.arange(1, len(P_pump) + 1) * _LOG_DT
+    return _trajectory(t, Q_g, v_o, P_pump, m_g, m_l, params)

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestEndToEnd:
             "sil-scenario1", "sil-scenario2", "sil-scenario3"]
         assert outputs["report"]["scenarios"] == [
             "scenario1", "scenario2", "scenario3"]
+
+    def test_gen_data_fingerprint_matches_benchmark_reference(self, run):
+        # TINY keeps identify.cfg's doe.* and plant.* keys, so the plant must
+        # reproduce the benchmark's recorded series bit for bit
+        reference = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+        _, _, outputs = run
+        assert outputs["gen-data"]["fingerprint"] == reference["gen_data_fingerprint"]
 
     def test_report_files(self, run):
         root, _, outputs = run

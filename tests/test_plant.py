@@ -1,4 +1,5 @@
-"""Plant model tests: algebraic chain oracles, RK4 behaviour, invariants."""
+"""Plant model tests: algebraic chain oracles, RK4 behaviour, invariants, and
+bit-equality of the float kernel with the numpy reference in conftest.py."""
 
 import math
 import warnings
@@ -12,11 +13,14 @@ from gaslift_twin import plant
 from gaslift_twin.errors import (
     ClampedFlowWarning,
     DegenerateHoldup,
+    GasLiftError,
     IntegrationUnstable,
     NegativeSqrtArgument,
 )
 from gaslift_twin.plant import (
+    ALGEBRAIC_FIELDS,
     BAR_TO_PA,
+    INTERNAL_DT,
     SL_PER_MIN_TO_KG_S,
     PlantInputs,
     PlantParams,
@@ -150,6 +154,13 @@ class TestStep:
             for _ in range(40):
                 s = step(s, inp, PARAMS, 60.0)
 
+    def test_negative_total_mass_stage_raises(self):
+        # a 200 s step drives an RK4 stage to a negative total mass, which
+        # makes the top-valve root's argument negative: a typed error, not NaN
+        inp = PlantInputs(Q_g=[2.5] * 3, v_o=[0.1] * 3, P_pump=2.2)
+        with pytest.raises(IntegrationUnstable):
+            step(default_initial_state(PARAMS), inp, PARAMS, 200.0)
+
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
             step(default_initial_state(PARAMS), MID, PARAMS, 0.0)
@@ -265,3 +276,129 @@ class TestProperties:
         traj = simulate_experiment(inp, 30.0, PARAMS, default_initial_state(PARAMS))
         assert np.all(traj.m_g > 0.0) and np.all(traj.m_l > 0.0)
         assert np.all(traj.m_l / PARAMS.rho_l < PARAMS.V_total)
+
+
+def spread_case(case):
+    """A feasible case with the holdups and inputs made to differ per well."""
+    fill, p_gas, qg, vo, pp = case
+    base = state_with_gas_pressure(p_gas, fill)
+    state = PlantState(m_g=base.m_g * [1.0, 0.98, 1.02], m_l=base.m_l * [1.0, 1.01, 0.99])
+    inputs = PlantInputs(Q_g=[qg, 0.5 * qg, 5.0 - qg], v_o=[vo, 1.0, 0.55 + 0.45 * vo],
+                         P_pump=pp)
+    return state, inputs
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type of the package error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except GasLiftError as exc:
+        return type(exc)
+
+
+def assert_same_trajectory(traj, t, m_g, m_l, algebraic, final_t):
+    np.testing.assert_array_equal(traj.t, t)
+    np.testing.assert_array_equal(traj.m_g, m_g)
+    np.testing.assert_array_equal(traj.m_l, m_l)
+    for name in ALGEBRAIC_FIELDS:
+        np.testing.assert_array_equal(traj.algebraic[name], algebraic[name], err_msg=name)
+    np.testing.assert_array_equal(traj.final_state.m_g, m_g[-1])
+    np.testing.assert_array_equal(traj.final_state.m_l, m_l[-1])
+    assert traj.final_state.t == final_t
+
+
+class TestKernelMatchesNumpyReference:
+    """The per-well float kernel equals the numpy RK4 over the algebraic chain
+    bit for bit, errors and clamping included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(feasible_case(), st.sampled_from([INTERNAL_DT, 1.0]), st.booleans())
+    def test_step(self, numpy_plant, case, dt, clamp):
+        state, inputs = spread_case(case)
+        if clamp:
+            # pump below the injection-point pressure: the clamp must act
+            inputs = PlantInputs(Q_g=inputs.Q_g, v_o=inputs.v_o,
+                                 P_pump=0.9 * case[1] / BAR_TO_PA)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampedFlowWarning)
+            want = outcome(numpy_plant.step, state, inputs, PARAMS, dt, clamp)
+            got = outcome(step, state, inputs, PARAMS, dt, clamp=clamp)
+        if isinstance(want, type):
+            assert got is want
+            return
+        np.testing.assert_array_equal(got.m_g, want[0])
+        np.testing.assert_array_equal(got.m_l, want[1])
+        assert got.t == state.t + dt
+
+    def check_experiment(self, numpy_plant, inputs, duration, state):
+        got = outcome(simulate_experiment, inputs, duration, PARAMS, state)
+        n = int(math.floor(duration))
+        w_g, pp_pa = inputs.Q_g * SL_PER_MIN_TO_KG_S, inputs.P_pump * BAR_TO_PA
+        ref = outcome(numpy_plant.log, state.m_g, state.m_l, np.tile(inputs.Q_g, (n, 1)),
+                      np.tile(inputs.v_o, (n, 1)), np.full(n, inputs.P_pump), PARAMS)
+        if isinstance(ref, type):
+            assert got is ref
+            return None
+        m_g, m_l, algebraic = ref
+        first = plant._chain(state.m_g, state.m_l, w_g, inputs.v_o, pp_pa, PARAMS, False)
+        assert_same_trajectory(
+            got, [state.t + i * 1.0 for i in range(n + 1)],
+            np.vstack([state.m_g, m_g]), np.vstack([state.m_l, m_l]),
+            {name: np.vstack([first[k], algebraic[name]])
+             for k, name in enumerate(ALGEBRAIC_FIELDS)},
+            state.t + n * 1.0)
+        dm_g, dm_l = numpy_plant.rhs(m_g[-1], m_l[-1], w_g, inputs.v_o, pp_pa, PARAMS, False)
+        rel = max(np.max(np.abs(dm_g) / np.abs(m_g[-1])),
+                  np.max(np.abs(dm_l) / np.abs(m_l[-1])))
+        assert got.steady_state_reached == (rel < 1.0e-4)
+        return got
+
+    @settings(max_examples=20, deadline=None)
+    @given(feasible_case(), st.floats(1.0, 30.0))
+    def test_simulate_experiment(self, numpy_plant, case, duration):
+        state, inputs = spread_case(case)
+        self.check_experiment(numpy_plant, inputs, duration, state)
+
+    def test_simulate_experiment_to_steady_state(self, numpy_plant):
+        traj = self.check_experiment(numpy_plant, MID, 100.0, default_initial_state(PARAMS))
+        assert traj.steady_state_reached
+
+    @settings(max_examples=20, deadline=None)
+    @given(feasible_case(), st.integers(1, 8),
+           st.lists(st.floats(2.2, 4.0), min_size=3, max_size=3))
+    def test_multi_plateau_schedule(self, numpy_plant, case, hold, pumps):
+        state, inputs = spread_case(case)
+        Q_g = np.array([inputs.Q_g, inputs.Q_g[::-1], 5.0 - inputs.Q_g])
+        v_o = np.array([inputs.v_o, inputs.v_o[::-1], np.ones(3)])
+        got = outcome(simulate_schedule, Q_g, v_o, np.array(pumps), hold, PARAMS, state)
+        ref = outcome(numpy_plant.log, state.m_g, state.m_l, np.repeat(Q_g, hold, axis=0),
+                      np.repeat(v_o, hold, axis=0), np.repeat(pumps, hold), PARAMS)
+        if isinstance(ref, type):
+            assert got is ref
+            return
+        m_g, m_l, algebraic = ref
+        n = 3 * hold
+        assert_same_trajectory(got, [state.t + (i + 1) * 1.0 for i in range(n)],
+                               m_g, m_l, algebraic, state.t + n * 1.0)
+
+
+class TestInfeasiblePlateau:
+    @pytest.fixture(scope="class")
+    def settled(self):
+        start = simulate_experiment(MID, 150.0, PARAMS, default_initial_state(PARAMS))
+        low = 0.9 * solve_algebraic(start.final_state, MID, PARAMS).P_bi.min() / BAR_TO_PA
+        return start.final_state, low
+
+    def test_schedule_raises_typed_error(self, settled):
+        start, low = settled
+        # the second plateau's pump sits below every injection-point pressure
+        with pytest.raises(NegativeSqrtArgument):
+            simulate_schedule(np.full((2, 3), 3.0), np.ones((2, 3)), np.array([2.65, low]),
+                              10, PARAMS, start)
+
+    def test_clamped_step_warns_and_stays_finite(self, settled):
+        start, low = settled
+        inputs = PlantInputs(Q_g=[3.0] * 3, v_o=[1.0] * 3, P_pump=low)
+        with pytest.warns(ClampedFlowWarning):
+            nxt = step(start, inputs, PARAMS, INTERNAL_DT, clamp=True)
+        assert np.all(np.isfinite(nxt.m_g)) and np.all(np.isfinite(nxt.m_l))
