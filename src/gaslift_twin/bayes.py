@@ -278,9 +278,9 @@ def propagate_uncertainty(
     U: np.ndarray,
     *,
     confidence: float = 0.95,
-    u_history: np.ndarray | None = None,
 ) -> CoverageSeries:
-    """Free-run every member and summarize the trajectories per step.
+    """Free-run every member and summarize the trajectories per step; ``U``
+    carries the input history first, as ``simulate_closed_loop`` takes it.
 
     Members whose trajectories go non-finite are dropped with a warning;
     at least one must survive.
@@ -291,9 +291,7 @@ def propagate_uncertainty(
     if not 0.0 < confidence < 1.0:
         raise InvalidRegion(f"confidence {confidence} outside (0, 1)")
     with np.errstate(over="ignore", invalid="ignore"):
-        paths = simulate_closed_loop(
-            members, spec, layout, y_window, U, u_history=u_history
-        )
+        paths = simulate_closed_loop(members, spec, layout, y_window, U)
     ok = np.isfinite(paths).all(axis=1)
     if not ok.all():
         warnings.warn(
@@ -345,7 +343,6 @@ def reduce_ensemble(
     *,
     degeneration_tol: float = 0.1,
     confidence: float = 0.95,
-    u_history: np.ndarray | None = None,
     safety_factor: float = 1.25,
 ) -> tuple[ModelEnsemble, ReductionReport]:
     """Find the smallest sub-ensemble whose coverage band has not degenerated.
@@ -366,8 +363,7 @@ def reduce_ensemble(
         raise ValueError("sizes must lie within the sample count")
 
     full = propagate_uncertainty(
-        samples, spec, layout, y_window, U,
-        confidence=confidence, u_history=u_history,
+        samples, spec, layout, y_window, U, confidence=confidence
     )
     w_full = float(np.mean(full.width()))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -379,8 +375,7 @@ def reduce_ensemble(
             ratios.append(1.0)       # zero-width bands cannot degenerate
             continue
         sub = propagate_uncertainty(
-            samples[idx], spec, layout, y_window, U,
-            confidence=confidence, u_history=u_history,
+            samples[idx], spec, layout, y_window, U, confidence=confidence
         )
         ratios.append(float(np.mean(sub.width())) / w_full)
 

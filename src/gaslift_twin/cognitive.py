@@ -152,28 +152,6 @@ def make_artifact(
     )
 
 
-def one_step_regressor(
-    layout: NarxLayout, y_window: np.ndarray, u_window: np.ndarray
-) -> np.ndarray:
-    """Single regressor row in engineering units.
-
-    ``y_window`` holds past measurements in chronological order (newest last);
-    ``u_window`` rows are chronological with the current input sample last,
-    since the held input on a row is the one driving the step into it.
-    """
-    y_window = np.asarray(y_window, dtype=float).ravel()
-    u_window = np.atleast_2d(np.asarray(u_window, dtype=float))
-    if len(y_window) < layout.n_b:
-        raise ShapeMismatch(f"need {layout.n_b} past outputs, got {len(y_window)}")
-    if u_window.shape[0] < layout.n_a or u_window.shape[1] != layout.n_u:
-        raise ShapeMismatch(
-            f"need {layout.n_a} rows of {layout.n_u} inputs, got {u_window.shape}"
-        )
-    ylags = y_window[::-1][: layout.n_b]
-    ublock = u_window[::-1][: layout.n_a]       # (n_a, n_u), current sample first
-    return np.concatenate([ylags, ublock.T.reshape(-1)])
-
-
 class OnlineChannelModel:
     """Mutable per-channel model: point weights plus the reduced ensemble.
 
@@ -213,11 +191,22 @@ class OnlineChannelModel:
         self, y_window: np.ndarray, u_window: np.ndarray, confidence: float
     ) -> tuple[float, float, float]:
         """One-step-ahead point prediction and coverage interval, both in
-        engineering units: the twin's stacked step for a group of one."""
+        engineering units: the twin's stacked step for a group of one. Both
+        windows are chronological; the last input row is the current sample,
+        the held input driving the step being predicted."""
         if not 0.0 < confidence < 1.0:
             raise InvalidRegion("confidence must lie in (0, 1)")
-        x = one_step_regressor(self.layout, y_window, u_window)
-        band = _ChannelGroup([self], self.weights[None]).band(x[None], confidence)
+        layout = self.layout
+        y_window = np.asarray(y_window, dtype=float).ravel()
+        u_window = np.atleast_2d(np.asarray(u_window, dtype=float))
+        if len(y_window) < layout.n_b:
+            raise ShapeMismatch(f"need {layout.n_b} past outputs, got {len(y_window)}")
+        if u_window.shape[0] < layout.n_a or u_window.shape[1] != layout.n_u:
+            raise ShapeMismatch(
+                f"need {layout.n_a} rows of {layout.n_u} inputs, got {u_window.shape}"
+            )
+        x = layout.regressors(y_window[None, ::-1], u_window[::-1])
+        band = _ChannelGroup([self], self.weights[None]).band(x, confidence)
         point, lo, hi = band[:, 0]
         return float(point), float(lo), float(hi)
 
@@ -230,7 +219,8 @@ class _ChannelGroup:
     is its point weights, rows 1..n_members its ensemble, and any rows past
     those are zero padding that no quantile sees. ``offset`` and ``scale``
     stack each channel's ``regressor_scaling``, so one subtraction and one
-    division normalize every row.
+    division normalize every row; ``y_offset`` and ``y_scale`` stack each
+    channel's ``target_scaling`` to denormalize the bands.
     """
 
     def __init__(self, models: list[OnlineChannelModel], weights: np.ndarray):
@@ -244,6 +234,7 @@ class _ChannelGroup:
         scaling = [m.norm.regressor_scaling(self.layout) for m in models]
         self.offset = np.stack([offset for offset, _ in scaling])
         self.scale = np.stack([scale for _, scale in scaling])
+        self.y_offset, self.y_scale = np.array([m.norm.target_scaling() for m in models]).T
 
     def band(self, x: np.ndarray, confidence: float) -> np.ndarray:
         """Point, lower and upper bound, (3, channels) in engineering units,
@@ -262,8 +253,7 @@ class _ChannelGroup:
         for c in np.flatnonzero(~np.isfinite(preds).all(axis=1)):
             n = self.n_members[c]
             out[1:, c] = self._finite_quantile(c, point[c], members[c, :n], q)
-        # column 0 is the newest output lag, scaled as the target is
-        return out * self.scale[:, 0] + self.offset[:, 0]
+        return out * self.y_scale + self.y_offset
 
     def _finite_quantile(self, c: int, point: float, preds: np.ndarray, q):
         finite = np.isfinite(preds)
@@ -624,10 +614,7 @@ class CognitiveTwin:
             y_lags = np.stack(self._y_hist)[::-1]              # (depth, n_channels)
             u_lags = np.vstack([u_now, *reversed(self._u_hist)])   # (depth, n_u)
             for cols, group in self._groups:
-                n_b, n_a = group.layout.n_b, group.layout.n_a
-                x = np.empty((len(cols), group.layout.width))
-                x[:, :n_b] = y_lags[:n_b, cols].T
-                x[:, n_b:] = u_lags[:n_a].T.reshape(-1)
+                x = group.layout.regressors(y_lags[:, cols].T, u_lags)
                 predicted[cols], lower[cols], upper[cols] = group.band(
                     x, self.config.confidence
                 )

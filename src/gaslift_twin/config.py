@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from . import bayes, cognitive as cg
 from .cognitive import CognitiveConfig
 from .errors import ConfigError, IoFailure, RangeViolation, TypeMismatch, UnknownKey
 from .hyperband import HyperbandConfig
@@ -85,12 +86,12 @@ REGISTRY: dict[str, tuple[str, _Key]] = {
                                   lambda v: v >= 0, ">= 0")),
     "mcmc.proposal": ("mcmc", _Key("proposal", "float", 2e-4,
                                    lambda v: v > 0, "> 0")),
-    "mcmc.sigma_floor": ("mcmc", _Key("sigma_floor", "float", 5e-3,
+    "mcmc.sigma_floor": ("mcmc", _Key("sigma_floor", "float", bayes.DEFAULT_SIGMA_FLOOR,
                                       lambda v: v > 0, "> 0")),
-    "mcmc.likelihood_rows": ("mcmc", _Key("likelihood_rows", "int", 2000,
-                                          lambda v: v >= 10, ">= 10")),
-    "mcmc.prior_half_width": ("mcmc", _Key("prior_half_width", "float", 10.0,
-                                           lambda v: v > 0, "> 0")),
+    "mcmc.likelihood_rows": ("mcmc", _Key(
+        "likelihood_rows", "int", bayes.DEFAULT_LIKELIHOOD_ROWS, lambda v: v >= 10, ">= 10")),
+    "mcmc.prior_half_width": ("mcmc", _Key(
+        "prior_half_width", "float", bayes.DEFAULT_PRIOR_HALF_WIDTH, lambda v: v > 0, "> 0")),
     "mcmc.seed": ("mcmc", _Key("seed", "int", 0)),
 
     "reduction.sizes": ("reduction", _Key("sizes", "str", "auto")),
@@ -100,21 +101,20 @@ REGISTRY: dict[str, tuple[str, _Key]] = {
                                                lambda v: v >= 10, ">= 10")),
     "reduction.seed": ("reduction", _Key("seed", "int", 0)),
 
-    "cognitive.MH": ("cognitive", _Key("mh", "int", 100,
+    "cognitive.MH": ("cognitive", _Key("mh", "int", cg.DEFAULT_MH,
                                        lambda v: v >= 1, ">= 1")),
-    "cognitive.a": ("cognitive", _Key("a_offset", "int", 1,
+    "cognitive.a": ("cognitive", _Key("a_offset", "int", cg.DEFAULT_A_OFFSET,
                                       lambda v: v >= 0, ">= 0")),
-    "cognitive.CT": ("cognitive", _Key("ct", "int", 5,
+    "cognitive.CT": ("cognitive", _Key("ct", "int", cg.DEFAULT_CT,
                                        lambda v: v >= 1, ">= 1")),
-    "cognitive.confidence": ("cognitive", _Key("confidence", "float", 0.95,
+    "cognitive.confidence": ("cognitive", _Key("confidence", "float", cg.DEFAULT_CONFIDENCE,
                                                lambda v: 0 < v < 1, "in (0, 1)")),
-    "cognitive.wait_buffer": ("cognitive", _Key("wait_buffer", "int", 5000,
+    "cognitive.wait_buffer": ("cognitive", _Key("wait_buffer", "int", cg.DEFAULT_WAIT_BUFFER,
                                                 lambda v: v >= 0, ">= 0")),
-    "cognitive.retrain_epochs": ("cognitive", _Key("retrain_epochs", "int", 50,
-                                                   lambda v: v >= 1, ">= 1")),
-    "cognitive.retrain_lr_factor": ("cognitive",
-                                    _Key("retrain_lr_factor", "float", 0.1,
-                                         lambda v: v > 0, "> 0")),
+    "cognitive.retrain_epochs": ("cognitive", _Key(
+        "retrain_epochs", "int", cg.DEFAULT_RETRAIN_EPOCHS, lambda v: v >= 1, ">= 1")),
+    "cognitive.retrain_lr_factor": ("cognitive", _Key(
+        "retrain_lr_factor", "float", cg.DEFAULT_RETRAIN_LR_FACTOR, lambda v: v > 0, "> 0")),
 
     "sil.scenarios": ("sil", _Key("scenarios", "str", "1,2,3")),
     "sil.warmup": ("sil", _Key("warmup", "float", 200.0,

@@ -61,9 +61,10 @@ class VariableRanking:
             raise ValueError("explained-variance scores must lie in [0,1]")
         if any(b > a + 1e-9 for a, b in zip(scores, scores[1:])):
             # greedy increments normally decrease; suppressor configurations
-            # can break this, which is worth surfacing but not fatal
+            # can break this, which is worth surfacing but not fatal; level 4
+            # names the code that called gram_schmidt_rank
             warnings.warn("ranking scores are not non-increasing", GasLiftWarning,
-                          stacklevel=2)
+                          stacklevel=4)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -343,13 +343,13 @@ def simulate_closed_loop(
     layout: NarxLayout,
     y_window: np.ndarray,
     U: np.ndarray,
-    u_history: np.ndarray | None = None,
 ) -> np.ndarray:
     """Free-run prediction: outputs feed back as lagged regressor entries.
 
-    y_window holds the last n_b outputs in chronological order; U row t is
-    the held input sample driving the step into prediction t, and u_history
-    supplies the n_a - 1 rows preceding U when the layout needs them.
+    y_window holds the last n_b outputs in chronological order. U is
+    chronological too: its first n_a - 1 rows are the input history before
+    the run, and each row after them is the held input sample driving the
+    step into one prediction, so len(U) - n_a + 1 steps are predicted.
     Works in normalized units and accepts stacked parameter vectors, in
     which case the result gains a leading member axis.
     """
@@ -362,24 +362,16 @@ def simulate_closed_loop(
         raise ShapeMismatch(f"expected {layout.n_u} input columns, got {U.shape[1]}")
     if len(y_window) < layout.n_b:
         raise ShapeMismatch(f"output window shorter than {layout.n_b} lags")
-    if layout.n_a > 1:
-        if u_history is None or len(u_history) < layout.n_a - 1:
-            raise ShapeMismatch(f"need {layout.n_a - 1} rows of input history")
-        Ufull = np.vstack([np.atleast_2d(u_history)[-(layout.n_a - 1) :], U])
-    else:
-        Ufull = U
-    offset = layout.n_a - 1
-
+    n_steps = U.shape[0] - (layout.n_a - 1)
+    if n_steps < 1:
+        raise ShapeMismatch(f"need {layout.n_a - 1} rows of input history and one more")
+    # newest first: the input windows of every step, then the output lags
+    u_lags = U[np.arange(n_steps)[:, None] + layout.n_a - 1 - np.arange(layout.n_a)]
     lead = theta.shape[:-1]
-    # most recent output first, matching the regressor column order
     lags = np.broadcast_to(y_window[-layout.n_b :][::-1], (*lead, layout.n_b)).copy()
-    out = np.empty((*lead, U.shape[0]))
-    for t in range(U.shape[0]):
-        ublock = Ufull[offset + t - np.arange(layout.n_a)]      # (n_a, n_u)
-        uflat = ublock.T.reshape(-1)
-        row = np.concatenate(
-            [lags, np.broadcast_to(uflat, (*lead, len(uflat)))], axis=-1
-        )
+    out = np.empty((*lead, n_steps))
+    for t in range(n_steps):
+        row = layout.regressors(lags, u_lags[t])
         pred = forward(theta, spec, row[..., None, :])[..., 0]
         out[..., t] = pred
         if layout.n_b > 1:

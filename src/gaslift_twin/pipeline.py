@@ -489,11 +489,10 @@ def stage_reduce(cfg: RunConfig) -> dict:
         U_n = norm.normalize_inputs(U)
         ensemble, report = reduce_ensemble(
             kept, entry["spec"], layout,
-            y_window, U_n[start:],
+            y_window, U_n[start - layout.n_a + 1:],
             sizes, cfg.reduction.seed + name_i,
             degeneration_tol=cfg.reduction.tol,
             confidence=cfg.cognitive.confidence,
-            u_history=U_n[start - layout.n_a + 1:start] if layout.n_a > 1 else None,
         )
 
         artifact = make_artifact(

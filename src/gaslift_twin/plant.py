@@ -109,11 +109,11 @@ class PlantState:
     def __post_init__(self):
         object.__setattr__(self, "m_g", _as_well_array(self.m_g, "m_g"))
         object.__setattr__(self, "m_l", _as_well_array(self.m_l, "m_l"))
-        if np.any(self.m_g <= 0.0) or np.any(self.m_l <= 0.0):
+        if not (np.all(self.m_g > 0.0) and np.all(self.m_l > 0.0)):
             raise ValueError("mass holdups must be strictly positive")
 
     def validate(self, params: PlantParams) -> None:
-        if np.any(self.m_l / params.rho_l >= params.V_total):
+        if not np.all(self.m_l / params.rho_l < params.V_total):
             raise ValueError("liquid holdup exceeds pipe volume")
 
 
@@ -129,8 +129,10 @@ class PlantInputs:
         object.__setattr__(self, "Q_g", _as_well_array(self.Q_g, "Q_g"))
         object.__setattr__(self, "v_o", _as_well_array(self.v_o, "v_o"))
         object.__setattr__(self, "P_pump", float(self.P_pump))
-        if np.any(self.v_o < 0.0) or np.any(self.v_o > 1.0):
+        if not np.all((0.0 <= self.v_o) & (self.v_o <= 1.0)):
             raise ValueError("v_o must lie in [0,1]")
+        if not (np.isfinite(self.Q_g).all() and np.isfinite(self.P_pump)):
+            raise ValueError("Q_g and P_pump must be finite")
 
 
 @dataclass(frozen=True)
@@ -321,7 +323,7 @@ def _advance(derivs, m_g, m_l, w_g, vo_theta, theta_top, pp_pa, dt, n):
 def _check_bounds(m_g, m_l, params):
     upper = params.rho_l * params.V_total
     for name, values in (("m_g", m_g), ("m_l", m_l)):
-        if any(v <= 0.0 or v >= upper for v in values):
+        if not all(0.0 < v < upper for v in values):
             raise IntegrationUnstable(
                 f"{name} left (0, rho_l*V_total) during integration: {values}")
 

@@ -32,8 +32,14 @@ _ZERO_DIST_SQ = 1e-20
 
 @dataclass(frozen=True)
 class NarxLayout:
-    """Column layout of a regressor row: n_b output lags followed by n_a lags
-    of each exogenous input channel, inputs in fixed channel order."""
+    """Column layout of a regressor row; the only code that knows it.
+
+    A row is n_b output lags, then n_a lags of each input in channel order,
+    every block newest first. `regressors` takes windows in that order: for
+    target y(t), y(t-1)..y(t-n_b) and u(t)..u(t-n_a+1), since the input held
+    on the target row drives the step into it. Chronological windows, as
+    `predict` and `simulate_closed_loop` take them, are these reversed.
+    """
 
     n_b: int
     n_a: int
@@ -50,6 +56,26 @@ class NarxLayout:
     @property
     def max_lag(self) -> int:
         return max(self.n_b, self.n_a)
+
+    def regressors(self, y_lags: np.ndarray, u_lags: np.ndarray) -> np.ndarray:
+        """Rows (..., width) from newest-first windows ``y_lags`` (..., >= n_b)
+        and ``u_lags`` (..., >= n_a, n_u), of which the newest n_b and n_a
+        entries are used. The leading axes are those of ``y_lags``; ``u_lags``
+        broadcasts against them. Callers check the depths."""
+        x = np.empty((*y_lags.shape[:-1], self.width))
+        x[..., : self.n_b] = y_lags[..., : self.n_b]
+        # splitting the last axis of x is a view, so this fills x in place
+        u_block = x[..., self.n_b :].reshape(*x.shape[:-1], self.n_u, self.n_a)
+        u_block[...] = np.swapaxes(u_lags[..., : self.n_a, :], -1, -2)
+        return x
+
+
+def _lag_windows(
+    y: np.ndarray, U: np.ndarray, rows: np.ndarray, n_b: int, n_a: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newest-first windows (R, n_b, ...) and (R, n_a, n_u) behind target
+    rows of a logged series, in `NarxLayout`'s convention."""
+    return y[rows[:, None] - 1 - np.arange(n_b)], U[rows[:, None] - np.arange(n_a)]
 
 
 def valid_target_rows(
@@ -93,11 +119,7 @@ def build_lag_matrix(
         rows = valid_target_rows(len(y), hold, layout.max_lag)
     if len(rows) == 0:
         raise TooShortPlateau("no lag-valid rows available")
-    Xy = np.stack([y[rows - 1 - k] for k in range(layout.n_b)], axis=1)
-    # u(t-1) is the zero-order-hold sample driving the step into y(t),
-    # which the logged input table stores on the target row itself
-    Xu = np.stack([U[rows - k] for k in range(layout.n_a)], axis=2)
-    X = np.concatenate([Xy, Xu.reshape(len(rows), layout.n_u * layout.n_a)], axis=1)
+    X = layout.regressors(*_lag_windows(y, U, rows, layout.n_b, layout.n_a))
     return X, y[rows], rows
 
 
@@ -244,15 +266,12 @@ def select_embedding_channel(
     yn, Un = _normalize_channels(y, U, rows)
 
     n_u = U.shape[1]
-    Xy = np.stack([yn[rows - 1 - k] for k in range(n_max)], axis=1)
-    Xu = np.stack([Un[rows - k] for k in range(n_max)], axis=2)
+    y_lags, u_lags = _lag_windows(yn, Un, rows, n_max, n_max)
     targets = yn[rows]
     p = max(1, int(np.ceil(0.015 * len(rows))))
 
     def level_at(n_b: int, n_a: int) -> float:
-        X = np.concatenate(
-            [Xy[:, :n_b], Xu[:, :, :n_a].reshape(len(rows), -1)], axis=1
-        )
+        X = NarxLayout(n_b, n_a, n_u).regressors(y_lags, u_lags)
         X = np.unique(X, axis=1)
         coeffs = lipschitz_coefficients(X, targets, seed=seed)
         return lipschitz_index(coeffs, 1, p=p)
@@ -330,6 +349,10 @@ class NormalizationSpec:
         span = hi - lo
         return np.where(span > 0, span, 1.0)
 
+    def target_scaling(self) -> tuple[float, float]:
+        """Offset and scale of the target: ``(y - offset) / scale`` normalizes it."""
+        return self.y_min, float(self._scale(self.y_min, self.y_max))
+
     def normalize_target(self, y: np.ndarray) -> np.ndarray:
         return (y - self.y_min) / float(self._scale(self.y_min, self.y_max))
 
@@ -340,13 +363,13 @@ class NormalizationSpec:
         return (U - self.u_min) / self._scale(self.u_min, self.u_max)
 
     def regressor_scaling(self, layout: NarxLayout) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column offset and scale of a regressor row: ``(X - offset) /
-        scale`` normalizes it, output lags first, then each input's lags."""
-        offset = np.concatenate([np.full(layout.n_b, self.y_min),
-                                 np.repeat(self.u_min, layout.n_a)])
-        scale = np.concatenate([np.full(layout.n_b, self._scale(self.y_min, self.y_max)),
-                                np.repeat(self._scale(self.u_min, self.u_max), layout.n_a)])
-        return offset, scale
+        """Per-column offset and scale of a regressor row, in ``layout``'s
+        column order: ``(X - offset) / scale`` normalizes it."""
+        def row(y_value, u_values):
+            return layout.regressors(np.full(layout.n_b, y_value),
+                                     np.broadcast_to(u_values, (layout.n_a, layout.n_u)))
+        y_offset, y_scale = self.target_scaling()
+        return row(y_offset, self.u_min), row(y_scale, self._scale(self.u_min, self.u_max))
 
     def normalize_regressors(self, X: np.ndarray, layout: NarxLayout) -> np.ndarray:
         offset, scale = self.regressor_scaling(layout)
@@ -447,20 +470,16 @@ def assemble_narx_dataset(
     if len(rows) < 10:
         raise TooShortPlateau("too few lag-valid rows to split")
     train_idx, val_idx, test_idx = split_rows(len(rows), ratios, seed)
+    # ranges cover every value a training row reads; inputs are shared by channels
+    y_train, u_train = _lag_windows(Y, U, rows[train_idx], layout.n_b, layout.n_a)
+    u_lo, u_hi = u_train.min(axis=(0, 1)), u_train.max(axis=(0, 1))
 
     out: dict[str, NarxDataset] = {}
     for c, name in enumerate(channels):
         X, t, _ = build_lag_matrix(Y[:, c], U, layout, hold, rows=rows)
-        tr_targets = t[train_idx]
-        tr_ylags = X[train_idx][:, : layout.n_b]
+        tr_targets, tr_ylags = t[train_idx], y_train[..., c]
         y_lo = float(min(tr_targets.min(), tr_ylags.min()))
         y_hi = float(max(tr_targets.max(), tr_ylags.max()))
-        u_lo = np.empty(layout.n_u)
-        u_hi = np.empty(layout.n_u)
-        for j in range(layout.n_u):
-            s = layout.n_b + j * layout.n_a
-            block = X[train_idx][:, s : s + layout.n_a]
-            u_lo[j], u_hi[j] = float(block.min()), float(block.max())
         out[name] = NarxDataset(
             channel=name,
             layout=layout,

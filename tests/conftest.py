@@ -5,15 +5,15 @@ import pytest
 
 from gaslift_twin import network as nw
 from gaslift_twin import plant
-from gaslift_twin.cognitive import one_step_regressor
 
 
 def loop_predict(model, y_window, u_window, confidence):
     """One channel's band computed on its own, one forward for the point and
     one for the members, as the twin did before channels were stacked; the
     reference the stacked step must match bit for bit."""
-    x = one_step_regressor(model.layout, y_window, u_window)
-    xn = model.norm.normalize_regressors(x[None], model.layout)
+    x = model.layout.regressors(np.asarray(y_window, dtype=float)[None, ::-1],
+                                np.asarray(u_window, dtype=float)[::-1])
+    xn = model.norm.normalize_regressors(x, model.layout)
     point_n = float(nw.forward(model.theta, model.spec, xn)[0])
     preds_n = np.asarray(nw.forward(model.members, model.spec, xn)).ravel()
     alpha = (1.0 - confidence) / 2.0

@@ -93,6 +93,9 @@ class TestArtifacts:
 
 
 class TestOneStepRegressor:
+    """``NarxLayout.regressors`` on the twin's windows: chronological windows
+    reversed into the layout's newest-first convention."""
+
     def test_matches_offline_lag_matrix(self):
         layout = NarxLayout(2, 2, 2)
         rng = np.random.Generator(np.random.PCG64(0))
@@ -100,22 +103,53 @@ class TestOneStepRegressor:
         U = rng.normal(size=(8, 2))
         X, targets, rows = build_lag_matrix(y, U, layout, None)
         t = rows[-1]
-        row = cg.one_step_regressor(layout, y[:t], U[: t + 1])
+        row = layout.regressors(y[:t][::-1], U[: t + 1][::-1])
         assert np.array_equal(row, X[-1])
 
     def test_explicit_layout(self):
         layout = NarxLayout(2, 2, 2)
-        row = cg.one_step_regressor(
-            layout, [1.0, 2.0, 3.0], [[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]]
-        )
+        y_window = np.array([1.0, 2.0, 3.0])
+        u_window = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+        row = layout.regressors(y_window[::-1], u_window[::-1])
         assert row.tolist() == [3.0, 2.0, 50.0, 30.0, 60.0, 40.0]
+        # leading axes come from the output windows; one input window serves all
+        rows = layout.regressors(np.stack([y_window[::-1], -y_window[::-1]]),
+                                 u_window[::-1])
+        assert rows.tolist() == [[3.0, 2.0, 50.0, 30.0, 60.0, 40.0],
+                                 [-3.0, -2.0, 50.0, 30.0, 60.0, 40.0]]
 
     def test_short_windows(self):
-        layout = NarxLayout(3, 1, 1)
+        model = cg.transfer_warm_start(const_artifact())      # NarxLayout(2, 1, 1)
         with pytest.raises(ShapeMismatch):
-            cg.one_step_regressor(layout, [1.0, 2.0], [[0.5]])
+            model.predict([1.0], [[0.5]], 0.9)
         with pytest.raises(ShapeMismatch):
-            cg.one_step_regressor(NarxLayout(1, 2, 1), [1.0], [[0.5]])
+            model.predict([1.0, 2.0], np.zeros((0, 1)), 0.9)
+        with pytest.raises(ShapeMismatch):
+            model.predict([1.0, 2.0], [[0.5, 0.5]], 0.9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_b=st.integers(1, 4), n_a=st.integers(1, 4), n_u=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    def test_every_path_builds_the_offline_row(self, n_b, n_a, n_u, seed):
+        layout = NarxLayout(n_b, n_a, n_u)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        y = rng.uniform(size=12)
+        U = rng.uniform(size=(12, n_u))
+        X, _, rows = build_lag_matrix(y, U, layout, None)
+        for i, t in enumerate(rows):
+            assert np.array_equal(X[i], layout.regressors(y[:t][::-1], U[: t + 1][::-1]))
+
+        spec = nw.NetworkSpec((layout.width, 5, 1), ("tanh", "linear"), seed=seed)
+        theta = nw.initialize(spec).theta
+        art = cg.make_artifact("c0", spec, layout, identity_norm(n_u), theta,
+                               np.stack([theta, theta]))
+        model = cg.transfer_warm_start(art)
+        t = rows[-1]
+        offline = nw.forward(theta, spec, X[-1:])[0]
+        point, _, _ = model.predict(y[:t], U[: t + 1], 0.9)
+        assert point == offline
+        free = nw.simulate_closed_loop(theta, spec, layout, y[:t], U[t + 1 - n_a : t + 1])
+        assert free[0] == offline
 
 
 class TestPredict:
@@ -143,7 +177,7 @@ class TestPredict:
     def test_first_prediction_matches_offline_forward(self):
         art = const_artifact()
         model = cg.transfer_warm_start(art)
-        x = cg.one_step_regressor(art.layout, [0.1, 0.2], [[0.7]])
+        x = art.layout.regressors(np.array([0.2, 0.1]), np.array([[0.7]]))
         offline = float(nw.forward(art.map_theta, art.spec, x[None])[0])
         point, _, _ = model.predict([0.1, 0.2], [[0.7]], 0.95)
         assert point == offline

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaslift_twin import doe
-from gaslift_twin.errors import DegenerateColumn, InvalidBounds
+from gaslift_twin.errors import DegenerateColumn, GasLiftWarning, InvalidBounds
 
 
 BOUNDS_2D = (("a", 0.0, 1.0), ("b", -2.0, 6.0))
@@ -178,6 +178,16 @@ class TestGramSchmidtRank:
         ranking = doe.gram_schmidt_rank(X, ("a", "b"), y)
         # whichever copy wins, its twin adds nothing
         assert ranking.entries[1][1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_non_monotone_warning_names_the_caller(self):
+        # a suppressor pair: neither column alone explains y = x1 - x2, so
+        # the second increment exceeds the first
+        rng = np.random.Generator(np.random.PCG64(1))
+        z = rng.uniform(size=200)
+        X = np.column_stack([z + 0.1 * rng.normal(size=200), z])
+        with pytest.warns(GasLiftWarning, match="non-increasing") as record:
+            doe.gram_schmidt_rank(X, ("a", "b"), X[:, 0] - X[:, 1])
+        assert [w.filename for w in record] == [__file__]
 
     def test_exact_tie_breaks_lexicographically(self):
         rng = np.random.Generator(np.random.PCG64(6))

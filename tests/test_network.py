@@ -299,11 +299,9 @@ class TestSimulateClosedLoop:
         layout = NarxLayout(2, 2, 3)
         spec = nw.NetworkSpec((layout.width, 4, 1), ("relu", "linear"))
         theta = np.zeros(spec.n_params)
-        U = np.ones((10, 3))
-        out = nw.simulate_closed_loop(
-            theta, spec, layout, np.array([0.5, 0.4]), U, u_history=np.ones((1, 3))
-        )
-        assert (out == 0.0).all()
+        U = np.ones((11, 3))        # one history row, then ten steps
+        out = nw.simulate_closed_loop(theta, spec, layout, np.array([0.5, 0.4]), U)
+        assert out.shape == (10,) and (out == 0.0).all()
 
     def test_feedback_decay(self):
         # net implementing y(t) = 0.5 y(t-1) halves the window value each step
@@ -319,10 +317,8 @@ class TestSimulateClosedLoop:
         layout = NarxLayout(1, 2, 1)
         spec = nw.NetworkSpec((3, 1), ("linear",))
         theta = np.array([0.0, 0.0, 1.0, 0.0])    # picks the lag-2 input
-        U = np.arange(1.0, 7.0)[:, None]
-        out = nw.simulate_closed_loop(
-            theta, spec, layout, np.array([0.0]), U, u_history=np.array([[10.0]])
-        )
+        U = np.array([10.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])[:, None]   # history first
+        out = nw.simulate_closed_loop(theta, spec, layout, np.array([0.0]), U)
         assert out.tolist() == [10.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_shape_errors(self):
@@ -331,17 +327,19 @@ class TestSimulateClosedLoop:
         theta = np.zeros(5)
         U = np.zeros((5, 1))
         with pytest.raises(ShapeMismatch):
-            nw.simulate_closed_loop(theta, spec, layout, np.array([1.0]), U,
-                                    u_history=np.zeros((1, 1)))       # short window
-        with pytest.raises(ShapeMismatch):
-            nw.simulate_closed_loop(theta, spec, layout, np.array([1.0, 2.0]), U)  # no history
+            nw.simulate_closed_loop(theta, spec, layout, np.array([1.0]), U)  # short window
         with pytest.raises(ShapeMismatch):
             nw.simulate_closed_loop(theta, spec, layout, np.array([1.0, 2.0]),
-                                    np.zeros((5, 2)), u_history=np.zeros((1, 2)))
+                                    np.zeros((0, 1)))                   # no history
+        with pytest.raises(ShapeMismatch):
+            nw.simulate_closed_loop(theta, spec, layout, np.array([1.0, 2.0]),
+                                    np.zeros((1, 1)))                   # nothing to predict
+        with pytest.raises(ShapeMismatch):
+            nw.simulate_closed_loop(theta, spec, layout, np.array([1.0, 2.0]),
+                                    np.zeros((5, 2)))
         with pytest.raises(ShapeMismatch):
             nw.simulate_closed_loop(theta, nw.NetworkSpec((9, 1), ("linear",)),
-                                    layout, np.array([1.0, 2.0]), U,
-                                    u_history=np.zeros((1, 1)))
+                                    layout, np.array([1.0, 2.0]), U)
 
     def test_stacked_members_match_loop(self):
         layout = NarxLayout(2, 1, 2)

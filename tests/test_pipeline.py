@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaslift_twin import cli, pipeline, sil
-from gaslift_twin.config import parse_config
+from gaslift_twin import bayes, cli, pipeline, sil
+from gaslift_twin.cognitive import CognitiveConfig
+from gaslift_twin.config import default_config, parse_config
 
 STAGES = ("gen-data", "rank-inputs", "select-structure", "tune", "fit",
           "mcmc", "reduce", "sil", "report")
@@ -199,3 +200,12 @@ def test_only_confidence_of_the_cognitive_keys_reaches_reduce(tmp_path):
     assert other.stage_hash("sil") != cfg.stage_hash("sil")
     tighter = replace(cfg, cognitive=replace(cfg.cognitive, confidence=0.9))
     assert tighter.stage_hash("reduce") != cfg.stage_hash("reduce")
+
+
+def test_config_defaults_are_the_library_defaults():
+    cfg = default_config()
+    assert cfg.cognitive == CognitiveConfig()
+    assert (cfg.mcmc.sigma_floor, cfg.mcmc.likelihood_rows, cfg.mcmc.prior_half_width) == (
+        bayes.DEFAULT_SIGMA_FLOOR, bayes.DEFAULT_LIKELIHOOD_ROWS,
+        bayes.DEFAULT_PRIOR_HALF_WIDTH,
+    )

@@ -110,6 +110,22 @@ class TestParamsAndStateValidation:
         with pytest.raises(ValueError):
             PlantInputs(Q_g=[3.0] * 3, v_o=[1.2, 1.0, 1.0], P_pump=2.65)
 
+    @pytest.mark.parametrize("field", ["m_g", "m_l"])
+    def test_nan_holdup_rejected(self, field):
+        masses = {"m_g": [1e-3] * 3, "m_l": [0.5] * 3}
+        masses[field] = [math.nan, *masses[field][1:]]
+        with pytest.raises(ValueError):
+            PlantState(**masses)
+
+    @pytest.mark.parametrize("inputs", [
+        {"Q_g": [math.nan, 3.0, 3.0]},
+        {"v_o": [1.0, math.nan, 1.0]},
+        {"P_pump": math.nan},
+    ])
+    def test_nan_inputs_rejected(self, inputs):
+        with pytest.raises(ValueError):
+            PlantInputs(**{"Q_g": [3.0] * 3, "v_o": [1.0] * 3, "P_pump": 2.65, **inputs})
+
 
 class TestStep:
     def test_exact_steady_point_is_fixed(self):
@@ -234,6 +250,15 @@ class TestSimulateSchedule:
         for k in range(4):
             block = traj.Q_g[25 * k:25 * (k + 1)]
             assert np.all(block == Qg[k])
+
+    def test_nan_input_row_raises(self):
+        # NaN fails every comparison, so only bounds written as "inside" catch it
+        start = default_initial_state(PARAMS)
+        with pytest.raises(IntegrationUnstable):
+            simulate_schedule(np.array([[math.nan, 3.0, 3.0]]), np.ones((1, 3)),
+                              np.array([2.65]), 5, PARAMS, start)
+        with pytest.raises(IntegrationUnstable):
+            plant._check_bounds([math.nan, 1e-3, 1e-3], [0.5] * 3, PARAMS)
 
     def test_state_carries_over(self):
         start = simulate_experiment(MID, 150.0, PARAMS, default_initial_state(PARAMS)).final_state
