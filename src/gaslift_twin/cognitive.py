@@ -20,14 +20,13 @@ import numpy as np
 from .doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from .errors import (
     ArtifactMismatch,
-    DivergedLoss,
     InsufficientSamples,
     InvalidRegion,
     MemberDroppedWarning,
     OfflineInstanceUnavailable,
     ShapeMismatch,
 )
-from .network import NetworkSpec, NetworkWeights, forward, train
+from .network import NetworkSpec, forward, train
 from .plant import CHANNEL_NAMES, PlantParams, PlantState, simulate_schedule
 from .structure import NarxLayout, NormalizationSpec, build_lag_matrix, split_rows
 
@@ -448,6 +447,23 @@ def handle_drift(
     raise ValueError(f"unknown drift cause {cause!r}")
 
 
+@dataclass(frozen=True)
+class RetrainRecord:
+    """What one channel's fine-tune did.
+
+    Every fallback is listed: a diverged point fine-tune keeps the weights
+    from before the retrain, and a diverged member, or one whose prediction
+    offset from the point weights is non-finite and so was not fine-tuned,
+    takes the fine-tuned point weights. Members are numbered from 0.
+    """
+
+    channel: str
+    point_diverged: bool
+    members_diverged: tuple[int, ...]
+    members_skipped: tuple[int, ...]
+    norm_widened: bool
+
+
 def online_retrain(
     model: OnlineChannelModel,
     data: RetrainData,
@@ -469,7 +485,7 @@ def online_retrain(
     falls outside the fitted ranges. The model takes the new weights and
     normalization only once every fine-tune has run.
     """
-    model.norm, model.weights = _retrained(
+    model.norm, model.weights, _ = _retrained(
         model, data, epochs=epochs, lr_factor=lr_factor, seed=seed
     )
     return model
@@ -478,9 +494,14 @@ def online_retrain(
 def _retrained(
     model: OnlineChannelModel, data: RetrainData, *, epochs: int,
     lr_factor: float, seed: int,
-) -> tuple[NormalizationSpec, np.ndarray]:
-    """``online_retrain``'s new normalization and weights, leaving the model
-    as it is."""
+) -> tuple[NormalizationSpec, np.ndarray, RetrainRecord]:
+    """``online_retrain``'s new normalization and weights, and what it did,
+    leaving the model as it is.
+
+    The point weights and every member with a finite offset are fine-tuned
+    in one ``train`` call on a stack: row 0 is the point weights, the other
+    rows are those members.
+    """
     if model.channel not in data.channels:
         raise ShapeMismatch(f"data carries no channel {model.channel!r}")
     col = data.channels.index(model.channel)
@@ -491,41 +512,38 @@ def _retrained(
             f"{len(t_raw)} usable rows is too few to fine-tune on"
         )
     norm = model.norm
-    if not norm.covers(y, data.U):
+    widened = not norm.covers(y, data.U)
+    if widened:
         norm = norm.expanded(y, data.U)
     Xn = norm.normalize_regressors(X_raw, model.layout)
     tn = norm.normalize_target(t_raw)
     tr, va, _ = split_rows(len(tn), (0.85, 0.15, 0.0), seed)
-    lr = model.spec.learning_rate * lr_factor
 
-    def fine_tune(theta0: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
-        start = NetworkWeights(theta=theta0.copy(), layer_sizes=model.spec.layer_sizes)
-        try:
-            res = train(
-                model.spec, Xn[tr], targets[tr], Xn[va], targets[va],
-                initial=start, epochs=epochs, learning_rate=lr,
-            )
-        except DivergedLoss:
-            return None
-        return res.weights.theta
-
-    theta_before = model.theta.copy()
-    tuned_map = fine_tune(theta_before, tn)
-    if tuned_map is None:
-        tuned_map = theta_before
+    theta_before = model.theta
     with np.errstate(over="ignore", invalid="ignore"):
         base_pred = np.asarray(forward(theta_before, model.spec, Xn)).ravel()
-        member_pred = np.asarray(forward(model.members, model.spec, Xn))
+        offsets = np.asarray(forward(model.members, model.spec, Xn)) - base_pred
+    finite = np.isfinite(offsets).all(axis=-1)
+    tuned_members = np.flatnonzero(finite)
+    targets = np.concatenate([tn[None], tn + offsets[tuned_members]])
+    res = train(
+        model.spec, Xn[tr], targets[:, tr], Xn[va], targets[:, va],
+        initial=np.concatenate([theta_before[None], model.members[tuned_members]]),
+        epochs=epochs, learning_rate=model.spec.learning_rate * lr_factor,
+    )
+    tuned, diverged = res.weights.theta, res.diverged
     weights = np.empty_like(model.weights)
-    weights[0] = tuned_map
-    for i in range(model.n_members):
-        offset = member_pred[i] - base_pred
-        if not np.isfinite(offset).all():
-            weights[1 + i] = tuned_map
-            continue
-        tuned = fine_tune(model.members[i], tn + offset)
-        weights[1 + i] = tuned_map if tuned is None else tuned
-    return norm, weights
+    weights[:] = theta_before if diverged[0] else tuned[0]
+    kept = ~diverged[1:]
+    weights[1 + tuned_members[kept]] = tuned[1:][kept]
+    record = RetrainRecord(
+        channel=model.channel,
+        point_diverged=bool(diverged[0]),
+        members_diverged=tuple(tuned_members[~kept].tolist()),
+        members_skipped=tuple(np.flatnonzero(~finite).tolist()),
+        norm_widened=widened,
+    )
+    return norm, weights, record
 
 
 @dataclass(frozen=True)
@@ -670,8 +688,11 @@ class CognitiveTwin:
                 m.weights = row[: 1 + m.n_members]
             self._groups.append((np.array(cols), _ChannelGroup(models, stack)))
 
-    def retrain(self, data: RetrainData, *, seed: int = 0) -> None:
+    def retrain(self, data: RetrainData, *, seed: int = 0) -> tuple[RetrainRecord, ...]:
         """Fine-tune every channel, then reset monitors and the live buffer.
+
+        Returns one record per channel, in channel order, naming the rows
+        whose fine-tune fell back and whether the normalization widened.
 
         All or nothing: every channel is fine-tuned into new weights and
         normalization first, and only when all have succeeded does the twin
@@ -691,10 +712,11 @@ class CognitiveTwin:
             )
             for c in self.channels
         ]
-        for c, (norm, weights) in zip(self.channels, tuned):
+        for c, (norm, weights, _) in zip(self.channels, tuned):
             self.models[c].norm, self.models[c].weights = norm, weights
         self._stack_groups()
         self.states = {c: CognitiveState(self.config) for c in self.channels}
         self._buffering = False
         self._buffer_y.clear()
         self._buffer_u.clear()
+        return tuple(record for _, _, record in tuned)

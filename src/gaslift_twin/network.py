@@ -9,6 +9,15 @@ more than one: the online twin evaluates a (channels, 1 + members,
 n_params) stack on rows shaped (channels, 1, 1, width), one regressor row
 per channel, in one call. Each matmul then takes a single row, the same
 float operations as a single parameter vector on a single row.
+
+Training takes a stack too. ``train`` fine-tunes R parameter rows, shaped
+(..., n_params), on one shared regressor matrix with one target row per
+parameter row, in one Adam loop: the rows draw the same mini-batches, and
+each keeps its own moments, warm-start baseline, best weights, best epoch and
+patience. A row that stops early or diverges is frozen while the others go
+on, so every row that does not diverge ends bit-equal to its own
+single-vector run. A single vector is never lifted to a stack of one: its
+loop keeps its own shapes, and only a single vector raises DivergedLoss.
 """
 
 from __future__ import annotations
@@ -35,12 +44,12 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _act_prime(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_prime(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative at ``z`` of the activation whose output there is ``a``."""
     if kind == "relu":
         return (z > 0.0).astype(float)
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
+        return 1.0 - a * a
     return np.ones_like(z)
 
 
@@ -93,7 +102,8 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class NetworkWeights:
-    """Flat parameter vector plus the layer layout it belongs to."""
+    """Flat parameter vector, or a stack of them along leading axes, plus
+    the layer layout it belongs to."""
 
     theta: np.ndarray
     layer_sizes: tuple[int, ...]
@@ -102,9 +112,9 @@ class NetworkWeights:
         expected = sum(
             (i + 1) * o for i, o in zip(self.layer_sizes[:-1], self.layer_sizes[1:])
         )
-        if self.theta.shape != (expected,):
+        if self.theta.shape[-1:] != (expected,):
             raise ShapeMismatch(
-                f"theta has {self.theta.shape}, layout needs ({expected},)"
+                f"theta has {self.theta.shape}, layout needs (..., {expected})"
             )
         if not np.isfinite(self.theta).all():
             raise ShapeMismatch("theta contains non-finite entries")
@@ -121,10 +131,20 @@ class Metrics:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """Best-on-validation weights and per-epoch losses of one ``train`` call.
+
+    A single net has tuples of floats for histories and an int best epoch.
+    A stack with leading axes ``lead`` has histories shaped
+    (epochs_run, *lead), NaN once a row has stopped or diverged, and
+    ``best_epoch`` and ``diverged`` shaped ``lead``. A diverged row keeps the
+    best weights it reached before diverging.
+    """
+
     weights: NetworkWeights
-    train_loss: tuple[float, ...]
-    val_loss: tuple[float, ...]
-    best_epoch: int     # -1 when no epoch ran or none beat the warm start
+    train_loss: tuple[float, ...] | np.ndarray
+    val_loss: tuple[float, ...] | np.ndarray
+    best_epoch: int | np.ndarray    # -1 when no epoch ran or none beat the warm start
+    diverged: bool | np.ndarray = False     # a single net raises instead
 
 
 def initialize(spec: NetworkSpec) -> NetworkWeights:
@@ -189,11 +209,17 @@ def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the batch MSE with respect to every parameter."""
+    """Analytic gradient of the batch MSE with respect to every parameter.
+
+    A parameter stack takes either targets shared by every row, (n,), or
+    one target row per parameter row, (..., n).
+    """
     theta = _theta_of(weights)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n = len(y)
+    y = np.asarray(y, dtype=float)
+    if theta.ndim == 1 or y.ndim == 0:
+        y = y.ravel()
+    n = y.shape[-1]
     if n == 0 or X.shape[0] != n:
         raise ShapeMismatch("batch rows and targets must align and be non-empty")
     if X.shape[1] != spec.n_inputs:
@@ -205,8 +231,8 @@ def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.nda
     grad = np.empty_like(theta)
     Ws = [W for W, _ in _layers(theta, spec)]
 
-    resid = acts[-1] - y[:, None]
-    delta = (2.0 / n) * resid * _act_prime(zs[-1], spec.activations[-1])
+    resid = acts[-1] - y[..., None]
+    delta = (2.0 / n) * resid * _act_prime(zs[-1], acts[-1], spec.activations[-1])
     offsets = np.cumsum((0,) + spec.layer_param_counts)
     for l in range(len(spec.layer_shapes) - 1, -1, -1):
         fan_in, fan_out = spec.layer_shapes[l]
@@ -217,7 +243,7 @@ def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.nda
         grad[..., s + fan_in * fan_out : offsets[l + 1]] = db
         if l > 0:
             delta = np.matmul(delta, np.swapaxes(Ws[l], -1, -2)) * _act_prime(
-                zs[l - 1], spec.activations[l - 1]
+                zs[l - 1], acts[l], spec.activations[l - 1]
             )
     return grad
 
@@ -245,7 +271,7 @@ def train(
     X_val: np.ndarray,
     y_val: np.ndarray,
     *,
-    initial: NetworkWeights | None = None,
+    initial: NetworkWeights | np.ndarray | None = None,
     epochs: int | None = None,
     learning_rate: float | None = None,
     patience: int = 20,
@@ -253,80 +279,123 @@ def train(
     """Mini-batch Adam with early stopping on validation loss.
 
     Returns the best-on-validation weights and per-epoch loss histories.
-    Raises DivergedLoss when either loss turns non-finite.
+    A single net raises DivergedLoss when its weights or either loss turn
+    non-finite.
+
+    ``initial`` may be a stack with leading axes, shaped (..., n_params).
+    Each row is then a net of its own: the targets are (..., n), one row per
+    parameter row, on the shared (n, width) ``X``. Every row draws the same
+    mini-batches and keeps its own Adam moments, warm-start baseline, best
+    weights, best epoch and patience count. A row whose patience runs out,
+    or that diverges (non-finite weights after a batch, or a non-finite
+    epoch loss), is frozen and keeps its last finite weights, and the loop
+    ends once no row is left running. A diverged row is reported in the
+    result's ``diverged`` instead of raising. Each row that does not diverge
+    ends bit-equal to its own single-vector run.
     """
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    y_train = np.asarray(y_train, dtype=float).ravel()
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
-    y_val = np.asarray(y_val, dtype=float).ravel()
     if X_train.shape[1] != spec.n_inputs:
         raise ShapeMismatch("training rows do not match network input width")
+    theta = _theta_of(initialize(spec) if initial is None else initial).copy()
+    if theta.shape[-1:] != (spec.n_params,):
+        raise ShapeMismatch(f"initial weights {theta.shape}, network needs {spec.n_params}")
+    lead = theta.shape[:-1]
+    y_train = np.asarray(y_train, dtype=float)
+    y_val = np.asarray(y_val, dtype=float)
+    if lead:
+        for X, y in ((X_train, y_train), (X_val, y_val)):
+            if y.shape != (*lead, X.shape[0]):
+                raise ShapeMismatch(
+                    f"targets {y.shape}, a stack of {lead} rows on {X.shape[0]} "
+                    f"regressor rows needs {(*lead, X.shape[0])}"
+                )
+    else:
+        y_train, y_val = y_train.ravel(), y_val.ravel()
 
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    theta = (initialize(spec) if initial is None else initial).theta.copy()
     n_epochs = spec.epochs if epochs is None else epochs
     lr = spec.learning_rate if learning_rate is None else learning_rate
 
-    if n_epochs == 0:
-        w = NetworkWeights(theta=theta, layer_sizes=spec.layer_sizes)
-        return TrainResult(weights=w, train_loss=(), val_loss=(), best_epoch=-1)
+    best_theta = theta.copy()
+    best_val = np.full(lead, np.inf)
+    best_epoch = np.full(lead, -1)
+    since_best = np.zeros(lead, dtype=int)
+    active = np.ones(lead, dtype=bool)
+    diverged = np.zeros(lead, dtype=bool)
+    train_hist: list[np.ndarray] = []
+    val_hist: list[np.ndarray] = []
+
+    if initial is not None:
+        # warm starts compete as the baseline candidate: fine-tuning data the
+        # weights already fit must not push them off the optimum
+        with np.errstate(over="ignore", invalid="ignore"):
+            va0 = mse_loss(theta, spec, X_val, y_val)
+        best_val = np.where(np.isfinite(va0), va0, np.inf)
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     step = 0
-    n = len(y_train)
+    n = X_train.shape[0]
     batch = min(spec.batch_size, n)
-
-    best_theta = theta.copy()
-    best_val = np.inf
-    best_epoch = -1
-    if initial is not None:
-        # warm starts compete as the baseline candidate: fine-tuning data the
-        # weights already fit must not push them off the optimum
-        va0 = float(mse_loss(theta, spec, X_val, y_val))
-        if np.isfinite(va0):
-            best_val = va0
-    since_best = 0
-    train_hist: list[float] = []
-    val_hist: list[float] = []
 
     for epoch in range(n_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = gradient(theta, spec, X_train[idx], y_train[idx])
+                g = gradient(theta, spec, X_train[idx], y_train.take(idx, axis=-1))
                 step += 1
-                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-                m_hat = m / (1 - ADAM_BETA1**step)
-                v_hat = v / (1 - ADAM_BETA2**step)
-                theta = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if not np.isfinite(theta).all():
+                m_new = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+                v_new = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+                m_hat = m_new / (1 - ADAM_BETA1**step)
+                v_hat = v_new / (1 - ADAM_BETA2**step)
+                theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            ok = np.isfinite(theta_new).all(axis=-1)
+            if lead:
+                diverged |= active & ~ok
+                active &= ok
+                keep = active[..., None]
+                theta_new = np.where(keep, theta_new, theta)
+                m_new = np.where(keep, m_new, m)
+                v_new = np.where(keep, v_new, v)
+            elif not ok:
                 raise DivergedLoss(f"parameters diverged at epoch {epoch}")
+            theta, m, v = theta_new, m_new, v_new
 
-        tr = float(mse_loss(theta, spec, X_train, y_train))
-        va = float(mse_loss(theta, spec, X_val, y_val))
-        if not (np.isfinite(tr) and np.isfinite(va)):
-            raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-        train_hist.append(tr)
-        val_hist.append(va)
-        if va < best_val:
-            best_val = va
-            best_theta = theta.copy()
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= patience:
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = mse_loss(theta, spec, X_train, y_train)
+            va = mse_loss(theta, spec, X_val, y_val)
+            ok = np.isfinite(tr) & np.isfinite(va)
+            if not (lead or ok):
+                raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+            diverged |= active & ~ok
+            active &= ok
+            train_hist.append(np.where(active, tr, np.nan))
+            val_hist.append(np.where(active, va, np.nan))
+            improved = active & (va < best_val)
+        best_val = np.where(improved, va, best_val)
+        best_theta = np.where(improved[..., None], theta, best_theta)
+        best_epoch = np.where(improved, epoch, best_epoch)
+        since_best = np.where(improved, 0, since_best + 1)
+        active &= improved | (since_best < patience)
+        if not active.any():
+            break
 
     w = NetworkWeights(theta=best_theta, layer_sizes=spec.layer_sizes)
+    if lead:
+        return TrainResult(
+            weights=w,
+            train_loss=np.array(train_hist).reshape(-1, *lead),
+            val_loss=np.array(val_hist).reshape(-1, *lead),
+            best_epoch=best_epoch,
+            diverged=diverged,
+        )
     return TrainResult(
         weights=w,
-        train_loss=tuple(train_hist),
-        val_loss=tuple(val_hist),
-        best_epoch=best_epoch,
+        train_loss=tuple(float(x) for x in train_hist),
+        val_loss=tuple(float(x) for x in val_hist),
+        best_epoch=int(best_epoch),
     )
 
 

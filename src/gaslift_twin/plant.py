@@ -116,6 +116,16 @@ class PlantState:
         if not np.all(self.m_l / params.rho_l < params.V_total):
             raise ValueError("liquid holdup exceeds pipe volume")
 
+    @classmethod
+    def _checked(cls, m_g: list[float], m_l: list[float], t: float) -> "PlantState":
+        """A state from per-well holdups ``_check_bounds`` has already
+        accepted, built without checking them again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "m_g", np.array(m_g))
+        object.__setattr__(state, "m_l", np.array(m_l))
+        object.__setattr__(state, "t", t)
+        return state
+
 
 @dataclass(frozen=True)
 class PlantInputs:
@@ -237,7 +247,7 @@ def step(state: PlantState, inputs: PlantInputs, params: PlantParams, dt: float,
     m_g, m_l = _advance(_well_derivatives(params, clamp), state.m_g.tolist(),
                         state.m_l.tolist(), w_g, vo_theta, params.theta_top, pp_pa, dt, 1)
     _check_bounds(m_g, m_l, params)
-    return PlantState(m_g=m_g, m_l=m_l, t=state.t + dt)
+    return PlantState._checked(m_g, m_l, state.t + dt)
 
 
 def _well_inputs(Q_g, v_o, P_pump, params):

@@ -5,6 +5,8 @@ import pytest
 
 from gaslift_twin import network as nw
 from gaslift_twin import plant
+from gaslift_twin.errors import DivergedLoss
+from gaslift_twin.structure import build_lag_matrix, split_rows
 
 
 def loop_predict(model, y_window, u_window, confidence):
@@ -19,6 +21,45 @@ def loop_predict(model, y_window, u_window, confidence):
     alpha = (1.0 - confidence) / 2.0
     lo_n, hi_n = np.quantile(preds_n, [alpha, 1.0 - alpha])
     return model.norm.denormalize_target(np.array([point_n, lo_n, hi_n]))
+
+
+def loop_retrained(model, data, *, epochs, lr_factor, seed):
+    """One channel's retrain with one single-vector ``train`` call for the
+    point weights and one per member, as the twin did before the fine-tunes
+    were stacked; the reference the stacked retrain must match bit for bit.
+    Returns the new normalization and weights."""
+    y = data.Y[:, data.channels.index(model.channel)]
+    X_raw, t_raw, _ = build_lag_matrix(y, data.U, model.layout, data.hold)
+    norm = model.norm
+    if not norm.covers(y, data.U):
+        norm = norm.expanded(y, data.U)
+    Xn = norm.normalize_regressors(X_raw, model.layout)
+    tn = norm.normalize_target(t_raw)
+    tr, va, _ = split_rows(len(tn), (0.85, 0.15, 0.0), seed)
+
+    def fine_tune(theta0, targets):
+        try:
+            res = nw.train(
+                model.spec, Xn[tr], targets[tr], Xn[va], targets[va],
+                initial=nw.NetworkWeights(theta0.copy(), model.spec.layer_sizes),
+                epochs=epochs, learning_rate=model.spec.learning_rate * lr_factor,
+            )
+        except DivergedLoss:
+            return None
+        return res.weights.theta
+
+    point = fine_tune(model.theta, tn)
+    if point is None:
+        point = model.theta.copy()
+    base_pred = nw.forward(model.theta, model.spec, Xn)
+    member_pred = nw.forward(model.members, model.spec, Xn)
+    weights = np.tile(point, (1 + model.n_members, 1))
+    for i, member in enumerate(model.members):
+        offset = member_pred[i] - base_pred
+        tuned = fine_tune(member, tn + offset) if np.isfinite(offset).all() else None
+        if tuned is not None:
+            weights[1 + i] = tuned
+    return norm, weights
 
 
 def reference_rhs(m_g, m_l, w_g, v_o, pp_pa, params, clamp):
@@ -95,6 +136,11 @@ def _step_matches_predict(twin, Y, U, steps=None):
 @pytest.fixture
 def step_matches_predict():
     return _step_matches_predict
+
+
+@pytest.fixture
+def retrain_reference():
+    return loop_retrained
 
 
 @pytest.fixture(scope="session")

@@ -452,6 +452,35 @@ class TestOnlineRetrain:
         assert np.array_equal(model.theta, before)
         assert (model.members == before).all()
 
+    def test_retrain_reports_every_fallback(self):
+        art = self._artifact()
+        twin = cg.CognitiveTwin({"c0": art}, cg.CognitiveConfig(
+            retrain_epochs=3, retrain_lr_factor=1e180))
+        (record,) = twin.retrain(self._data(seed=5))
+        assert record == cg.RetrainRecord(
+            channel="c0", point_diverged=True, members_diverged=(0, 1, 2),
+            members_skipped=(), norm_widened=False,
+        )
+        assert np.array_equal(twin.models["c0"].theta, art.map_theta)
+        assert (twin.models["c0"].members == art.map_theta).all()
+
+    def test_retrain_reports_skipped_members_and_widening(self):
+        art = self._artifact()
+        members = art.members + np.array([[0.01], [0.0], [0.03]]) * np.eye(4)[-1]
+        members[1, :3] = 1e308        # its predictions, and so its offset, overflow
+        art = cg.make_artifact("c0", art.spec, art.layout, art.norm, art.map_theta,
+                               members)
+        twin = cg.CognitiveTwin({"c0": art}, cg.CognitiveConfig(retrain_epochs=2))
+        (record,) = twin.retrain(self._data(scale=3.0, seed=4))
+        assert record == cg.RetrainRecord(
+            channel="c0", point_diverged=False, members_diverged=(),
+            members_skipped=(1,), norm_widened=True,
+        )
+        model = twin.models["c0"]
+        assert np.array_equal(model.members[1], model.theta)
+        assert not np.array_equal(model.members[0], model.theta)
+        assert not np.array_equal(model.members[2], model.theta)
+
     def test_too_few_rows(self):
         model = cg.transfer_warm_start(self._artifact(batch_size=64))
         with pytest.raises(InsufficientSamples):
@@ -630,6 +659,43 @@ class TestStackedStep:
             assert m.norm is norm
         assert [twin.states[c].Z for c in SIX] == z
         assert twin.buffer_size == 180
+
+    def test_one_train_call_per_channel(self, monkeypatch):
+        calls = []
+        real = cg.train
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["initial"].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "train", counting)
+        twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
+        Y, U = six_channel_stream(200, 2)
+        twin.retrain(cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX))
+        assert calls == [(1 + n, twin.models[c].spec.n_params)
+                         for c, n in zip(SIX, (5, 3, 5, 2, 5, 4))]
+
+    @pytest.mark.parametrize("epochs", [3, 40])
+    def test_retrain_equals_per_row_train_calls(self, epochs, retrain_reference):
+        # at 40 epochs patience (20) runs out on some rows before others
+        twin = cg.CognitiveTwin(
+            six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)),
+            cg.CognitiveConfig(mh=20, ct=20, retrain_epochs=epochs,
+                               retrain_lr_factor=10.0),
+        )
+        Y, U = six_channel_stream(200, 2)
+        data = cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX)
+        expected = {
+            c: retrain_reference(twin.models[c], data, epochs=epochs,
+                                 lr_factor=10.0, seed=3)
+            for c in SIX
+        }
+        twin.retrain(data, seed=3)
+        for c, (norm, weights) in expected.items():
+            model = twin.models[c]
+            assert np.array_equal(model.weights, weights)
+            for field in ("y_min", "y_max", "u_min", "u_max"):
+                assert np.array_equal(getattr(model.norm, field), getattr(norm, field))
 
     def test_one_forward_per_group(self, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,93 @@ class TestTrain:
             theta = theta - lr * nw.gradient(theta, spec, X, y)
             losses.append(float(nw.mse_loss(theta, spec, X, y)))
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+
+
+def solo_run(spec, X, y, Xv, yv, theta, **kwargs):
+    return nw.train(spec, X, y, Xv, yv,
+                    initial=nw.NetworkWeights(theta, spec.layer_sizes), **kwargs)
+
+
+def assert_row_equals_solo(res, row, solo):
+    """Row ``row`` of a stacked result equals a single-vector result bit for
+    bit: weights, best epoch, and histories up to the row's last epoch, NaN
+    after it."""
+    k = len(solo.val_loss)
+    assert np.array_equal(res.weights.theta[row], solo.weights.theta)
+    assert res.best_epoch[row] == solo.best_epoch
+    for stacked, single in ((res.train_loss, solo.train_loss),
+                            (res.val_loss, solo.val_loss)):
+        assert np.array_equal(stacked[:k, row], single)
+        assert np.isnan(stacked[k:, row]).all()
+
+
+class TestTrainStack:
+    def _problem(self, rows, seed=0):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        X = rng.uniform(-1.0, 1.0, size=(160, 3))
+        shift = rng.normal(scale=0.5, size=(rows, 1))
+        Y = np.sin(2.0 * X[:, 0]) - X[:, 1] * X[:, 2] + shift
+        Y = Y + rng.normal(scale=0.05, size=Y.shape)
+        return X[:120], Y[:, :120], X[120:], Y[:, 120:]
+
+    @pytest.mark.parametrize("rows", [1, 3, 9])
+    def test_rows_equal_single_vector_runs(self, rows):
+        X, Y, Xv, Yv = self._problem(rows)
+        spec = nw.NetworkSpec((3, 6, 1), ("tanh", "linear"), learning_rate=3e-2,
+                              batch_size=16, seed=4)
+        rng = np.random.Generator(np.random.PCG64(rows))
+        init = rng.normal(scale=0.6, size=(rows, spec.n_params))
+        res = nw.train(spec, X, Y, Xv, Yv, initial=init, epochs=40, patience=3)
+        assert res.val_loss.shape[1:] == (rows,)
+        assert res.best_epoch.shape == res.diverged.shape == (rows,)
+        assert not res.diverged.any()
+        runs = []
+        for r in range(rows):
+            solo = solo_run(spec, X, Y[r], Xv, Yv[r], init[r], epochs=40, patience=3)
+            assert_row_equals_solo(res, r, solo)
+            runs.append(len(solo.val_loss))
+        assert len(res.val_loss) == max(runs)
+        if rows > 1:
+            assert len(set(runs)) > 1, "rows should stop at different epochs"
+
+    @pytest.mark.parametrize("scale, stage", [(1e308, "parameters diverged"),
+                                              (1e200, "non-finite loss")])
+    def test_diverged_row_is_reported_and_the_others_run_on(self, scale, stage):
+        # 1e308 overflows the predictions, so the weights turn non-finite
+        # within the first batch; 1e200 keeps them finite but overflows the loss
+        X, Y, Xv, Yv = self._problem(3, seed=1)
+        spec = nw.NetworkSpec((3, 1), ("linear",), learning_rate=2e-2,
+                              batch_size=16, seed=2)
+        init = np.array([[0.5, -0.2, 0.1, 0.0], [scale, scale, scale, 0.0],
+                         [-0.3, 0.4, 0.2, 0.1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = nw.train(spec, X, Y, Xv, Yv, initial=init, epochs=30, patience=5)
+        assert res.diverged.tolist() == [False, True, False]
+        assert res.best_epoch[1] == -1
+        assert np.isnan(res.val_loss[:, 1]).all()
+        assert np.array_equal(res.weights.theta[1], init[1])
+        for r in (0, 2):
+            assert_row_equals_solo(res, r, solo_run(spec, X, Y[r], Xv, Yv[r], init[r],
+                                                    epochs=30, patience=5))
+        with pytest.raises(DivergedLoss, match=stage):
+            solo_run(spec, X, Y[1], Xv, Yv[1], init[1], epochs=30, patience=5)
+
+    def test_targets_must_have_one_row_per_stack_row(self):
+        X, Y, Xv, Yv = self._problem(3)
+        spec = nw.NetworkSpec((3, 1), ("linear",))
+        init = np.zeros((2, spec.n_params))
+        with pytest.raises(ShapeMismatch):
+            nw.train(spec, X, Y, Xv, Yv[:2], initial=init, epochs=1)
+
+    def test_zero_epochs_returns_the_stack(self):
+        X, Y, Xv, Yv = self._problem(2)
+        spec = nw.NetworkSpec((3, 1), ("linear",))
+        init = np.arange(2 * spec.n_params, dtype=float).reshape(2, -1)
+        res = nw.train(spec, X, Y, Xv, Yv, initial=init, epochs=0)
+        assert np.array_equal(res.weights.theta, init)
+        assert res.val_loss.shape == (0, 2)
+        assert res.best_epoch.tolist() == [-1, -1]
 
 
 class TestTrainChannel:
