@@ -18,11 +18,19 @@ patience. A row that stops early or diverges is frozen while the others go
 on, so every row that does not diverge ends bit-equal to its own
 single-vector run. A single vector is never lifted to a stack of one: its
 loop keeps its own shapes, and only a single vector raises DivergedLoss.
+
+An epoch does only the work its result needs. Its training loss is the
+sample-weighted mean of the squared residuals of its mini-batches, each
+taken at the weights that batch's gradient used, so it costs no pass over
+the training split of its own. The Adam moments and weights are updated in
+buffers allocated once per call, in the same operation order as the
+textbook update, so the bits are those of the out-of-place form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,13 +52,15 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _act_prime(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative at ``z`` of the activation whose output there is ``a``."""
+def _times_act_prime(delta: np.ndarray, z: np.ndarray, a: np.ndarray,
+                     kind: str) -> np.ndarray:
+    """``delta`` times the derivative at ``z`` of the activation whose output
+    there is ``a``; a linear layer's derivative is one, so it is skipped."""
     if kind == "relu":
-        return (z > 0.0).astype(float)
+        return delta * (z > 0.0)
     if kind == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        return delta * (1.0 - a * a)
+    return delta
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,17 @@ class NetworkSpec:
     @property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+
+    @cached_property
+    def layer_slices(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Per layer: (start, weight end, bias end, fan_in, fan_out) of its
+        weight matrix and bias vector in the flat parameter vector."""
+        slices, start = [], 0
+        for fan_in, fan_out in self.layer_shapes:
+            w_end = start + fan_in * fan_out
+            slices.append((start, w_end, w_end + fan_out, fan_in, fan_out))
+            start = w_end + fan_out
+        return tuple(slices)
 
     @property
     def layer_param_counts(self) -> tuple[int, ...]:
@@ -133,6 +154,11 @@ class Metrics:
 class TrainResult:
     """Best-on-validation weights and per-epoch losses of one ``train`` call.
 
+    An epoch's training loss is the sample-weighted mean of the squared
+    residuals of its mini-batches, each taken at the weights that batch's
+    gradient used; its validation loss is the MSE on the whole validation
+    split at the weights the epoch ended with.
+
     A single net has tuples of floats for histories and an int best epoch.
     A stack with leading axes ``lead`` has histories shaped
     (epochs_run, *lead), NaN once a row has stopped or diverged, and
@@ -167,12 +193,8 @@ def _theta_of(weights) -> np.ndarray:
 def _layers(theta: np.ndarray, spec: NetworkSpec):
     """Yield (W, b) views per layer; theta may carry leading member axes."""
     lead = theta.shape[:-1]
-    s = 0
-    for fan_in, fan_out in spec.layer_shapes:
-        W = theta[..., s : s + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
-        b = theta[..., s + fan_in * fan_out : s + (fan_in + 1) * fan_out]
-        yield W, b
-        s += (fan_in + 1) * fan_out
+    for start, w_end, b_end, fan_in, fan_out in spec.layer_slices:
+        yield theta[..., start:w_end].reshape(*lead, fan_in, fan_out), theta[..., w_end:b_end]
 
 
 def _forward_trace(theta: np.ndarray, spec: NetworkSpec, X: np.ndarray):
@@ -227,25 +249,30 @@ def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.nda
             f"regressor width {X.shape[1]}, network expects {spec.n_inputs}"
         )
 
+    return _gradient_sse(theta, spec, X, y)[0]
+
+
+def _gradient_sse(theta: np.ndarray, spec: NetworkSpec, X: np.ndarray,
+                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``gradient`` on checked inputs, and the sum of squared residuals per
+    parameter row, both from one forward trace."""
     zs, acts = _forward_trace(theta, spec, X)
     grad = np.empty_like(theta)
     Ws = [W for W, _ in _layers(theta, spec)]
 
     resid = acts[-1] - y[..., None]
-    delta = (2.0 / n) * resid * _act_prime(zs[-1], acts[-1], spec.activations[-1])
-    offsets = np.cumsum((0,) + spec.layer_param_counts)
-    for l in range(len(spec.layer_shapes) - 1, -1, -1):
-        fan_in, fan_out = spec.layer_shapes[l]
+    sse = np.square(resid[..., 0]).sum(axis=-1)
+    delta = _times_act_prime((2.0 / X.shape[0]) * resid, zs[-1], acts[-1],
+                             spec.activations[-1])
+    for l in range(len(Ws) - 1, -1, -1):
+        start, w_end, b_end, _, _ = spec.layer_slices[l]
         dW = np.matmul(np.swapaxes(acts[l], -1, -2), delta)
-        db = delta.sum(axis=-2)
-        s = offsets[l]
-        grad[..., s : s + fan_in * fan_out] = dW.reshape(*dW.shape[:-2], -1)
-        grad[..., s + fan_in * fan_out : offsets[l + 1]] = db
+        grad[..., start:w_end] = dW.reshape(*dW.shape[:-2], -1)
+        grad[..., w_end:b_end] = delta.sum(axis=-2)
         if l > 0:
-            delta = np.matmul(delta, np.swapaxes(Ws[l], -1, -2)) * _act_prime(
-                zs[l - 1], acts[l], spec.activations[l - 1]
-            )
-    return grad
+            delta = _times_act_prime(np.matmul(delta, np.swapaxes(Ws[l], -1, -2)),
+                                     zs[l - 1], acts[l], spec.activations[l - 1])
+    return grad, sse
 
 
 def mse_loss(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -278,9 +305,10 @@ def train(
 ) -> TrainResult:
     """Mini-batch Adam with early stopping on validation loss.
 
-    Returns the best-on-validation weights and per-epoch loss histories.
-    A single net raises DivergedLoss when its weights or either loss turn
-    non-finite.
+    Returns the best-on-validation weights and per-epoch loss histories
+    (see ``TrainResult``). Either split being empty raises ShapeMismatch
+    before any epoch. A single net raises DivergedLoss when its weights or
+    either loss turn non-finite.
 
     ``initial`` may be a stack with leading axes, shaped (..., n_params).
     Each row is then a net of its own: the targets are (..., n), one row per
@@ -303,15 +331,16 @@ def train(
     lead = theta.shape[:-1]
     y_train = np.asarray(y_train, dtype=float)
     y_val = np.asarray(y_val, dtype=float)
-    if lead:
-        for X, y in ((X_train, y_train), (X_val, y_val)):
-            if y.shape != (*lead, X.shape[0]):
-                raise ShapeMismatch(
-                    f"targets {y.shape}, a stack of {lead} rows on {X.shape[0]} "
-                    f"regressor rows needs {(*lead, X.shape[0])}"
-                )
-    else:
+    if not lead:
         y_train, y_val = y_train.ravel(), y_val.ravel()
+    for split, X, y in (("training", X_train, y_train), ("validation", X_val, y_val)):
+        if y.shape != (*lead, X.shape[0]):
+            raise ShapeMismatch(
+                f"{split} targets {y.shape}, weights {theta.shape} on "
+                f"{X.shape[0]} regressor rows need {(*lead, X.shape[0])}"
+            )
+        if X.shape[0] == 0:
+            raise ShapeMismatch(f"the {split} split is empty")
 
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n_epochs = spec.epochs if epochs is None else epochs
@@ -335,36 +364,50 @@ def train(
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    m_new, v_new, theta_new, tmp = (np.empty_like(theta) for _ in range(4))
     step = 0
     n = X_train.shape[0]
     batch = min(spec.batch_size, n)
 
     for epoch in range(n_epochs):
         perm = rng.permutation(n)
+        sse = np.zeros(lead)
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = gradient(theta, spec, X_train[idx], y_train.take(idx, axis=-1))
+                g, batch_sse = _gradient_sse(theta, spec, X_train[idx],
+                                             y_train.take(idx, axis=-1))
+                sse += batch_sse
                 step += 1
-                m_new = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-                v_new = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-                m_hat = m_new / (1 - ADAM_BETA1**step)
-                v_hat = v_new / (1 - ADAM_BETA2**step)
-                theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                # m_new = b1 * m + (1 - b1) * g; v_new = b2 * v + (1 - b2) * g * g
+                np.multiply(ADAM_BETA1, m, out=m_new)
+                np.add(m_new, np.multiply(1 - ADAM_BETA1, g, out=tmp), out=m_new)
+                np.multiply(ADAM_BETA2, v, out=v_new)
+                np.multiply(np.multiply(1 - ADAM_BETA2, g, out=tmp), g, out=tmp)
+                np.add(v_new, tmp, out=v_new)
+                # theta_new = theta - lr * m_hat / (sqrt(v_hat) + eps), g as m_hat
+                np.divide(m_new, 1 - ADAM_BETA1**step, out=g)
+                np.divide(v_new, 1 - ADAM_BETA2**step, out=tmp)
+                np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
+                np.divide(np.multiply(lr, g, out=g), tmp, out=g)
+                np.subtract(theta, g, out=theta_new)
             ok = np.isfinite(theta_new).all(axis=-1)
             if lead:
                 diverged |= active & ~ok
                 active &= ok
                 keep = active[..., None]
-                theta_new = np.where(keep, theta_new, theta)
-                m_new = np.where(keep, m_new, m)
-                v_new = np.where(keep, v_new, v)
-            elif not ok:
+                np.copyto(theta, theta_new, where=keep)
+                np.copyto(m, m_new, where=keep)
+                np.copyto(v, v_new, where=keep)
+            elif ok:
+                theta, theta_new = theta_new, theta
+                m, m_new = m_new, m
+                v, v_new = v_new, v
+            else:
                 raise DivergedLoss(f"parameters diverged at epoch {epoch}")
-            theta, m, v = theta_new, m_new, v_new
 
         with np.errstate(over="ignore", invalid="ignore"):
-            tr = mse_loss(theta, spec, X_train, y_train)
+            tr = sse / n
             va = mse_loss(theta, spec, X_val, y_val)
             ok = np.isfinite(tr) & np.isfinite(va)
             if not (lead or ok):

@@ -62,6 +62,105 @@ def loop_retrained(model, data, *, epochs, lr_factor, seed):
     return norm, weights
 
 
+def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epochs=None,
+                    learning_rate=None, patience=20):
+    """``network.train`` as a plain loop: the loss over the whole training
+    split after every epoch and an out-of-place Adam update. The reference
+    the training loop's weights, validation losses, best epochs and
+    divergence masks must match bit for bit; its ``train_loss`` is the
+    full-split MSE at the end of each epoch."""
+    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
+    X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
+    theta = nw._theta_of(nw.initialize(spec) if initial is None else initial).copy()
+    lead = theta.shape[:-1]
+    y_train = np.asarray(y_train, dtype=float)
+    y_val = np.asarray(y_val, dtype=float)
+    if not lead:
+        y_train, y_val = y_train.ravel(), y_val.ravel()
+
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n_epochs = spec.epochs if epochs is None else epochs
+    lr = spec.learning_rate if learning_rate is None else learning_rate
+
+    best_theta = theta.copy()
+    best_val = np.full(lead, np.inf)
+    best_epoch = np.full(lead, -1)
+    since_best = np.zeros(lead, dtype=int)
+    active = np.ones(lead, dtype=bool)
+    diverged = np.zeros(lead, dtype=bool)
+    train_hist, val_hist = [], []
+
+    if initial is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            va0 = nw.mse_loss(theta, spec, X_val, y_val)
+        best_val = np.where(np.isfinite(va0), va0, np.inf)
+
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    step = 0
+    n = X_train.shape[0]
+    batch = min(spec.batch_size, n)
+
+    for epoch in range(n_epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = perm[start : start + batch]
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = nw.gradient(theta, spec, X_train[idx], y_train.take(idx, axis=-1))
+                step += 1
+                m_new = nw.ADAM_BETA1 * m + (1 - nw.ADAM_BETA1) * g
+                v_new = nw.ADAM_BETA2 * v + (1 - nw.ADAM_BETA2) * g * g
+                m_hat = m_new / (1 - nw.ADAM_BETA1**step)
+                v_hat = v_new / (1 - nw.ADAM_BETA2**step)
+                theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + nw.ADAM_EPS)
+            ok = np.isfinite(theta_new).all(axis=-1)
+            if lead:
+                diverged |= active & ~ok
+                active &= ok
+                keep = active[..., None]
+                theta_new = np.where(keep, theta_new, theta)
+                m_new = np.where(keep, m_new, m)
+                v_new = np.where(keep, v_new, v)
+            elif not ok:
+                raise DivergedLoss(f"parameters diverged at epoch {epoch}")
+            theta, m, v = theta_new, m_new, v_new
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = nw.mse_loss(theta, spec, X_train, y_train)
+            va = nw.mse_loss(theta, spec, X_val, y_val)
+            ok = np.isfinite(tr) & np.isfinite(va)
+            if not (lead or ok):
+                raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+            diverged |= active & ~ok
+            active &= ok
+            train_hist.append(np.where(active, tr, np.nan))
+            val_hist.append(np.where(active, va, np.nan))
+            improved = active & (va < best_val)
+        best_val = np.where(improved, va, best_val)
+        best_theta = np.where(improved[..., None], theta, best_theta)
+        best_epoch = np.where(improved, epoch, best_epoch)
+        since_best = np.where(improved, 0, since_best + 1)
+        active &= improved | (since_best < patience)
+        if not active.any():
+            break
+
+    w = nw.NetworkWeights(theta=best_theta, layer_sizes=spec.layer_sizes)
+    if lead:
+        return nw.TrainResult(
+            weights=w,
+            train_loss=np.array(train_hist).reshape(-1, *lead),
+            val_loss=np.array(val_hist).reshape(-1, *lead),
+            best_epoch=best_epoch,
+            diverged=diverged,
+        )
+    return nw.TrainResult(
+        weights=w,
+        train_loss=tuple(float(x) for x in train_hist),
+        val_loss=tuple(float(x) for x in val_hist),
+        best_epoch=int(best_epoch),
+    )
+
+
 def reference_rhs(m_g, m_l, w_g, v_o, pp_pa, params, clamp):
     """Mass-balance derivatives of all wells from the numpy chain: the
     formulation the plant's per-well float kernel must equal bit for bit."""
@@ -141,6 +240,11 @@ def step_matches_predict():
 @pytest.fixture
 def retrain_reference():
     return loop_retrained
+
+
+@pytest.fixture
+def train_reference():
+    return reference_train
 
 
 @pytest.fixture(scope="session")

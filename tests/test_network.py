@@ -255,6 +255,15 @@ class TestTrain:
         with pytest.raises(DivergedLoss):
             nw.train(spec, Xt, yt, Xv, yv)
 
+    @pytest.mark.parametrize("extra_train, extra_val", [(2, 0), (-2, 0), (0, 2)])
+    def test_targets_must_match_regressor_rows(self, extra_train, extra_val):
+        Xt, yt, Xv, yv = self._linear_problem()
+        yt = np.resize(yt, len(yt) + extra_train)
+        yv = np.resize(yv, len(yv) + extra_val)
+        spec = nw.NetworkSpec((1, 1), ("linear",), epochs=2)
+        with pytest.raises(ShapeMismatch, match="targets"):
+            nw.train(spec, Xt, yt, Xv, yv)
+
     def test_plain_full_batch_descent_monotone_on_linear_net(self):
         rng = np.random.Generator(np.random.PCG64(13))
         X = rng.normal(size=(50, 3))
@@ -289,18 +298,22 @@ def assert_row_equals_solo(res, row, solo):
         assert np.isnan(stacked[k:, row]).all()
 
 
+def stack_problem(rows, seed=0):
+    """A smooth 3-input target with a per-row shift: 120 training and 40
+    validation rows, targets shaped (rows, n)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    X = rng.uniform(-1.0, 1.0, size=(160, 3))
+    shift = rng.normal(scale=0.5, size=(rows, 1))
+    Y = np.sin(2.0 * X[:, 0]) - X[:, 1] * X[:, 2] + shift
+    Y = Y + rng.normal(scale=0.05, size=Y.shape)
+    return X[:120], Y[:, :120], X[120:], Y[:, 120:]
+
+
 class TestTrainStack:
-    def _problem(self, rows, seed=0):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        X = rng.uniform(-1.0, 1.0, size=(160, 3))
-        shift = rng.normal(scale=0.5, size=(rows, 1))
-        Y = np.sin(2.0 * X[:, 0]) - X[:, 1] * X[:, 2] + shift
-        Y = Y + rng.normal(scale=0.05, size=Y.shape)
-        return X[:120], Y[:, :120], X[120:], Y[:, 120:]
 
     @pytest.mark.parametrize("rows", [1, 3, 9])
     def test_rows_equal_single_vector_runs(self, rows):
-        X, Y, Xv, Yv = self._problem(rows)
+        X, Y, Xv, Yv = stack_problem(rows)
         spec = nw.NetworkSpec((3, 6, 1), ("tanh", "linear"), learning_rate=3e-2,
                               batch_size=16, seed=4)
         rng = np.random.Generator(np.random.PCG64(rows))
@@ -323,7 +336,7 @@ class TestTrainStack:
     def test_diverged_row_is_reported_and_the_others_run_on(self, scale, stage):
         # 1e308 overflows the predictions, so the weights turn non-finite
         # within the first batch; 1e200 keeps them finite but overflows the loss
-        X, Y, Xv, Yv = self._problem(3, seed=1)
+        X, Y, Xv, Yv = stack_problem(3, seed=1)
         spec = nw.NetworkSpec((3, 1), ("linear",), learning_rate=2e-2,
                               batch_size=16, seed=2)
         init = np.array([[0.5, -0.2, 0.1, 0.0], [scale, scale, scale, 0.0],
@@ -342,20 +355,156 @@ class TestTrainStack:
             solo_run(spec, X, Y[1], Xv, Yv[1], init[1], epochs=30, patience=5)
 
     def test_targets_must_have_one_row_per_stack_row(self):
-        X, Y, Xv, Yv = self._problem(3)
+        X, Y, Xv, Yv = stack_problem(3)
         spec = nw.NetworkSpec((3, 1), ("linear",))
         init = np.zeros((2, spec.n_params))
         with pytest.raises(ShapeMismatch):
             nw.train(spec, X, Y, Xv, Yv[:2], initial=init, epochs=1)
 
     def test_zero_epochs_returns_the_stack(self):
-        X, Y, Xv, Yv = self._problem(2)
+        X, Y, Xv, Yv = stack_problem(2)
         spec = nw.NetworkSpec((3, 1), ("linear",))
         init = np.arange(2 * spec.n_params, dtype=float).reshape(2, -1)
         res = nw.train(spec, X, Y, Xv, Yv, initial=init, epochs=0)
         assert np.array_equal(res.weights.theta, init)
         assert res.val_loss.shape == (0, 2)
         assert res.best_epoch.tolist() == [-1, -1]
+
+
+# relu, tanh and linear in hidden and output positions, 0 to 3 hidden layers
+REFERENCE_NETS = [
+    ((3, 1), ("linear",)),
+    ((3, 6, 1), ("relu", "linear")),
+    ((3, 5, 4, 1), ("tanh", "relu", "tanh")),
+    ((3, 4, 4, 4, 1), ("linear", "tanh", "relu", "relu")),
+]
+
+
+def assert_matches_reference(got, ref):
+    """Weights, validation losses, best epochs and divergence equal the
+    reference loop's bit for bit, over the same number of epochs."""
+    assert np.array_equal(got.weights.theta, ref.weights.theta)
+    assert np.array_equal(got.val_loss, ref.val_loss, equal_nan=True)
+    assert np.array_equal(got.best_epoch, ref.best_epoch)
+    assert np.array_equal(got.diverged, ref.diverged)
+    assert len(got.train_loss) == len(ref.train_loss)
+
+
+class TestTrainMatchesReference:
+    """``train`` against ``conftest.reference_train``, the loop with a
+    full-split loss pass and out-of-place Adam."""
+
+    def _spec(self, net):
+        sizes, acts = net
+        return nw.NetworkSpec(sizes, acts, learning_rate=3e-2, batch_size=16, seed=4)
+
+    @pytest.mark.parametrize("net", REFERENCE_NETS)
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_single_vector(self, train_reference, net, warm):
+        X, Y, Xv, Yv = stack_problem(1, seed=2)
+        spec = self._spec(net)
+        initial = None
+        if warm:
+            rng = np.random.Generator(np.random.PCG64(7))
+            initial = nw.NetworkWeights(rng.normal(scale=0.6, size=spec.n_params),
+                                        spec.layer_sizes)
+        kwargs = dict(initial=initial, epochs=40, patience=3)
+        got = nw.train(spec, X, Y[0], Xv, Yv[0], **kwargs)
+        assert isinstance(got.best_epoch, int) and isinstance(got.val_loss, tuple)
+        assert_matches_reference(got, train_reference(spec, X, Y[0], Xv, Yv[0], **kwargs))
+
+    @pytest.mark.parametrize("net", REFERENCE_NETS)
+    @pytest.mark.parametrize("rows", [1, 3, 9])
+    def test_stack(self, train_reference, net, rows):
+        X, Y, Xv, Yv = stack_problem(rows)
+        spec = self._spec(net)
+        rng = np.random.Generator(np.random.PCG64(rows))
+        init = rng.normal(scale=0.6, size=(rows, spec.n_params))
+        kwargs = dict(initial=init, epochs=40, patience=3)
+        got = nw.train(spec, X, Y, Xv, Yv, **kwargs)
+        assert_matches_reference(got, train_reference(spec, X, Y, Xv, Yv, **kwargs))
+
+    def test_rows_stop_at_different_epochs(self, train_reference):
+        X, Y, Xv, Yv = stack_problem(9)
+        spec = self._spec(REFERENCE_NETS[1])
+        init = np.random.Generator(np.random.PCG64(9)).normal(scale=0.6,
+                                                                size=(9, spec.n_params))
+        got = nw.train(spec, X, Y, Xv, Yv, initial=init, epochs=40, patience=3)
+        stopped = np.isnan(got.val_loss).sum(axis=0)
+        assert len(set(stopped.tolist())) > 1
+        assert_matches_reference(got, train_reference(spec, X, Y, Xv, Yv, initial=init,
+                                                       epochs=40, patience=3))
+
+    @pytest.mark.parametrize("scale, stage", [(1e308, "parameters diverged"),
+                                              (1e200, "non-finite loss")])
+    def test_diverging_row(self, train_reference, scale, stage):
+        X, Y, Xv, Yv = stack_problem(3, seed=1)
+        spec = nw.NetworkSpec((3, 1), ("linear",), learning_rate=2e-2, batch_size=16,
+                              seed=2)
+        init = np.array([[0.5, -0.2, 0.1, 0.0], [scale, scale, scale, 0.0],
+                         [-0.3, 0.4, 0.2, 0.1]])
+        kwargs = dict(initial=init, epochs=30, patience=5)
+        got = nw.train(spec, X, Y, Xv, Yv, **kwargs)
+        assert got.diverged.tolist() == [False, True, False]
+        assert_matches_reference(got, train_reference(spec, X, Y, Xv, Yv, **kwargs))
+        single = dict(initial=init[1], epochs=30, patience=5)
+        with pytest.raises(DivergedLoss, match=stage):
+            train_reference(spec, X, Y[1], Xv, Yv[1], **single)
+        with pytest.raises(DivergedLoss, match=stage):
+            nw.train(spec, X, Y[1], Xv, Yv[1], **single)
+
+
+class TestTrainLoss:
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_is_the_epochs_sample_weighted_mini_batch_mse(self, monkeypatch, rows):
+        # 120 rows in batches of 16: the last batch of each epoch holds 8
+        X, Y, Xv, Yv = stack_problem(rows or 1, seed=3)
+        y, yv = (Y[0], Yv[0]) if rows is None else (Y, Yv)
+        spec = nw.NetworkSpec((3, 5, 1), ("tanh", "linear"), learning_rate=3e-2,
+                              batch_size=16, seed=6)
+        seen = []
+        gradient_sse = nw._gradient_sse
+
+        def recording(theta, *args):
+            seen.append(theta.copy())
+            return gradient_sse(theta, *args)
+
+        monkeypatch.setattr(nw, "_gradient_sse", recording)
+        res = nw.train(spec, X, y, Xv, yv, epochs=6, patience=100,
+                       initial=None if rows is None else np.tile(nw.initialize(spec).theta,
+                                                                 (rows, 1)))
+        assert len(res.train_loss) == 6
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        thetas = iter(seen)
+        for epoch in range(6):
+            perm = rng.permutation(len(X))
+            sse = 0.0
+            for start in range(0, len(X), 16):
+                idx = perm[start : start + 16]
+                resid = nw.forward(next(thetas), spec, X[idx]) - y[..., idx]
+                sse = sse + np.sum(resid**2, axis=-1)
+            assert np.array_equal(res.train_loss[epoch], sse / len(X))
+        assert next(thetas, None) is None
+
+
+class TestTrainEmptySplit:
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_raises_shape_mismatch_naming_the_split(self, stacked, split):
+        X, Y, Xv, Yv = stack_problem(2)
+        if split == "training":
+            X, Y = X[:0], Y[:, :0]
+        else:
+            Xv, Yv = Xv[:0], Yv[:, :0]
+        spec = nw.NetworkSpec((3, 1), ("linear",), epochs=5)
+        if stacked:
+            kwargs = dict(initial=np.zeros((2, spec.n_params)))
+        else:
+            Y, Yv, kwargs = Y[0], Yv[0], {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeMismatch, match=f"the {split} split is empty"):
+                nw.train(spec, X, Y, Xv, Yv, **kwargs)
 
 
 class TestTrainChannel:

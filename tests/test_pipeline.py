@@ -1,6 +1,7 @@
 """End-to-end CLI runs of the pipeline, gen-data through report, on a tiny config."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -40,6 +41,17 @@ cognitive.MH = 20
 """
 
 SCENARIO_S = 40
+
+# sha256 of the fit stage's weight files under TINY; tune's hyperband trials
+# and fit's training must reproduce them bit for bit
+FIT_WEIGHTS_SHA256 = {
+    "well1_mg": "786194026fc46d110563d5b3a51a58732eb2f62cca45ca155e1df3a8e79368de",
+    "well1_ml": "7277c9d0132192f7d7f24cecd7cb6aaeb51b50a9351da033e2d9a4891d3e2479",
+    "well2_mg": "69d1d4640134e14c0c3e66ccddb98ce7777a6a667e558dc483d5ed28c47d3064",
+    "well2_ml": "7bb75d456e6fe198f4c19d0778412b0ad3e1ebdfa352f4fed1831d5947654f59",
+    "well3_mg": "31e83d0c4576ae66940b2c9a62fd045baab6b72d9e658cabda7a9e094da79562",
+    "well3_ml": "2552fc770e769aeaca1c1a80ddeeb4d22338eb468b2aada816535dcdacf09994",
+}
 
 
 def write_config(root, extra=""):
@@ -118,6 +130,12 @@ class TestEndToEnd:
             (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
         _, _, outputs = run
         assert outputs["gen-data"]["fingerprint"] == reference["gen_data_fingerprint"]
+
+    def test_fit_weights_keep_their_bits(self, run):
+        root, _, _ = run
+        weights = sorted((root / "artifacts" / "fit" / "weights").glob("*.npy"))
+        assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in weights} == FIT_WEIGHTS_SHA256
 
     def test_report_files(self, run):
         root, _, outputs = run
