@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -251,6 +252,49 @@ def thin(samples: np.ndarray, n: int) -> np.ndarray:
     return samples[::stride][:n]
 
 
+@lru_cache
+def quantile_plan(n: int, levels: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """Where ``np.quantile``'s default ``linear`` method (Hyndman & Fan 1996,
+    method 7) reads a sorted sample of ``n`` values at each of ``levels``.
+
+    Returns, per level, the order statistics below and above the virtual
+    index ``(n - 1) * q``, then as (levels, 1) columns the interpolation
+    weight ``gamma``, ``1 - gamma`` and the mask ``gamma >= 0.5``, all
+    read-only and built with numpy's own operations. numpy's bounds rule is
+    kept: a virtual index at or past the last value reads the last value
+    twice (index -1) with ``gamma`` measured from -1, so n = 1, where every
+    level lands on the last value, interpolates exactly as ``np.quantile``
+    does. Levels lie in [0, 1], so no virtual index is negative.
+    """
+    virtual = (n - 1) * np.asarray(levels, dtype=float)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = (virtual - below)[:, None]
+    plan = (below, above, gamma, 1 - gamma, gamma >= 0.5)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
+    """``np.quantile(x, levels, axis=0)`` of a NaN-free (n, m) ``x``, given
+    ``ordered = np.sort(x, axis=0)``: two order statistics per level and
+    numpy's two-branch interpolation, ``a + (b - a) * gamma`` below
+    ``gamma = 0.5`` and ``b - (b - a) * (1 - gamma)`` from it on, so the
+    values are numpy's bit for bit. Only the sign of a zero can differ: the
+    sort may order a tied ``-0.0`` and ``0.0`` otherwise than numpy's
+    partition does. Returns (len(levels), m)."""
+    below, above, gamma, rest, upper = quantile_plan(len(ordered), levels)
+    a, b = ordered[below], ordered[above]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * rest, out=out, where=upper)
+    return out
+
+
 @dataclass(frozen=True)
 class CoverageSeries:
     """Per-step empirical quantile band of an ensemble free run."""
@@ -302,10 +346,10 @@ def propagate_uncertainty(
     if len(paths) == 0:
         raise InvalidRegion("every ensemble member diverged")
     lo_q = (1.0 - confidence) / 2.0
+    lower, upper, median = sorted_quantiles(np.sort(paths, axis=0),
+                                            (lo_q, 1.0 - lo_q, 0.5))
     return CoverageSeries(
-        lower=np.quantile(paths, lo_q, axis=0),
-        upper=np.quantile(paths, 1.0 - lo_q, axis=0),
-        median=np.quantile(paths, 0.5, axis=0),
+        lower=lower, upper=upper, median=median,
         confidence=confidence,
         n_members=int(len(paths)),
     )

@@ -6,6 +6,12 @@ when the violation count crosses the cognitive threshold. Two drift-response
 paths exist: when the drift source is identified, fresh training data is
 generated at the current plant condition; when it is unknown, live samples are
 buffered until enough are available.
+
+Each 1 Hz step evaluates every channel's point weights and ensemble with one
+forward pass per group of like channels, reads each coverage band from one
+sort of the member predictions per member count (two order statistics and
+``np.quantile``'s linear interpolation, planned once per member count and
+confidence), and checks every channel's measurement against its band at once.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bayes import sorted_quantiles
 from .doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from .errors import (
     ArtifactMismatch,
@@ -216,7 +223,10 @@ class _ChannelGroup:
 
     ``weights`` is (channels, 1 + max members, n_params): row 0 of a channel
     is its point weights, rows 1..n_members its ensemble, and any rows past
-    those are zero padding that no quantile sees. ``offset`` and ``scale``
+    those are zero padding that no quantile sees. The channels with the same
+    member count share one sort of their member predictions, and
+    ``bayes.sorted_quantiles`` reads both bounds from it through the cached
+    order-statistic plan of that count. ``offset`` and ``scale``
     stack each channel's ``regressor_scaling``, so one subtraction and one
     division normalize every row; ``y_offset`` and ``y_scale`` stack each
     channel's ``target_scaling`` to denormalize the bands.
@@ -227,7 +237,7 @@ class _ChannelGroup:
         self.spec, self.layout = models[0].spec, models[0].layout
         self.weights = weights
         self.n_members = np.array([m.n_members for m in models])
-        # (member count, channel rows) pairs: one quantile per distinct count
+        # (member count, channel rows) pairs: one sort per distinct count
         self.by_count = [(n, np.flatnonzero(self.n_members == n))
                          for n in np.unique(self.n_members)]
         scaling = [m.norm.regressor_scaling(self.layout) for m in models]
@@ -243,15 +253,18 @@ class _ChannelGroup:
             preds = forward(self.weights, self.spec, xn[:, None, None, :])[..., 0]
         point, members = preds[:, 0], preds[:, 1:]
         alpha = (1.0 - confidence) / 2.0
-        q = [alpha, 1.0 - alpha]
+        q = (alpha, 1.0 - alpha)
         out = np.empty((3, len(self.channels)))
         out[0] = point
         with np.errstate(invalid="ignore"):
             for n, rows in self.by_count:
-                out[1:, rows] = np.quantile(members[rows, :n], q, axis=1)
-        for c in np.flatnonzero(~np.isfinite(preds).all(axis=1)):
-            n = self.n_members[c]
-            out[1:, c] = self._finite_quantile(c, point[c], members[c, :n], q)
+                ordered = np.sort(members[rows, :n], axis=1).T
+                out[1:, rows] = sorted_quantiles(ordered, q)
+        finite = np.isfinite(preds)
+        if not finite.all():
+            for c in np.flatnonzero(~finite.all(axis=1)):
+                n = self.n_members[c]
+                out[1:, c] = self._finite_quantile(c, point[c], members[c, :n], q)
         return out * self.y_scale + self.y_offset
 
     def _finite_quantile(self, c: int, point: float, preds: np.ndarray, q):
@@ -266,7 +279,7 @@ class _ChannelGroup:
             raise InvalidRegion(
                 f"no finite predictions available on {self.channels[c]}"
             )
-        return np.quantile(preds[finite], q)
+        return sorted_quantiles(np.sort(preds[finite])[:, None], q)[:, 0]
 
 
 def transfer_warm_start(artifact: OfflineArtifact) -> OnlineChannelModel:
@@ -276,11 +289,21 @@ def transfer_warm_start(artifact: OfflineArtifact) -> OnlineChannelModel:
     return OnlineChannelModel(artifact)
 
 
-def violation_indicator(measured: float, region_inf: float, region_sup: float) -> int:
-    """0 iff the measurement lies inside [inf, sup] (boundary inclusive)."""
-    if region_inf > region_sup:
-        raise InvalidRegion(f"inverted region [{region_inf}, {region_sup}]")
-    return 0 if region_inf <= measured <= region_sup else 1
+def violation_indicator(measured, region_inf, region_sup):
+    """Elementwise 0 where the measurement lies inside [inf, sup], boundary
+    inclusive, and 1 elsewhere; a NaN measurement or bound counts as a
+    violation. Scalars give an int, arrays an int array. Raises
+    ``InvalidRegion`` if any region is inverted, before anything is
+    returned."""
+    lo, hi = np.asarray(region_inf), np.asarray(region_sup)
+    inverted = lo > hi
+    if inverted.any():
+        lo, hi = np.broadcast_arrays(lo, hi)
+        raise InvalidRegion(
+            f"inverted region [{lo[inverted][0]}, {hi[inverted][0]}]"
+        )
+    violated = ~((lo <= measured) & (measured <= hi))
+    return int(violated) if violated.ndim == 0 else violated.astype(int)
 
 
 class CognitiveState:
@@ -571,10 +594,16 @@ class CognitiveTwin:
     Channels that share a network shape and a lag layout form one group, and
     the group's weights are one stack with a leading channel axis: one
     regressor row per channel, one forward over every channel's point weights
-    and members, one quantile per member count and one denormalisation give
-    the whole group's bands per step. The stacks are the only copy of the
-    weights (each model's ``weights`` is a view into its group's stack); they
-    are built here and again after every retrain.
+    and members, one sort per member count read through the cached
+    order-statistic plan of ``np.quantile``'s linear method, and one
+    denormalisation give the whole group's bands per step. The stacks are
+    the only copy of the weights (each model's ``weights`` is a view into its
+    group's stack); they are built here and again after every retrain.
+
+    The output and input histories are newest-first arrays, shifted in place
+    once a step has succeeded. A step that raises changes nothing: the step
+    count, every channel's monitor, both histories and the live buffer stay
+    as they were.
     """
 
     def __init__(self, artifacts: dict[str, OfflineArtifact], config: CognitiveConfig):
@@ -589,11 +618,12 @@ class CognitiveTwin:
             raise ShapeMismatch("channels disagree on the exogenous input count")
         self.n_inputs = n_u.pop()
         self._stack_groups()
-        self._y_depth = max(self.models[c].layout.n_b for c in self.channels)
+        y_depth = max(self.models[c].layout.n_b for c in self.channels)
         u_depth = max(self.models[c].layout.n_a for c in self.channels) - 1
-        self._y_hist: deque[np.ndarray] = deque(maxlen=self._y_depth)
-        self._u_hist: deque[np.ndarray] = deque(maxlen=u_depth)
-        self._u_depth = u_depth
+        # newest first: past outputs, and past inputs before the current one
+        self._y_hist = np.full((y_depth, len(self.channels)), np.nan)
+        self._u_hist = np.full((u_depth, self.n_inputs), np.nan)
+        self._warmup = max(y_depth, u_depth)
         self._k = 0
         self._buffering = False
         self._buffer_y: list[np.ndarray] = []
@@ -601,10 +631,7 @@ class CognitiveTwin:
 
     @property
     def warmed_up(self) -> bool:
-        return (
-            len(self._y_hist) >= self._y_depth
-            and len(self._u_hist) >= self._u_depth
-        )
+        return self._k >= self._warmup
 
     def max_z(self) -> int:
         return max(self.states[c].Z for c in self.channels)
@@ -618,40 +645,30 @@ class CognitiveTwin:
             raise ShapeMismatch(
                 f"expected {len(self.channels)} measurements, got {y_now.shape}"
             )
-        self._k += 1
-        n_c = len(self.channels)
-        predicted = np.full(n_c, np.nan)
-        lower = np.full(n_c, np.nan)
-        upper = np.full(n_c, np.nan)
-        indicator = np.zeros(n_c, dtype=int)
-        z = np.zeros(n_c, dtype=int)
-        trigger = False
         monitored = self.warmed_up
+        bands = np.full((3, len(self.channels)), np.nan)
+        indicator = np.zeros(len(self.channels), dtype=int)
+        trigger = False
         if monitored:
-            # newest first, the order of the regressor columns
-            y_lags = np.stack(self._y_hist)[::-1]              # (depth, n_channels)
-            u_lags = np.vstack([u_now, *reversed(self._u_hist)])   # (depth, n_u)
+            u_lags = np.concatenate((u_now[None], self._u_hist))
             for cols, group in self._groups:
-                x = group.layout.regressors(y_lags[:, cols].T, u_lags)
-                predicted[cols], lower[cols], upper[cols] = group.band(
-                    x, self.config.confidence
-                )
-            for i, c in enumerate(self.channels):
-                indicator[i] = violation_indicator(y_now[i], lower[i], upper[i])
-                _, z_i, trig = cognitive_update(self.states[c], indicator[i])
-                z[i] = z_i
-                trigger = trigger or trig
-        else:
-            for i, c in enumerate(self.channels):
-                z[i] = self.states[c].Z
-        self._y_hist.append(y_now.copy())
-        self._u_hist.append(u_now.copy())
+                x = group.layout.regressors(self._y_hist[:, cols].T, u_lags)
+                bands[:, cols] = group.band(x, self.config.confidence)
+            indicator = violation_indicator(y_now, bands[1], bands[2])
+            # nothing from here on raises, so a failed step changed nothing
+            for c, ind in zip(self.channels, indicator):
+                trigger |= cognitive_update(self.states[c], ind)[2]
+        self._k += 1
+        for hist, new in ((self._y_hist, y_now), (self._u_hist, u_now)):
+            hist[1:] = hist[:-1]
+            hist[:1] = new
         if self._buffering:
             self._buffer_y.append(y_now.copy())
             self._buffer_u.append(u_now.copy())
         return StepResult(
-            step=self._k, monitored=monitored, predicted=predicted,
-            lower=lower, upper=upper, indicator=indicator, Z=z, trigger=trigger,
+            step=self._k, monitored=monitored, predicted=bands[0],
+            lower=bands[1], upper=bands[2], indicator=indicator,
+            Z=np.array([self.states[c].Z for c in self.channels]), trigger=trigger,
         )
 
     def begin_buffering(self) -> None:

@@ -239,6 +239,33 @@ class TestThin:
         assert (bayes.thin(x, 50) == x).all()
 
 
+class TestSortedQuantiles:
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_equals_np_quantile(self, confidence):
+        rng = np.random.Generator(np.random.PCG64(0))
+        alpha = (1.0 - confidence) / 2.0
+        levels = (alpha, 1.0 - alpha, 0.5)
+        for n in range(1, 41):
+            for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                x = rng.normal(scale=scale, size=(n, 5))
+                got = bayes.sorted_quantiles(np.sort(x, axis=0), levels)
+                want = np.quantile(x, levels, axis=0)
+                assert got.tobytes() == want.tobytes()
+                for row, q in zip(got, levels):
+                    assert row.tobytes() == np.quantile(x, q, axis=0).tobytes()
+                # rounding makes order statistics tie; compared with ==
+                # because the sort may order a tied -0.0 and 0.0 otherwise
+                # than numpy's partition, so a zero may differ in sign
+                tied = np.round(x / scale, 1) * scale
+                got = bayes.sorted_quantiles(np.sort(tied, axis=0), levels)
+                assert np.array_equal(got, np.quantile(tied, levels, axis=0))
+
+    def test_plan_is_cached_and_read_only(self):
+        plan = bayes.quantile_plan(16, (0.025, 0.975))
+        assert plan is bayes.quantile_plan(16, (0.025, 0.975))
+        assert not any(a.flags.writeable for a in plan)
+
+
 class TestPropagateUncertainty:
     def test_identical_members_collapse_to_single_trajectory(self):
         members = np.tile(const_member(0.4), (6, 1))

@@ -221,6 +221,25 @@ class TestViolationIndicator:
         with pytest.raises(InvalidRegion):
             cg.violation_indicator(5.0, 6.0, 4.0)
 
+    def test_scalar_gives_int(self):
+        assert type(cg.violation_indicator(5.0, 4.0, 6.0)) is int
+        assert type(cg.violation_indicator(np.float64(7.0), 4.0, 6.0)) is int
+
+    def test_elementwise_equals_scalar_calls(self):
+        # the last three: a NaN measurement or bound counts as a violation
+        measured = np.array([5.0, 7.0, 3.0, 6.0, 4.0, np.nan, 5.0, 5.0])
+        lo = np.array([4.0, 4.0, 4.0, 4.0, 4.0, 4.0, np.nan, 4.0])
+        hi = np.array([6.0, 6.0, 6.0, 6.0, 6.0, 6.0, 6.0, np.nan])
+        got = cg.violation_indicator(measured, lo, hi)
+        assert got.dtype == int
+        assert got.tolist() == [cg.violation_indicator(*v) for v in zip(measured, lo, hi)]
+        assert got.tolist() == [0, 1, 1, 0, 0, 1, 1, 1]
+
+    def test_any_inverted_region_raises(self):
+        with pytest.raises(InvalidRegion, match=r"^inverted region \[6.0, 4.0\]$"):
+            cg.violation_indicator(np.full(3, 5.0), np.array([4.0, 6.0, 4.0]),
+                                   np.array([6.0, 4.0, 6.0]))
+
 
 class TestCognitiveUpdate:
     def _run(self, stream, **cfg_kwargs):
@@ -582,6 +601,19 @@ class TestCognitiveTwin:
 SIX = tuple(f"c{i}" for i in range(6))
 
 
+def twin_snapshot(twin):
+    """What a step may change: the step count, every channel's monitor, both
+    histories and the live buffer."""
+    return (
+        twin._k,
+        [(s.window(), tuple(s._pending), s.Z, s.k, s.triggered)
+         for s in twin.states.values()],
+        twin._y_hist.tobytes(), twin._u_hist.tobytes(),
+        [row.tobytes() for row in twin._buffer_y],
+        [row.tobytes() for row in twin._buffer_u],
+    )
+
+
 def six_channel_artifacts(members=(5,) * 6, layouts=(NarxLayout(3, 2, 2),) * 6,
                           seed=0):
     """Six channels of one two-hidden-layer network shape with random weights,
@@ -747,9 +779,41 @@ class TestStackedStep:
         else:
             twin.models["c3"].members = np.nan
         Y, U = six_channel_stream(4, 6)
+        twin.begin_buffering()
         for t in range(3):
             assert not twin.step(U[t], Y[t]).monitored
+        before = twin_snapshot(twin)
         warns = (pytest.warns(MemberDroppedWarning, match="on c3$")
                  if bad == "members" else contextlib.nullcontext())
         with warns, pytest.raises(InvalidRegion, match="on c3$"):
             twin.step(U[3], Y[3])
+        assert twin_snapshot(twin) == before
+
+    def test_inverted_region_changes_nothing(self, monkeypatch):
+        arts = six_channel_artifacts()
+        clean, twin = self._twin(arts), self._twin(arts)
+        Y, U = six_channel_stream(16, 7)
+        for t in range(8):
+            clean.step(U[t], Y[t])
+            twin.step(U[t], Y[t])
+        clean.begin_buffering()
+        twin.begin_buffering()
+        real = cg._ChannelGroup.band
+
+        def inverted_on_c3(group, x, confidence):
+            out = real(group, x, confidence)
+            out[1:, 3] = out[2:0:-1, 3]
+            return out
+
+        monkeypatch.setattr(cg._ChannelGroup, "band", inverted_on_c3)
+        before = twin_snapshot(twin)
+        with pytest.raises(InvalidRegion):
+            twin.step(U[8], Y[8])
+        assert twin_snapshot(twin) == before
+        monkeypatch.undo()
+        for t in range(8, 16):
+            a, b = clean.step(U[t], Y[t]), twin.step(U[t], Y[t])
+            for field in ("predicted", "lower", "upper", "indicator", "Z"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert (a.step, a.trigger) == (b.step, b.trigger)
+        assert twin_snapshot(twin) == twin_snapshot(clean)
