@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     BurnInExceedsChain,
     GasLiftError,
-    InsufficientSamples,
     InvalidRegion,
     MemberDroppedWarning,
     NoInflectionWarning,
@@ -97,9 +96,6 @@ class Chain:
     def acceptance_rate(self) -> float:
         """Acceptance fraction over the post-burn-in portion."""
         return float(np.mean(self.accepted[self.burn_in :]))
-
-    def post_burn(self) -> np.ndarray:
-        return self.samples[self.burn_in :]
 
 
 def mcmc_sample(
@@ -217,39 +213,6 @@ def burn_in_trim(chain: Chain, n_burn: int) -> np.ndarray:
     if n_burn < 0:
         raise ValueError("burn-in must be non-negative")
     return chain.samples[n_burn:]
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    theta_hat: np.ndarray
-    U: np.ndarray            # covariance, symmetric PSD
-
-    def __post_init__(self):
-        if not np.allclose(self.U, self.U.T, rtol=0, atol=0):
-            raise GasLiftError("covariance must be exactly symmetric")
-        if np.linalg.eigvalsh(self.U).min() < -1e-10:
-            raise GasLiftError("covariance has a significantly negative eigenvalue")
-
-
-def posterior_stats(samples: np.ndarray) -> PosteriorSummary:
-    """Sample mean and unbiased covariance of the retained draws."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] < 2:
-        raise InsufficientSamples("need at least two samples for covariance")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    U = centered.T @ centered / (samples.shape[0] - 1)
-    U = (U + U.T) / 2.0
-    return PosteriorSummary(theta_hat=mean, U=U)
-
-
-def thin(samples: np.ndarray, n: int) -> np.ndarray:
-    """Every k-th sample so at most n survive, keeping chronological order."""
-    if n < 1:
-        raise ValueError("thinned count must be positive")
-    samples = np.atleast_2d(samples)
-    stride = max(1, len(samples) // n)
-    return samples[::stride][:n]
 
 
 @lru_cache

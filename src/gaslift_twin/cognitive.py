@@ -12,13 +12,16 @@ forward pass per group of like channels, reads each coverage band from one
 sort of the member predictions per member count (two order statistics and
 ``np.quantile``'s linear interpolation, planned once per member count and
 confidence), and checks every channel's measurement against its band at once.
+One ``ViolationWindow`` then counts every channel's violations over the
+moving horizon: a ring of the last MH violation masks, a ring that delays each
+mask by ``a_offset - 1`` steps, and the counts and latched trigger flags as
+vectors, all updated once per step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,9 +215,18 @@ class OnlineChannelModel:
                 f"need {layout.n_a} rows of {layout.n_u} inputs, got {u_window.shape}"
             )
         x = layout.regressors(y_window[None, ::-1], u_window[::-1])
-        band = _ChannelGroup([self], self.weights[None]).band(x, confidence)
+        band = _ChannelGroup([self], self.weights[None], confidence).band(x)
         point, lo, hi = band[:, 0]
         return float(point), float(lo), float(hi)
+
+
+def _indexer(idx) -> slice | np.ndarray:
+    """``idx`` as a slice when it is one contiguous run, which numpy reads
+    and writes as a view, and as an index array otherwise."""
+    idx = np.asarray(idx)
+    if len(idx) and (np.diff(idx) == 1).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 class _ChannelGroup:
@@ -232,40 +244,45 @@ class _ChannelGroup:
     channel's ``target_scaling`` to denormalize the bands.
     """
 
-    def __init__(self, models: list[OnlineChannelModel], weights: np.ndarray):
+    def __init__(self, models: list[OnlineChannelModel], weights: np.ndarray,
+                 confidence: float):
         self.channels = tuple(m.channel for m in models)
         self.spec, self.layout = models[0].spec, models[0].layout
         self.weights = weights
         self.n_members = np.array([m.n_members for m in models])
         # (member count, channel rows) pairs: one sort per distinct count
-        self.by_count = [(n, np.flatnonzero(self.n_members == n))
+        self.by_count = [(n, _indexer(np.flatnonzero(self.n_members == n)))
                          for n in np.unique(self.n_members)]
         scaling = [m.norm.regressor_scaling(self.layout) for m in models]
         self.offset = np.stack([offset for offset, _ in scaling])
         self.scale = np.stack([scale for _, scale in scaling])
         self.y_offset, self.y_scale = np.array([m.norm.target_scaling() for m in models]).T
-
-    def band(self, x: np.ndarray, confidence: float) -> np.ndarray:
-        """Point, lower and upper bound, (3, channels) in engineering units,
-        from one regressor row per channel, (channels, width)."""
-        xn = (x - self.offset) / self.scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            preds = forward(self.weights, self.spec, xn[:, None, None, :])[..., 0]
-        point, members = preds[:, 0], preds[:, 1:]
         alpha = (1.0 - confidence) / 2.0
-        q = (alpha, 1.0 - alpha)
+        self.levels = (alpha, 1.0 - alpha)
+
+    def band(self, x: np.ndarray) -> np.ndarray:
+        """Point, lower and upper bound, (3, channels) in engineering units,
+        from one regressor row per channel, (channels, width), which it
+        normalizes in place."""
+        x -= self.offset
+        x /= self.scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            preds = forward(self.weights, self.spec, x[:, None, None, :])[..., 0]
+        point, members = preds[:, 0], preds[:, 1:]
+        q = self.levels
         out = np.empty((3, len(self.channels)))
         out[0] = point
         with np.errstate(invalid="ignore"):
             for n, rows in self.by_count:
                 ordered = np.sort(members[rows, :n], axis=1).T
                 out[1:, rows] = sorted_quantiles(ordered, q)
-        finite = np.isfinite(preds)
-        if not finite.all():
-            for c in np.flatnonzero(~finite.all(axis=1)):
+        if not np.isfinite(preds).all():
+            for c in np.flatnonzero(~np.isfinite(preds).all(axis=1)):
                 n = self.n_members[c]
                 out[1:, c] = self._finite_quantile(c, point[c], members[c, :n], q)
-        return out * self.y_scale + self.y_offset
+        out *= self.y_scale
+        out += self.y_offset
+        return out
 
     def _finite_quantile(self, c: int, point: float, preds: np.ndarray, q):
         finite = np.isfinite(preds)
@@ -306,45 +323,53 @@ def violation_indicator(measured, region_inf, region_sup):
     return int(violated) if violated.ndim == 0 else violated.astype(int)
 
 
-class CognitiveState:
-    """Sliding violation window for one channel.
+class ViolationWindow:
+    """Moving violation counts of every channel of a twin.
 
-    Z is maintained incrementally as indicators enter and leave the window;
-    ``window()`` exposes the buffered contents so tests can recount it.
+    ``Z[c]`` is how many of the last ``mh`` violation flags of channel c to
+    enter the window were set. A flag enters ``a_offset - 1`` updates after
+    it was pushed (at once for ``a_offset`` 0 or 1), so the newest flags
+    wait outside the count. The window is a ring of ``mh`` masks. The wait
+    is a ring of ``max(a_offset, 1)`` masks: each update writes its mask to
+    one slot and lets in the mask of the slot after it, written
+    ``a_offset - 1`` updates before (the same slot, so the mask itself,
+    when there is no wait). Both rings start zero-filled; the zeros standing
+    in for flags that never entered leave every count what a window of only
+    the entered flags would give. ``k`` counts the updates since the last
+    reset, and ``triggered[c]`` latches once ``Z[c]`` has reached the
+    threshold ``ct``.
     """
 
-    def __init__(self, config: CognitiveConfig):
+    def __init__(self, config: CognitiveConfig, n_channels: int):
         self.config = config
-        self._window: deque[int] = deque(maxlen=config.mh)
-        self._pending: deque[int] = deque()
-        self.Z = 0
+        self._ring = np.zeros((config.mh, n_channels), dtype=bool)
+        self._pending = np.zeros((max(config.a_offset, 1), n_channels), dtype=bool)
+        self.Z = np.zeros(n_channels, dtype=int)
+        self.triggered = np.zeros(n_channels, dtype=bool)
         self.k = 0
-        self.triggered = False
 
-    def window(self) -> tuple[int, ...]:
-        return tuple(self._window)
+    def reset(self) -> None:
+        """Empty the window, as at construction."""
+        for a in (self._ring, self._pending, self.Z, self.triggered):
+            a.fill(0)
+        self.k = 0
 
-
-def cognitive_update(
-    state: CognitiveState, indicator: int
-) -> tuple[CognitiveState, int, bool]:
-    """Push one indicator, advance the window and report the trigger flag."""
-    ind = int(indicator)
-    if ind not in (0, 1):
-        raise ValueError("indicator must be 0 or 1")
-    cfg = state.config
-    state.k += 1
-    state._pending.append(ind)
-    delay = max(0, cfg.a_offset - 1)
-    if len(state._pending) > delay:
-        entering = state._pending.popleft()
-        evicted = state._window[0] if len(state._window) == cfg.mh else 0
-        state._window.append(entering)
-        state.Z += entering - evicted
-    trigger = state.Z >= cfg.ct
-    if trigger:
-        state.triggered = True
-    return state, state.Z, trigger
+    def push(self, violated: np.ndarray) -> bool:
+        """Advance every channel by one step's violation mask, (channels,)
+        bool, and report whether any channel's count reached ``ct``."""
+        if violated.dtype != bool:
+            raise ValueError(f"violation mask must be bool, got {violated.dtype}")
+        wait = len(self._pending)
+        self._pending[self.k % wait] = violated
+        entering = self._pending[(self.k + 1) % wait]
+        slot = self.k % self.config.mh
+        self.Z += entering
+        self.Z -= self._ring[slot]
+        self._ring[slot] = entering
+        self.k += 1
+        hit = self.Z >= self.config.ct
+        self.triggered |= hit
+        return bool(hit.any())
 
 
 @dataclass(frozen=True)
@@ -600,10 +625,14 @@ class CognitiveTwin:
     the only copy of the weights (each model's ``weights`` is a view into its
     group's stack); they are built here and again after every retrain.
 
-    The output and input histories are newest-first arrays, shifted in place
-    once a step has succeeded. A step that raises changes nothing: the step
-    count, every channel's monitor, both histories and the live buffer stay
-    as they were.
+    One ``ViolationWindow`` counts every channel's violations; ``max_z``
+    reads it and ``retrain`` resets it. The output history and the input
+    lags are newest-first arrays. Row 0 of the input lags is the slot of the
+    current input, written at the start of a step, so a regressor row reads
+    it with the past inputs behind it; both are shifted in place once a step
+    has succeeded. A step that raises changes nothing: the step count, the
+    window, the output history, the past inputs and the live buffer stay as
+    they were. Each step's ``StepResult`` holds arrays of its own.
     """
 
     def __init__(self, artifacts: dict[str, OfflineArtifact], config: CognitiveConfig):
@@ -612,7 +641,7 @@ class CognitiveTwin:
         self.config = config
         self.channels = tuple(artifacts)
         self.models = {c: transfer_warm_start(a) for c, a in artifacts.items()}
-        self.states = {c: CognitiveState(config) for c in self.channels}
+        self.window = ViolationWindow(config, len(self.channels))
         n_u = {self.models[c].layout.n_u for c in self.channels}
         if len(n_u) != 1:
             raise ShapeMismatch("channels disagree on the exogenous input count")
@@ -620,9 +649,9 @@ class CognitiveTwin:
         self._stack_groups()
         y_depth = max(self.models[c].layout.n_b for c in self.channels)
         u_depth = max(self.models[c].layout.n_a for c in self.channels) - 1
-        # newest first: past outputs, and past inputs before the current one
+        # newest first: past outputs, and the current input then past ones
         self._y_hist = np.full((y_depth, len(self.channels)), np.nan)
-        self._u_hist = np.full((u_depth, self.n_inputs), np.nan)
+        self._u_lags = np.full((1 + u_depth, self.n_inputs), np.nan)
         self._warmup = max(y_depth, u_depth)
         self._k = 0
         self._buffering = False
@@ -634,7 +663,7 @@ class CognitiveTwin:
         return self._k >= self._warmup
 
     def max_z(self) -> int:
-        return max(self.states[c].Z for c in self.channels)
+        return int(self.window.Z.max())
 
     def step(self, u_now: np.ndarray, y_now: np.ndarray) -> StepResult:
         u_now = np.asarray(u_now, dtype=float).ravel()
@@ -646,29 +675,30 @@ class CognitiveTwin:
                 f"expected {len(self.channels)} measurements, got {y_now.shape}"
             )
         monitored = self.warmed_up
-        bands = np.full((3, len(self.channels)), np.nan)
-        indicator = np.zeros(len(self.channels), dtype=int)
-        trigger = False
+        self._u_lags[0] = u_now
         if monitored:
-            u_lags = np.concatenate((u_now[None], self._u_hist))
+            bands = np.empty((3, len(self.channels)))
             for cols, group in self._groups:
-                x = group.layout.regressors(self._y_hist[:, cols].T, u_lags)
-                bands[:, cols] = group.band(x, self.config.confidence)
+                x = group.layout.regressors(self._y_hist[:, cols].T, self._u_lags)
+                bands[:, cols] = group.band(x)
             indicator = violation_indicator(y_now, bands[1], bands[2])
             # nothing from here on raises, so a failed step changed nothing
-            for c, ind in zip(self.channels, indicator):
-                trigger |= cognitive_update(self.states[c], ind)[2]
+            trigger = self.window.push(indicator.astype(bool))
+        else:
+            bands = np.full((3, len(self.channels)), np.nan)
+            indicator = np.zeros(len(self.channels), dtype=int)
+            trigger = False
         self._k += 1
-        for hist, new in ((self._y_hist, y_now), (self._u_hist, u_now)):
-            hist[1:] = hist[:-1]
-            hist[:1] = new
+        self._y_hist[1:] = self._y_hist[:-1]
+        self._y_hist[0] = y_now
+        self._u_lags[1:] = self._u_lags[:-1]
         if self._buffering:
             self._buffer_y.append(y_now.copy())
             self._buffer_u.append(u_now.copy())
         return StepResult(
             step=self._k, monitored=monitored, predicted=bands[0],
             lower=bands[1], upper=bands[2], indicator=indicator,
-            Z=np.array([self.states[c].Z for c in self.channels]), trigger=trigger,
+            Z=self.window.Z.copy(), trigger=trigger,
         )
 
     def begin_buffering(self) -> None:
@@ -703,7 +733,8 @@ class CognitiveTwin:
             for row, m in zip(stack, models):
                 row[: 1 + m.n_members] = m.weights
                 m.weights = row[: 1 + m.n_members]
-            self._groups.append((np.array(cols), _ChannelGroup(models, stack)))
+            self._groups.append((_indexer(cols),
+                                 _ChannelGroup(models, stack, self.config.confidence)))
 
     def retrain(self, data: RetrainData, *, seed: int = 0) -> tuple[RetrainRecord, ...]:
         """Fine-tune every channel, then reset monitors and the live buffer.
@@ -732,7 +763,7 @@ class CognitiveTwin:
         for c, (norm, weights, _) in zip(self.channels, tuned):
             self.models[c].norm, self.models[c].weights = norm, weights
         self._stack_groups()
-        self.states = {c: CognitiveState(self.config) for c in self.channels}
+        self.window.reset()
         self._buffering = False
         self._buffer_y.clear()
         self._buffer_u.clear()

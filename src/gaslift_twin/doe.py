@@ -4,7 +4,7 @@ audit, and greedy orthogonal input ranking."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,19 +94,6 @@ def lhs_sample(n: int, bounds, seed: int) -> ExperimentPlan:
     for j, (_, lo, hi) in enumerate(bounds):
         matrix[:, j] = lo + (hi - lo) * unit[:, j]
     return ExperimentPlan(n_experiments=n, bounds=bounds, matrix=matrix, seed=seed)
-
-
-def stratum_occupancy(plan: ExperimentPlan) -> np.ndarray:
-    """Count of samples per stratum per dimension, shape (d, n); the LHS
-    property is every entry exactly 1."""
-    n, d = plan.matrix.shape
-    counts = np.zeros((d, n), dtype=int)
-    for j, (_, lo, hi) in enumerate(plan.bounds):
-        unit = (plan.matrix[:, j] - lo) / (hi - lo)
-        strata = np.clip((unit * n).astype(int), 0, n - 1)
-        for s in strata:
-            counts[j, s] += 1
-    return counts
 
 
 def correlation_audit(plan: ExperimentPlan) -> CorrelationAudit:

@@ -44,11 +44,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation at ``z``, written to ``out`` when given; a linear
+    layer returns ``z`` itself."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
@@ -140,9 +142,6 @@ class NetworkWeights:
         if not np.isfinite(self.theta).all():
             raise ShapeMismatch("theta contains non-finite entries")
 
-    def with_theta(self, theta: np.ndarray) -> "NetworkWeights":
-        return NetworkWeights(theta=np.asarray(theta, dtype=float), layer_sizes=self.layer_sizes)
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -214,6 +213,11 @@ def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
 
     A single row yields a scalar, a (batch, width) matrix a vector, and a
     parameter stack (m, n_params) adds a leading member axis.
+
+    Keeps no backprop trace: each layer's pre-activation is one fresh matmul
+    result that the bias and the activation then update in place, so a pass
+    allocates one array per layer. The bits are those of ``_forward_trace``,
+    which ``gradient`` uses.
     """
     theta = _theta_of(weights)
     X = np.asarray(rows, dtype=float)
@@ -223,8 +227,12 @@ def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"regressor width {X.shape[-1]}, network expects {spec.n_inputs}"
         )
-    _, acts = _forward_trace(theta, spec, X)
-    out = acts[-1][..., 0]
+    a = X
+    for (W, b), kind in zip(_layers(theta, spec), spec.activations):
+        z = np.matmul(a, W)
+        z += b[..., None, :]
+        a = _act(z, kind, out=z)
+    out = a[..., 0]
     if single_row:
         return out[..., 0]
     return out

@@ -24,6 +24,7 @@ from .cognitive import (
     DriftCondition,
     DriftEvent,
     OfflineArtifact,
+    RetrainRecord,
     handle_drift,
 )
 from .network import forward
@@ -157,10 +158,12 @@ class SilLog:
     lower: np.ndarray
     upper: np.ndarray
     static_pred: np.ndarray     # (n, C) frozen offline model predictions
-    indicator: np.ndarray       # (n, C) ints
-    Z: np.ndarray               # (n, C) ints
+    indicator: np.ndarray       # (n, C) int8 0/1
+    Z: np.ndarray               # (n, C) smallest signed int type holding MH
     monitored: np.ndarray       # (n,) bool
     events: tuple[DriftEvent, ...]
+    # what each retrain did, one record per channel, in retrain order
+    retrain_records: tuple[tuple[RetrainRecord, ...], ...] = ()
 
     def __post_init__(self):
         dt = np.diff(self.t)
@@ -227,11 +230,14 @@ def run_scenario(
     predicted = np.full((n, n_c), np.nan)
     lower = np.full((n, n_c), np.nan)
     upper = np.full((n, n_c), np.nan)
-    indicator = np.zeros((n, n_c), dtype=int)
-    z_log = np.zeros((n, n_c), dtype=int)
+    indicator = np.zeros((n, n_c), dtype=np.int8)
+    z_type = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                  if np.iinfo(t).max >= config.mh)
+    z_log = np.zeros((n, n_c), dtype=z_type)
     monitored = np.zeros(n, dtype=bool)
 
     events: list[DriftEvent] = []
+    records: list[tuple[RetrainRecord, ...]] = []
     active: DriftEvent | None = None
     u_row = np.concatenate([script.baseline.Q_g, [script.baseline.P_pump]])
 
@@ -269,7 +275,7 @@ def run_scenario(
                     n_experiments=retrain_experiments, hold=retrain_hold,
                     seed=seed + len(events) + 1,
                 )
-                twin.retrain(data, seed=seed + len(events) + 1)
+                records.append(twin.retrain(data, seed=seed + len(events) + 1))
                 events.append(DriftEvent(
                     t_step, CAUSE_IDENTIFIED, ACTION_OFFLINE,
                     retrain_step=t_step, post_retrain_z=twin.max_z(),
@@ -282,7 +288,7 @@ def run_scenario(
                 CAUSE_UNKNOWN, buffered=twin.buffer_data(),
                 wait_buffer=config.wait_buffer,
             )
-            twin.retrain(data, seed=seed + len(events) + 1)
+            records.append(twin.retrain(data, seed=seed + len(events) + 1))
             events.append(replace(
                 active, retrain_step=int(t), post_retrain_z=twin.max_z(),
             ))
@@ -310,7 +316,7 @@ def run_scenario(
         t=log_t, v_o=log_vo, U=log_u, truth=truth, predicted=predicted,
         lower=lower, upper=upper, static_pred=static_pred,
         indicator=indicator, Z=z_log, monitored=monitored,
-        events=tuple(events),
+        events=tuple(events), retrain_records=tuple(records),
     )
 
 
@@ -475,12 +481,14 @@ def write_log(log: SilLog, out_dir: str | Path) -> list[Path]:
             "seed": log.seed,
             "channels": log.channels,
             "events": [asdict(e) for e in log.events],
+            "retrain_records": [[asdict(r) for r in rs] for rs in log.retrain_records],
         }),
     ]
 
 
 def read_log(in_dir: str | Path) -> SilLog:
-    """The log that :func:`write_log` stored in ``in_dir``."""
+    """The log that :func:`write_log` stored in ``in_dir``. A ``meta.json``
+    without retrain records reads back with none."""
     src = Path(in_dir)
     meta = read_json(src / "meta.json")
     s = meta["script"]
@@ -495,5 +503,10 @@ def read_log(in_dir: str | Path) -> SilLog:
         seed=meta["seed"],
         channels=tuple(meta["channels"]),
         events=tuple(DriftEvent(**e) for e in meta["events"]),
+        retrain_records=tuple(
+            tuple(RetrainRecord(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in r.items()}) for r in rs)
+            for rs in meta.get("retrain_records", ())
+        ),
         **{k: read_array(src / f"{k}.npy") for k in LOG_ARRAYS},
     )

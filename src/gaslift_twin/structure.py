@@ -10,7 +10,7 @@ input depths are refined separately against the converged index value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -397,8 +397,7 @@ class NormalizationSpec:
 class NarxDataset:
     """Regressor/target rows for one output channel with split indices and a
     train-fitted normalization. Arrays are stored in engineering units;
-    `normalized_split` yields the scaled views used for training. The residual
-    channel stays empty until a model has been fitted."""
+    `normalized_split` yields the scaled views used for training."""
 
     channel: str
     layout: NarxLayout
@@ -409,7 +408,6 @@ class NarxDataset:
     val_idx: np.ndarray
     test_idx: np.ndarray
     norm: NormalizationSpec
-    residuals: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -423,12 +421,6 @@ class NarxDataset:
         X = self.norm.normalize_regressors(self.regressors[idx], self.layout)
         y = self.norm.normalize_target(self.targets[idx])
         return X, y
-
-    def with_residuals(self, residuals: np.ndarray) -> "NarxDataset":
-        residuals = np.asarray(residuals, dtype=float)
-        if residuals.shape != self.targets.shape:
-            raise ValueError("residuals must align with targets")
-        return replace(self, residuals=residuals)
 
 
 def split_rows(n_rows: int, ratios: tuple[float, float, float], seed: int):

@@ -1,3 +1,4 @@
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,44 @@ def loop_predict(model, y_window, u_window, confidence):
     alpha = (1.0 - confidence) / 2.0
     lo_n, hi_n = np.quantile(preds_n, [alpha, 1.0 - alpha])
     return model.norm.denormalize_target(np.array([point_n, lo_n, hi_n]))
+
+
+class CognitiveState:
+    """Sliding violation window for one channel, as the twin kept one per
+    channel before its channels shared one ``ViolationWindow``: the scalar
+    reference the window must match channel by channel. ``window()`` is the
+    buffered contents, so a test can recount it."""
+
+    def __init__(self, config):
+        self.config = config
+        self._window = deque(maxlen=config.mh)
+        self._pending = deque()
+        self.Z = 0
+        self.k = 0
+        self.triggered = False
+
+    def window(self) -> tuple[int, ...]:
+        return tuple(self._window)
+
+
+def cognitive_update(state, indicator):
+    """Push one indicator, advance the window and report the trigger flag."""
+    ind = int(indicator)
+    if ind not in (0, 1):
+        raise ValueError("indicator must be 0 or 1")
+    cfg = state.config
+    state.k += 1
+    state._pending.append(ind)
+    delay = max(0, cfg.a_offset - 1)
+    if len(state._pending) > delay:
+        entering = state._pending.popleft()
+        evicted = state._window[0] if len(state._window) == cfg.mh else 0
+        state._window.append(entering)
+        state.Z += entering - evicted
+    trigger = state.Z >= cfg.ct
+    if trigger:
+        state.triggered = True
+    return state, state.Z, trigger
 
 
 def loop_retrained(model, data, *, epochs, lr_factor, seed):
@@ -245,6 +284,13 @@ def retrain_reference():
 @pytest.fixture
 def train_reference():
     return reference_train
+
+
+@pytest.fixture(scope="session")
+def window_reference():
+    """The scalar per-channel window: ``state(config)`` and ``update(state,
+    indicator) -> (state, Z, trigger)``."""
+    return SimpleNamespace(state=CognitiveState, update=cognitive_update)
 
 
 @pytest.fixture(scope="session")

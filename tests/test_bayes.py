@@ -6,7 +6,6 @@ from gaslift_twin import network as nw
 from gaslift_twin.errors import (
     BurnInExceedsChain,
     GasLiftError,
-    InsufficientSamples,
     InvalidRegion,
     MemberDroppedWarning,
     NoInflectionWarning,
@@ -84,7 +83,7 @@ class TestMcmcSample:
         mu, sd = 3.0, 2.0
         target = lambda th: float(-0.5 * ((th[0] - mu) / sd) ** 2)
         ch = bayes.mcmc_sample(target, np.array([mu]), 6000, 1.0, seed=2, burn_in=1000)
-        post = ch.post_burn()[:, 0]
+        post = ch.samples[ch.burn_in :, 0]
         nb = 20
         trimmed = post[: len(post) // nb * nb]
         bm = trimmed.reshape(nb, -1).mean(axis=1)
@@ -159,7 +158,7 @@ class TestSampleWeightPosterior:
         ch, _ = bayes.sample_weight_posterior(
             ds, spec, w, n_samples=2000, burn_in=500, seed=1
         )
-        mean = ch.post_burn().mean(axis=0)
+        mean = ch.samples[ch.burn_in :].mean(axis=0)
         # noise-free data and a floored sigma keep the posterior tight
         assert np.abs(mean - w.theta).max() < 0.05
 
@@ -197,46 +196,6 @@ class TestBurnInTrim:
     def test_burn_exceeding_chain(self):
         with pytest.raises(BurnInExceedsChain):
             bayes.burn_in_trim(self._chain(10), 10)
-
-
-class TestPosteriorStats:
-    def test_one_dimensional_example(self):
-        s = bayes.posterior_stats(np.array([[1.0], [2.0], [3.0]]))
-        assert s.theta_hat[0] == 2.0
-        assert s.U[0, 0] == pytest.approx(1.0, rel=1e-14)
-
-    def test_identical_samples_zero_covariance(self):
-        s = bayes.posterior_stats(np.tile([1.5, -2.0], (8, 1)))
-        assert (s.U == 0.0).all()
-
-    def test_matches_two_pass_recomputation(self):
-        rng = np.random.Generator(np.random.PCG64(4))
-        x = rng.normal(size=(300, 5))
-        s = bayes.posterior_stats(x)
-        assert np.allclose(s.theta_hat, x.mean(axis=0), atol=1e-12)
-        assert np.allclose(s.U, np.cov(x.T, ddof=1), atol=1e-12)
-
-    def test_covariance_symmetric_psd(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        s = bayes.posterior_stats(rng.normal(size=(50, 7)))
-        assert (s.U == s.U.T).all()
-        assert np.linalg.eigvalsh(s.U).min() >= -1e-10
-
-    def test_requires_two_samples(self):
-        with pytest.raises(InsufficientSamples):
-            bayes.posterior_stats(np.ones((1, 3)))
-
-
-class TestThin:
-    def test_stride_selection(self):
-        x = np.arange(100.0)[:, None]
-        t = bayes.thin(x, 10)
-        assert len(t) == 10
-        assert (t[:, 0] == np.arange(0, 100, 10)).all()
-
-    def test_request_larger_than_chain(self):
-        x = np.arange(5.0)[:, None]
-        assert (bayes.thin(x, 50) == x).all()
 
 
 class TestSortedQuantiles:

@@ -242,27 +242,29 @@ class TestViolationIndicator:
 
 
 class TestCognitiveUpdate:
+    """The twin's ``ViolationWindow``; ``window_reference`` is the scalar
+    per-channel window it replaced."""
+
     def _run(self, stream, **cfg_kwargs):
         cfg = cg.CognitiveConfig(**{"mh": 100, "ct": 5, **cfg_kwargs})
-        state = cg.CognitiveState(cfg)
+        window = cg.ViolationWindow(cfg, 1)
         zs, trigs = [], []
         for ind in stream:
-            _, z, trig = cg.cognitive_update(state, ind)
-            zs.append(z)
-            trigs.append(trig)
-        return state, zs, trigs
+            trigs.append(window.push(np.array([ind], dtype=bool)))
+            zs.append(int(window.Z[0]))
+        return window, zs, trigs
 
     def test_window_sum(self):
         stream = [0] * 10 + [1, 0, 1, 0, 1] + [0] * 10
-        state, zs, _ = self._run(stream)
+        window, zs, _ = self._run(stream)
         assert zs[-1] == 3
-        assert state.Z == sum(state.window())
+        assert window.Z.tolist() == window._ring.sum(axis=0).tolist()
 
     def test_all_clear_never_triggers(self):
-        state, zs, trigs = self._run([0] * 300)
+        window, zs, trigs = self._run([0] * 300)
         assert max(zs) == 0
         assert not any(trigs)
-        assert not state.triggered
+        assert not window.triggered.any()
 
     def test_ct_one_triggers_on_first_violation(self):
         _, _, trigs = self._run([0] * 7 + [1], ct=1)
@@ -276,16 +278,20 @@ class TestCognitiveUpdate:
     def test_offset_delays_entry(self):
         _, zs, _ = self._run([1, 0, 0], a_offset=2, ct=1)
         assert zs == [0, 1, 1]
+        _, zs, _ = self._run([1, 1, 0, 0, 0], a_offset=3, mh=2, ct=1)
+        assert zs == [0, 0, 1, 2, 1]
 
     def test_k_and_latch(self):
-        state, _, _ = self._run([0, 1, 1, 1, 1, 1, 0, 0], ct=5)
-        assert state.k == 8
-        assert state.triggered      # latched even after Z could fall
+        window, _, _ = self._run([0, 1, 1, 1, 1, 1, 0, 0], ct=5)
+        assert window.k == 8
+        assert window.triggered.tolist() == [True]   # latched though Z fell
 
     def test_indicator_domain(self):
-        state = cg.CognitiveState(cg.CognitiveConfig())
-        with pytest.raises(ValueError):
-            cg.cognitive_update(state, 2)
+        window = cg.ViolationWindow(cg.CognitiveConfig(), 2)
+        for ints in ([0, 2], [0, 1]):
+            with pytest.raises(ValueError, match="must be bool"):
+                window.push(np.array(ints))
+        assert (window.k, window.Z.tolist()) == (0, [0, 0])
 
     @given(
         stream=st.lists(st.integers(0, 1), min_size=1, max_size=200),
@@ -295,29 +301,53 @@ class TestCognitiveUpdate:
     @settings(max_examples=60, deadline=None)
     def test_z_is_exact_window_sum(self, stream, mh, a_offset):
         cfg = cg.CognitiveConfig(mh=mh, a_offset=a_offset, ct=mh)
-        state = cg.CognitiveState(cfg)
+        window = cg.ViolationWindow(cfg, 1)
         delay = max(0, a_offset - 1)
         for k, ind in enumerate(stream, start=1):
-            _, z, _ = cg.cognitive_update(state, ind)
+            window.push(np.array([ind], dtype=bool))
             entered = stream[: max(0, k - delay)]
-            assert z == sum(entered[-mh:])
-            assert z == sum(state.window())
-            assert 0 <= z <= mh
+            assert window.Z[0] == sum(entered[-mh:])
+            assert window.Z[0] == window._ring.sum()
+            assert 0 <= window.Z[0] <= mh
 
     @given(stream=st.lists(st.integers(0, 1), min_size=20, max_size=120))
     @settings(max_examples=40, deadline=None)
     def test_trigger_monotone_in_ct(self, stream):
         def first_trigger(ct):
-            cfg = cg.CognitiveConfig(mh=10, ct=ct)
-            state = cg.CognitiveState(cfg)
+            window = cg.ViolationWindow(cg.CognitiveConfig(mh=10, ct=ct), 1)
             for k, ind in enumerate(stream, start=1):
-                _, _, trig = cg.cognitive_update(state, ind)
-                if trig:
+                if window.push(np.array([ind], dtype=bool)):
                     return k
             return len(stream) + 1
 
         steps = [first_trigger(ct) for ct in range(1, 11)]
         assert steps == sorted(steps)
+
+    @given(data=st.data(), mh=st.integers(1, 20), a_offset=st.integers(0, 4),
+           channels=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_reference(self, window_reference, data, mh, a_offset,
+                                      channels):
+        ct = data.draw(st.integers(1, mh), label="ct")
+        T = data.draw(st.integers(1, 80), label="T")
+        stream = np.array(data.draw(
+            st.lists(st.lists(st.booleans(), min_size=channels, max_size=channels),
+                     min_size=T, max_size=T), label="stream"))
+        reset_at = data.draw(st.integers(0, T), label="reset_at")
+        cfg = cg.CognitiveConfig(mh=mh, a_offset=a_offset, ct=ct)
+        window = cg.ViolationWindow(cfg, channels)
+        ref = [window_reference.state(cfg) for _ in range(channels)]
+        for t, mask in enumerate(stream):
+            if t == reset_at:       # as retrain does
+                window.reset()
+                ref = [window_reference.state(cfg) for _ in range(channels)]
+            hit = window.push(mask)
+            steps = [window_reference.update(s, ind) for s, ind in zip(ref, mask)]
+            assert window.Z.tolist() == [z for _, z, _ in steps]
+            assert (window.Z >= ct).tolist() == [trig for _, _, trig in steps]
+            assert hit == any(trig for _, _, trig in steps)
+            assert window.triggered.tolist() == [s.triggered for s in ref]
+            assert window.k == ref[0].k
 
 
 class TestDriftEvent:
@@ -572,7 +602,8 @@ class TestCognitiveTwin:
         twin.retrain(data)
         assert twin.buffer_size == 0
         assert twin.max_z() == 0
-        assert not any(twin.states[c].triggered for c in twin.channels)
+        assert not twin.window.triggered.any()
+        assert twin.window.k == 0
 
     def test_step_shape_validation(self):
         twin = self._twin()
@@ -602,13 +633,15 @@ SIX = tuple(f"c{i}" for i in range(6))
 
 
 def twin_snapshot(twin):
-    """What a step may change: the step count, every channel's monitor, both
-    histories and the live buffer."""
+    """What a step may change: the step count, the violation window, the
+    output history, the past inputs (row 0 of the input lags is the current
+    input's slot, which every step writes first) and the live buffer."""
+    w = twin.window
     return (
         twin._k,
-        [(s.window(), tuple(s._pending), s.Z, s.k, s.triggered)
-         for s in twin.states.values()],
-        twin._y_hist.tobytes(), twin._u_hist.tobytes(),
+        (w._ring.tobytes(), w._pending.tobytes(), w.Z.tobytes(), w.k,
+         w.triggered.tobytes()),
+        twin._y_hist.tobytes(), twin._u_lags[1:].tobytes(),
         [row.tobytes() for row in twin._buffer_y],
         [row.tobytes() for row in twin._buffer_u],
     )
@@ -682,14 +715,14 @@ class TestStackedStep:
         thetas = [m.theta.copy() for m in models]
         members = [m.members.copy() for m in models]
         norms = [m.norm for m in models]
-        z = [twin.states[c].Z for c in SIX]
+        z = twin.window.Z.copy()
         with pytest.raises(InsufficientSamples):
             twin.retrain(twin.buffer_data())
         for m, theta, ens, norm in zip(models, thetas, members, norms):
             assert np.array_equal(m.theta, theta)
             assert np.array_equal(m.members, ens)
             assert m.norm is norm
-        assert [twin.states[c].Z for c in SIX] == z
+        assert np.array_equal(twin.window.Z, z)
         assert twin.buffer_size == 180
 
     def test_one_train_call_per_channel(self, monkeypatch):
@@ -800,8 +833,8 @@ class TestStackedStep:
         twin.begin_buffering()
         real = cg._ChannelGroup.band
 
-        def inverted_on_c3(group, x, confidence):
-            out = real(group, x, confidence)
+        def inverted_on_c3(group, x):
+            out = real(group, x)
             out[1:, 3] = out[2:0:-1, 3]
             return out
 

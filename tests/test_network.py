@@ -61,12 +61,6 @@ class TestNetworkWeights:
         with pytest.raises(ShapeMismatch):
             nw.NetworkWeights(theta=np.array([1.0, np.nan, 0.0, 0.0]), layer_sizes=(3, 1))
 
-    def test_with_theta(self):
-        w = nw.initialize(nw.NetworkSpec((3, 1), ("linear",), seed=1))
-        w2 = w.with_theta(np.zeros(4))
-        assert (w2.theta == 0).all()
-        assert w2.layer_sizes == w.layer_sizes
-
 
 class TestForward:
     def test_zero_weights_predict_zero(self):

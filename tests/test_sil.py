@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import asdict
 
@@ -365,7 +366,6 @@ class TestSilLogValidation:
     def test_cadence_enforced(self, mini_artifacts):
         log = sil.run_scenario(quiet_script(10), mini_artifacts, mini_config(),
                                seed=0)
-        import dataclasses
         with pytest.raises(ValueError):
             dataclasses.replace(log, t=np.array([1.0, 3.0] + list(log.t[2:])))
 
@@ -380,6 +380,8 @@ class TestLogCodec:
             )
             assert np.isnan(log.predicted[0]).all()
             assert log.events[0].retrain_step is not None
+            (records,) = log.retrain_records
+            assert [r.channel for r in records] == list(log.channels)
         else:
             log = empty_log()
         written = sil.write_log(log, tmp_path)
@@ -400,3 +402,21 @@ class TestLogCodec:
         assert jsonable(asdict(back.script)) == jsonable(asdict(log.script))
         assert (back.config, back.seed, back.channels, back.events) == \
             (log.config, log.seed, log.channels, log.events)
+        assert back.retrain_records == log.retrain_records
+
+    def test_meta_without_retrain_records_reads_back_empty(self, tmp_path):
+        sil.write_log(empty_log(), tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["retrain_records"]
+        meta_path.write_text(json.dumps(meta))
+        assert sil.read_log(tmp_path).retrain_records == ()
+
+    def test_narrow_integer_columns(self, mini_artifacts):
+        log = sil.run_scenario(quiet_script(10), mini_artifacts, mini_config(),
+                               seed=0)
+        assert log.indicator.dtype == np.int8
+        assert log.Z.dtype == np.int8       # mini_config's MH fits in int8
+        wide = sil.run_scenario(quiet_script(10), mini_artifacts,
+                                dataclasses.replace(mini_config(), mh=128), seed=0)
+        assert wide.Z.dtype == np.int16

@@ -441,13 +441,3 @@ class TestAssembleNarxDataset:
         assert (da.train_idx == db.train_idx).all()
         assert (da.norm.y_min, da.norm.y_max) == (db.norm.y_min, db.norm.y_max)
         assert (da.norm.u_min == db.norm.u_min).all()
-
-    def test_with_residuals(self):
-        Y, U = self._corpus(seed=8)
-        d = assemble_narx_dataset(Y, U, hold=20, layout=NarxLayout(1, 1), seed=0)["well1_mg"]
-        assert d.residuals is None
-        filled = d.with_residuals(np.zeros(d.n_rows))
-        assert filled.residuals is not None
-        assert d.residuals is None
-        with pytest.raises(ValueError):
-            d.with_residuals(np.zeros(3))
