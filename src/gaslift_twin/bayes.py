@@ -264,7 +264,6 @@ class CoverageSeries:
 
     lower: np.ndarray
     upper: np.ndarray
-    median: np.ndarray
     confidence: float
     n_members: int
 
@@ -309,26 +308,12 @@ def propagate_uncertainty(
     if len(paths) == 0:
         raise InvalidRegion("every ensemble member diverged")
     lo_q = (1.0 - confidence) / 2.0
-    lower, upper, median = sorted_quantiles(np.sort(paths, axis=0),
-                                            (lo_q, 1.0 - lo_q, 0.5))
+    lower, upper = sorted_quantiles(np.sort(paths, axis=0), (lo_q, 1.0 - lo_q))
     return CoverageSeries(
-        lower=lower, upper=upper, median=median,
+        lower=lower, upper=upper,
         confidence=confidence,
         n_members=int(len(paths)),
     )
-
-
-@dataclass(frozen=True)
-class ModelEnsemble:
-    members: np.ndarray          # (size, n_params)
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise InvalidRegion("ensemble must keep at least one member")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -351,15 +336,16 @@ def reduce_ensemble(
     degeneration_tol: float = 0.1,
     confidence: float = 0.95,
     safety_factor: float = 1.25,
-) -> tuple[ModelEnsemble, ReductionReport]:
+) -> tuple[np.ndarray, ReductionReport]:
     """Find the smallest sub-ensemble whose coverage band has not degenerated.
 
     Candidate sizes run descending; each is scored by its mean interval
     width on the validation sequence relative to the full ensemble. The
     inflection size is the smallest whose ratio stays at or above
-    1 - degeneration_tol, and the returned ensemble is a fresh draw of
-    ceil(safety_factor * inflection) members. If even the largest tested
-    size has degenerated the full ensemble is returned with a warning.
+    1 - degeneration_tol, and the returned ensemble, a (members, n_params)
+    array, is a fresh draw of ceil(safety_factor * inflection) rows of
+    ``samples``. If even the largest tested size has degenerated every
+    sample is returned, with a warning.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = len(samples)
@@ -398,19 +384,17 @@ def reduce_ensemble(
             "full ensemble",
             NoInflectionWarning,
         )
-        ensemble = ModelEnsemble(members=samples.copy())
         report = ReductionReport(
             sizes=sizes, width_ratios=tuple(ratios),
             inflection_size=None, chosen_size=n,
         )
-        return ensemble, report
+        return samples.copy(), report
 
     chosen = min(n, int(np.ceil(safety_factor * inflection)))
     idx = rng.choice(n, size=chosen, replace=False)
     idx.sort()
-    ensemble = ModelEnsemble(members=samples[idx])
     report = ReductionReport(
         sizes=sizes, width_ratios=tuple(ratios),
         inflection_size=inflection, chosen_size=chosen,
     )
-    return ensemble, report
+    return samples[idx], report

@@ -18,13 +18,6 @@ TABLE_BOUNDS = (
     ("Ppump", 1.3, 4.0),
 )
 
-# valve-opening screening range used by the ranking design
-CV_BOUNDS = (
-    ("CV101", 0.7, 1.0),
-    ("CV102", 0.7, 1.0),
-    ("CV103", 0.7, 1.0),
-)
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -134,22 +127,19 @@ class InputSchedule:
 def build_input_sequence(plan: ExperimentPlan, hold_duration: float) -> InputSchedule:
     """Expand a plan into a stepwise schedule of plant inputs.
 
-    Columns Qg1..Qg3 and Ppump are required; CV101..CV103 are optional and
-    default to fully open valves.
+    Each plan row becomes one plateau held ``hold_duration`` seconds. The
+    plan must have columns Qg1..Qg3 and Ppump; any other column is ignored.
+    Every valve is fully open: a plan designs the manipulated inputs only,
+    and a caller that disturbs the valves sets the openings itself.
     """
     if hold_duration < 1.0:
         raise ValueError("hold_duration must be at least 1 s")
-    names = plan.names
     for required in ("Qg1", "Qg2", "Qg3", "Ppump"):
-        if required not in names:
+        if required not in plan.names:
             raise ValueError(f"plan lacks required dimension {required}")
-    n = plan.n_experiments
     Q_g = np.column_stack([plan.column(f"Qg{w}") for w in (1, 2, 3)])
     P_pump = plan.column("Ppump").copy()
-    v_o = np.ones((n, 3))
-    for w in (1, 2, 3):
-        if f"CV10{w}" in names:
-            v_o[:, w - 1] = plan.column(f"CV10{w}")
+    v_o = np.ones((plan.n_experiments, 3))
     return InputSchedule(Q_g=Q_g, v_o=v_o, P_pump=P_pump, hold=float(hold_duration))
 
 

@@ -125,10 +125,6 @@ class GasLiftWarning(UserWarning):
     """Base class for non-fatal conditions."""
 
 
-class ClampedFlowWarning(GasLiftWarning):
-    """A valve flow was clamped to zero to avoid a negative square root."""
-
-
 class MemberDroppedWarning(GasLiftWarning):
     """An ensemble member failed to simulate and was excluded."""
 

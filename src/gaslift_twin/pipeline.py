@@ -49,18 +49,14 @@ from .errors import FingerprintMismatch, MissingArtifact, RangeViolation
 from .hyperband import SearchSpace, hyperband
 from .network import NetworkSpec, evaluate, train_channel
 from .plant import (
+    BASELINE_INPUTS,
     CHANNEL_NAMES,
     INPUT_NAMES,
-    PlantInputs,
     default_initial_state,
     simulate_experiment,
     simulate_schedule,
 )
 from .structure import NarxLayout, NormalizationSpec, assemble_narx_dataset, select_embedding
-
-BASELINE_INPUTS = PlantInputs(
-    Q_g=np.array([3.0, 3.0, 3.0]), v_o=np.ones(3), P_pump=2.65
-)
 
 SERIES_HEADER = ("t", *INPUT_NAMES, *CHANNEL_NAMES)
 
@@ -487,7 +483,7 @@ def stage_reduce(cfg: RunConfig) -> dict:
 
         y_window = norm.normalize_target(Y[start - layout.n_b:start, name_i])
         U_n = norm.normalize_inputs(U)
-        ensemble, report = reduce_ensemble(
+        members, report = reduce_ensemble(
             kept, entry["spec"], layout,
             y_window, U_n[start - layout.n_a + 1:],
             sizes, cfg.reduction.seed + name_i,
@@ -496,12 +492,12 @@ def stage_reduce(cfg: RunConfig) -> dict:
         )
 
         artifact = make_artifact(
-            name, entry["spec"], layout, norm, entry["theta"], ensemble.members
+            name, entry["spec"], layout, norm, entry["theta"], members
         )
         ens_dir = out / "ensembles" / name
         paths += [
             write_array(ens_dir / "map_theta.npy", entry["theta"]),
-            write_array(ens_dir / "members.npy", ensemble.members),
+            write_array(ens_dir / "members.npy", members),
             write_json(ens_dir / "artifact.json", {
                 "channel": name,
                 **_encode_spec(entry["spec"]),

@@ -7,29 +7,23 @@ engineering units (sL/min gas injection, bar pump pressure) and are
 converted on entry. Wells share the pump pressure but are otherwise
 hydraulically independent.
 
-``step`` and the 1 Hz loop behind ``simulate_experiment`` and
-``simulate_schedule`` integrate each well in turn with a kernel over plain
-Python floats (``_well_derivatives``, ``_advance``) that runs the float
-operations of the numpy chain ``_chain`` in the same order, so results are
-bit-identical to integrating the chain itself. The algebraic outputs are
-computed only at the logged samples, by one ``_chain`` call per run;
-``_chain`` also serves ``solve_algebraic``.
+The plant's physics is one per-well kernel over plain Python floats:
+``_well_derivatives`` gives a well's mass-balance derivatives and
+``_advance`` runs RK4 steps with it, one well after the other. ``step`` and
+the 1 Hz loop behind ``simulate_experiment`` and ``simulate_schedule`` both
+integrate with it, and what they log is the six measured holdups. The tests
+keep the same chain written over numpy arrays as the kernel's reference
+(``tests/conftest.py``); the kernel must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ClampedFlowWarning,
-    DegenerateHoldup,
-    IntegrationUnstable,
-    NegativeSqrtArgument,
-)
+from .errors import DegenerateHoldup, IntegrationUnstable, NegativeSqrtArgument
 
 N_WELLS = 3
 
@@ -145,130 +139,43 @@ class PlantInputs:
             raise ValueError("Q_g and P_pump must be finite")
 
 
-@dataclass(frozen=True)
-class AlgebraicOutputs:
-    """Pressures, densities and flows implied by one (state, inputs) pair."""
-
-    w_l: np.ndarray
-    w_g: np.ndarray
-    P_bi: np.ndarray
-    P_rh: np.ndarray
-    rho_g: np.ndarray
-    rho_mix: np.ndarray
-    V_g: np.ndarray
-    V_l: np.ndarray
-    alpha_l: np.ndarray
-    w_total: np.ndarray
-    w_l_out: np.ndarray
-    w_g_out: np.ndarray
-
-
-ALGEBRAIC_FIELDS = (
-    "w_l", "w_g", "P_bi", "P_rh", "rho_g", "rho_mix",
-    "V_g", "V_l", "alpha_l", "w_total", "w_l_out", "w_g_out",
-)
-
-
-def _chain(m_g, m_l, w_g, v_o, pp_pa, params: PlantParams, clamp: bool):
-    """Evaluate the algebraic chain for all wells at once, elementwise over
-    arrays of any matching shape (one state or a run's logged samples).
-
-    Serves ``solve_algebraic`` and the logged samples; the integrator runs
-    ``_well_derivatives``, which repeats these float operations in this
-    order, so any change here must be made there too. Returns the tuple of
-    ALGEBRAIC_FIELDS arrays. With ``clamp`` the two square roots saturate at
-    zero flow, with a ClampedFlowWarning, instead of raising
-    NegativeSqrtArgument.
-    """
-    V_l = m_l / params.rho_l
-    V_g = params.V_total - V_l
-    if np.any(V_g <= 0.0):
-        raise DegenerateHoldup(f"gas volume non-positive: V_g={V_g}")
-    rho_g = m_g / V_g
-    P_bi = rho_g * params.R * params.T / params.M_g
-
-    dp_res = pp_pa - P_bi
-    if np.any(dp_res < 0.0):
-        if not clamp:
-            raise NegativeSqrtArgument(
-                f"pump pressure {pp_pa} Pa below injection-point pressure {P_bi}")
-        warnings.warn("reservoir flow clamped to zero (P_pump < P_bi)",
-                      ClampedFlowWarning, stacklevel=2)
-        dp_res = np.maximum(dp_res, 0.0)
-    theta_res = np.asarray(params.theta_res)
-    w_l = v_o * theta_res * np.sqrt(params.rho_l * dp_res)
-
-    rho_mix = (m_g + m_l) / params.V_total
-    friction = 128.0 * params.mu_mix * (w_g + w_l) * params.L / (
-        math.pi * rho_mix * params.D ** 4)
-    P_rh = P_bi - rho_mix * params.g * params.delta_h - friction
-
-    dp_top = P_rh - params.P_atm
-    if np.any(dp_top < 0.0):
-        if not clamp:
-            raise NegativeSqrtArgument(
-                f"riser-head pressure below atmospheric: P_rh={P_rh}")
-        warnings.warn("top-valve flow clamped to zero (P_rh < P_atm)",
-                      ClampedFlowWarning, stacklevel=2)
-        dp_top = np.maximum(dp_top, 0.0)
-    theta_top = np.asarray(params.theta_top)
-    w_total = theta_top * np.sqrt(rho_mix * dp_top)
-
-    alpha_l = m_l / (m_g + m_l)
-    w_l_out = alpha_l * w_total
-    w_g_out = w_total - w_l_out
-    return w_l, w_g, P_bi, P_rh, rho_g, rho_mix, V_g, V_l, alpha_l, w_total, w_l_out, w_g_out
-
-
-def solve_algebraic(state: PlantState, inputs: PlantInputs, params: PlantParams,
-                    *, clamp: bool = False) -> AlgebraicOutputs:
-    """Evaluate pressures, densities and flows for one state/input pair.
-
-    Evaluation order: V_l, V_g, rho_g (ideal gas), P_bi, reservoir inflow,
-    rho_mix, riser-head pressure (hydrostatic head + laminar friction),
-    top-valve flow, then the outlet split by liquid mass fraction.
-
-    Raises NegativeSqrtArgument when a driving pressure difference is
-    negative (or clamps the flow to zero with a warning when ``clamp``),
-    DegenerateHoldup when liquid fills the pipe.
-    """
-    w_g = inputs.Q_g * SL_PER_MIN_TO_KG_S
-    pp_pa = inputs.P_pump * BAR_TO_PA
-    values = _chain(state.m_g, state.m_l, w_g, inputs.v_o, pp_pa, params, clamp)
-    return AlgebraicOutputs(**dict(zip(ALGEBRAIC_FIELDS, values)))
-
-
-def step(state: PlantState, inputs: PlantInputs, params: PlantParams, dt: float,
-         *, clamp: bool = False) -> PlantState:
+def step(state: PlantState, inputs: PlantInputs, params: PlantParams, dt: float) -> PlantState:
     """Advance the mass balances one explicit RK4 step of size ``dt``."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     w_g, vo_theta, pp_pa = _well_inputs(inputs.Q_g, inputs.v_o, inputs.P_pump, params)
-    m_g, m_l = _advance(_well_derivatives(params, clamp), state.m_g.tolist(),
-                        state.m_l.tolist(), w_g, vo_theta, params.theta_top, pp_pa, dt, 1)
+    m_g, m_l = _advance(_well_derivatives(params), state.m_g.tolist(), state.m_l.tolist(),
+                        w_g, vo_theta, params.theta_top, pp_pa, dt, 1)
     _check_bounds(m_g, m_l, params)
     return PlantState._checked(m_g, m_l, state.t + dt)
 
 
 def _well_inputs(Q_g, v_o, P_pump, params):
     """Gas injection (kg/s), v_o * theta_res and pump pressure (Pa) as Python
-    floats, nested like the inputs; the same products ``_chain`` forms."""
+    floats, nested like the inputs; the unit conversions happen here once."""
     return ((Q_g * SL_PER_MIN_TO_KG_S).tolist(),
             (v_o * np.asarray(params.theta_res)).tolist(),
             (np.asarray(P_pump) * BAR_TO_PA).tolist())
 
 
-def _well_derivatives(params: PlantParams, clamp: bool):
-    """One well's (dm_g/dt, dm_l/dt) over plain floats.
+def _well_derivatives(params: PlantParams):
+    """One well's (dm_g/dt, dm_l/dt) over plain floats: the plant's physics.
 
-    The returned ``derivs(m_g, m_l, w_g, vo_theta, theta_top, pp_pa)`` runs
-    ``_chain``'s float operations in ``_chain``'s order, so it equals the
-    numpy chain bit for bit, and skips the outputs the mass balance does not
-    use. ``128.0 * mu_mix`` and ``D ** 4`` are evaluated first in ``_chain``
-    too, so reading them once here changes no bit. Errors and clamping follow
-    ``_chain``. A negative total mass, which only an unstable RK4 stage
-    reaches, makes the top-valve root's argument negative; that raises
-    IntegrationUnstable rather than giving NaN holdups.
+    The returned ``derivs(m_g, m_l, w_g, vo_theta, theta_top, pp_pa)``
+    evaluates, in this order: the gas volume, the injection-point pressure
+    P_bi (ideal gas), the reservoir inflow through the production valve, the
+    mixture density, the riser-head pressure P_rh (hydrostatic head and
+    laminar friction), the top-valve outflow, and its split by liquid mass
+    fraction. ``tests/conftest.py`` keeps the same chain over numpy arrays,
+    with every pressure, density and flow named, as the kernel's reference;
+    any change to the float operations here must be made there too, because
+    the kernel must equal it bit for bit.
+
+    A driving pressure difference below zero raises NegativeSqrtArgument and
+    liquid filling the pipe raises DegenerateHoldup. A negative total mass,
+    which only an unstable RK4 stage reaches, makes the top-valve root's
+    argument negative; that raises IntegrationUnstable rather than giving NaN
+    holdups.
     """
     rho_l, V_total, R, T, M_g = params.rho_l, params.V_total, params.R, params.T, params.M_g
     mu_128, L, D_4 = 128.0 * params.mu_mix, params.L, params.D ** 4
@@ -281,24 +188,15 @@ def _well_derivatives(params: PlantParams, clamp: bool):
         P_bi = m_g / V_g * R * T / M_g
         dp = pp_pa - P_bi
         if dp < 0.0:
-            if not clamp:
-                raise NegativeSqrtArgument(
-                    f"pump pressure {pp_pa:.1f} Pa below injection-point pressure {P_bi}")
-            warnings.warn("reservoir flow clamped to zero (P_pump < P_bi)",
-                          ClampedFlowWarning, stacklevel=2)
-            dp = 0.0
+            raise NegativeSqrtArgument(
+                f"pump pressure {pp_pa:.1f} Pa below injection-point pressure {P_bi}")
         w_l = vo_theta * sqrt(rho_l * dp)
         m = m_g + m_l
         rho_mix = m / V_total
         P_rh = P_bi - rho_mix * g * delta_h - mu_128 * (w_g + w_l) * L / (pi * rho_mix * D_4)
         dp = P_rh - P_atm
         if dp < 0.0:
-            if not clamp:
-                raise NegativeSqrtArgument(
-                    f"riser-head pressure below atmospheric: P_rh={P_rh}")
-            warnings.warn("top-valve flow clamped to zero (P_rh < P_atm)",
-                          ClampedFlowWarning, stacklevel=2)
-            dp = 0.0
+            raise NegativeSqrtArgument(f"riser-head pressure below atmospheric: P_rh={P_rh}")
         arg = rho_mix * dp
         if arg < 0.0:
             raise IntegrationUnstable(f"total mass negative during integration: {m}")
@@ -338,29 +236,34 @@ def _check_bounds(m_g, m_l, params):
                 f"{name} left (0, rho_l*V_total) during integration: {values}")
 
 
-def default_initial_state(params: PlantParams, *, fill_fraction: float = 0.6,
-                          p_gas: float = 1.2e5) -> PlantState:
+_FILL_FRACTION = 0.6     # startup liquid fill of each well
+_P_GAS = 1.2e5           # Pa, startup gas pressure
+
+
+def default_initial_state(params: PlantParams) -> PlantState:
     """Feasible startup state: liquid fill plus gas pressurised above P_atm.
 
     A gas pocket at atmospheric pressure cannot lift the liquid column, so
-    the default pressurises it to 1.2 bar, which keeps both valve pressure
+    the gas is pressurised to 1.2 bar, which keeps both valve pressure
     differences positive at every corner of the nominal input box.
     """
-    if not 0.0 < fill_fraction < 1.0:
-        raise ValueError("fill_fraction must lie in (0,1)")
-    m_l = np.full(N_WELLS, fill_fraction * params.V_total * params.rho_l)
-    V_g = (1.0 - fill_fraction) * params.V_total
-    m_g = np.full(N_WELLS, p_gas * V_g * params.M_g / (params.R * params.T))
+    m_l = np.full(N_WELLS, _FILL_FRACTION * params.V_total * params.rho_l)
+    V_g = (1.0 - _FILL_FRACTION) * params.V_total
+    m_g = np.full(N_WELLS, _P_GAS * V_g * params.M_g / (params.R * params.T))
     return PlantState(m_g=m_g, m_l=m_l, t=0.0)
+
+
+# the quiet operating point the plant settles at before gen-data's design
+# and before every sil scenario
+BASELINE_INPUTS = PlantInputs(Q_g=np.array([3.0, 3.0, 3.0]), v_o=np.ones(3), P_pump=2.65)
 
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled (1 s) record of a simulation run.
-
-    ``algebraic`` maps each ALGEBRAIC_FIELDS name to an (n, 3) array. The
-    logged m_g/m_l carry the optional measurement noise; ``final_state``
-    is the exact integrator state for chaining runs.
+    """Uniformly sampled (1 s) record of a simulation run: the inputs and
+    the six measured holdups at each logged second, as the per-well kernel
+    integrated them. ``final_state`` is the integrator state at the last
+    sample, for chaining runs.
     """
 
     t: np.ndarray               # (n,)
@@ -369,9 +272,7 @@ class Trajectory:
     P_pump: np.ndarray          # (n,)
     m_g: np.ndarray             # (n, 3)
     m_l: np.ndarray             # (n, 3)
-    algebraic: dict = field(default_factory=dict)
-    steady_state_reached: bool = False
-    final_state: PlantState | None = None
+    final_state: PlantState
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -404,7 +305,7 @@ def _integrate(initial: PlantState, Q_g, v_o, P_pump, params):
 
     Returns the (k, 3) gas and liquid holdups at the end of each second.
     """
-    derivs = _well_derivatives(params, clamp=False)
+    derivs = _well_derivatives(params)
     w_g, vo_theta, pp_pa = _well_inputs(Q_g, v_o, P_pump, params)
     m_g, m_l = initial.m_g.tolist(), initial.m_l.tolist()
     log = np.empty((2, len(pp_pa), N_WELLS))
@@ -416,31 +317,19 @@ def _integrate(initial: PlantState, Q_g, v_o, P_pump, params):
     return log[0], log[1]
 
 
-def _trajectory(t, Q_g, v_o, P_pump, m_g, m_l, params, noise_std=0.0, seed=0):
-    """Trajectory of logged holdups under their input rows; one ``_chain``
-    call over all log points gives the algebraic outputs."""
-    outs = _chain(m_g, m_l, Q_g * SL_PER_MIN_TO_KG_S, v_o, P_pump[:, None] * BAR_TO_PA,
-                  params, False)
-    final_state = PlantState(m_g=m_g[-1], m_l=m_l[-1], t=t[-1])
-    if noise_std > 0.0:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        m_g = m_g + rng.normal(0.0, noise_std, m_g.shape)
-        m_l = m_l + rng.normal(0.0, noise_std, m_l.shape)
-    return Trajectory(
-        t=t, Q_g=Q_g, v_o=v_o, P_pump=P_pump, m_g=m_g, m_l=m_l,
-        algebraic=dict(zip(ALGEBRAIC_FIELDS, outs)), final_state=final_state,
-    )
+def _trajectory(t, Q_g, v_o, P_pump, m_g, m_l):
+    """Trajectory of logged holdups under their input rows, ending in the
+    state of its last sample."""
+    return Trajectory(t=t, Q_g=Q_g, v_o=v_o, P_pump=P_pump, m_g=m_g, m_l=m_l,
+                      final_state=PlantState(m_g=m_g[-1], m_l=m_l[-1], t=t[-1]))
 
 
 def simulate_experiment(inputs: PlantInputs, duration: float, params: PlantParams,
-                        initial: PlantState, *, noise_std: float = 0.0, seed: int = 0,
-                        ss_rel_tol: float = 1.0e-4) -> Trajectory:
+                        initial: PlantState) -> Trajectory:
     """Hold ``inputs`` constant for ``duration`` seconds and log at 1 Hz.
 
     Samples sit at t0, t0+1, ..., t0+floor(duration); duration 0 degenerates
-    to the single initial sample. ``steady_state_reached`` is true when the
-    largest relative mass derivative at the final sample is below
-    ``ss_rel_tol`` (1/s).
+    to the single initial sample.
     """
     if duration < 0.0:
         raise ValueError("duration must be non-negative")
@@ -450,16 +339,7 @@ def simulate_experiment(inputs: PlantInputs, duration: float, params: PlantParam
     P_pump = np.full(n, inputs.P_pump)
     m_g, m_l = _integrate(initial, Q_g[1:], v_o[1:], P_pump[1:], params)
     m_g, m_l = np.vstack([initial.m_g, m_g]), np.vstack([initial.m_l, m_l])
-    traj = _trajectory(initial.t + np.arange(n) * _LOG_DT, Q_g, v_o, P_pump, m_g, m_l,
-                       params, noise_std, seed)
-
-    # the mass balance at the final sample, from the flows logged there
-    alg = traj.algebraic
-    dm_g = alg["w_g"][-1] - alg["w_g_out"][-1]
-    dm_l = alg["w_l"][-1] - alg["w_l_out"][-1]
-    rel = max(np.max(np.abs(dm_g) / np.abs(m_g[-1])), np.max(np.abs(dm_l) / np.abs(m_l[-1])))
-    traj.steady_state_reached = rel < ss_rel_tol
-    return traj
+    return _trajectory(initial.t + np.arange(n) * _LOG_DT, Q_g, v_o, P_pump, m_g, m_l)
 
 
 def simulate_schedule(Q_g: np.ndarray, v_o: np.ndarray, P_pump: np.ndarray,
@@ -481,4 +361,4 @@ def simulate_schedule(Q_g: np.ndarray, v_o: np.ndarray, P_pump: np.ndarray,
     P_pump = np.repeat(np.atleast_1d(np.asarray(P_pump, dtype=float)), hold_s)
     m_g, m_l = _integrate(initial, Q_g, v_o, P_pump, params)
     t = initial.t + np.arange(1, len(P_pump) + 1) * _LOG_DT
-    return _trajectory(t, Q_g, v_o, P_pump, m_g, m_l, params)
+    return _trajectory(t, Q_g, v_o, P_pump, m_g, m_l)

@@ -29,6 +29,7 @@ from .cognitive import (
 )
 from .network import forward
 from .plant import (
+    BASELINE_INPUTS,
     CHANNEL_NAMES,
     INTERNAL_DT,
     SUBSTEPS,
@@ -113,29 +114,27 @@ class ScenarioScript:
 def scenario_library() -> dict[str, ScenarioScript]:
     """The three standard valve-degradation scenarios.
 
-    All start from the same baseline operating point and disturb one well's
-    production valve at t = 2700 s: scenario 1 halves CV101 in one step
-    (cause identified), scenario 2 cuts CV102 by 75% with the cause unknown
-    so 5000 s of live data must be buffered, and scenario 3 ramps CV103
-    continuously from fully open down to 0.4 over 5000 s (cause identified).
+    All start from the baseline operating point ``BASELINE_INPUTS`` and
+    disturb one well's production valve at t = 2700 s: scenario 1 halves
+    CV101 in one step (cause identified), scenario 2 cuts CV102 by 75% with
+    the cause unknown so 5000 s of live data must be buffered, and scenario
+    3 ramps CV103 continuously from fully open down to 0.4 over 5000 s
+    (cause identified).
     """
-    baseline = PlantInputs(
-        Q_g=np.array([3.0, 3.0, 3.0]), v_o=np.ones(3), P_pump=2.65
-    )
     return {
         "scenario1": ScenarioScript(
-            id="scenario1", duration_s=10_000, baseline=baseline,
+            id="scenario1", duration_s=10_000, baseline=BASELINE_INPUTS,
             disturbances=(Disturbance(2700, 0, KIND_STEP, 0.5),),
             drift_source_identified=True,
         ),
         "scenario2": ScenarioScript(
-            id="scenario2", duration_s=12_000, baseline=baseline,
+            id="scenario2", duration_s=12_000, baseline=BASELINE_INPUTS,
             disturbances=(Disturbance(2700, 1, KIND_STEP, 0.25),),
             drift_source_identified=False,
             wait_buffer=5000,
         ),
         "scenario3": ScenarioScript(
-            id="scenario3", duration_s=10_000, baseline=baseline,
+            id="scenario3", duration_s=10_000, baseline=BASELINE_INPUTS,
             disturbances=(Disturbance(2700, 2, KIND_RAMP, 0.4, slope=0.6 / 5000.0),),
             drift_source_identified=True,
         ),

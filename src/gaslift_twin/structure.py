@@ -78,20 +78,10 @@ def _lag_windows(
     return y[rows[:, None] - 1 - np.arange(n_b)], U[rows[:, None] - np.arange(n_a)]
 
 
-def valid_target_rows(
-    n_rows: int, hold: int | None, max_lag: int, *, include_crossing: bool = False
-) -> np.ndarray:
-    """Indices with a full lag window available.
-
-    By default the window must stay inside one input plateau; with
-    include_crossing any row deep enough into the record qualifies, which
-    keeps the switch transients that carry input-memory information.
-    """
+def valid_target_rows(n_rows: int, hold: int | None, max_lag: int) -> np.ndarray:
+    """Indices with a full lag window inside one input plateau (the whole
+    record when ``hold`` is None)."""
     idx = np.arange(n_rows)
-    if include_crossing:
-        if n_rows <= max_lag:
-            raise TooShortPlateau(f"{n_rows} samples cannot supply {max_lag} lags")
-        return idx[idx >= max_lag]
     if hold is None:
         hold = n_rows
     if hold <= max_lag:
@@ -244,7 +234,6 @@ def select_embedding_channel(
     n_max: int = 8,
     plateau_rel_tol: float = 0.05,
     max_rows: int = 1200,
-    include_crossing: bool = False,
     seed: int = 0,
 ) -> LipschitzAnalysis:
     """Pick (n_a, n_b) for one channel from its Lipschitz quotient curves.
@@ -259,7 +248,7 @@ def select_embedding_channel(
     """
     y = np.asarray(y, dtype=float)
     U = np.asarray(U, dtype=float)
-    rows = valid_target_rows(len(y), hold, n_max, include_crossing=include_crossing)
+    rows = valid_target_rows(len(y), hold, n_max)
     if len(rows) > max_rows:
         rng = np.random.Generator(np.random.PCG64(seed))
         rows = np.sort(rng.choice(rows, size=max_rows, replace=False))
@@ -312,7 +301,6 @@ def select_embedding(
     n_max: int = 8,
     plateau_rel_tol: float = 0.05,
     max_rows: int = 1200,
-    include_crossing: bool = False,
     seed: int = 0,
 ) -> tuple[dict[str, LipschitzAnalysis], tuple[int, int]]:
     """Per-channel embedding analysis plus a combined (n_a, n_b) that covers
@@ -328,7 +316,6 @@ def select_embedding(
             n_max=n_max,
             plateau_rel_tol=plateau_rel_tol,
             max_rows=max_rows,
-            include_crossing=include_crossing,
             seed=seed + c,
         )
     n_a = max(r.n_a for r in results.values())

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 
 from gaslift_twin import network as nw
 from gaslift_twin import plant
-from gaslift_twin.errors import DivergedLoss
+from gaslift_twin.errors import DegenerateHoldup, DivergedLoss, NegativeSqrtArgument
 from gaslift_twin.structure import build_lag_matrix, split_rows
 
 
@@ -200,52 +201,95 @@ def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epoch
     )
 
 
-def reference_rhs(m_g, m_l, w_g, v_o, pp_pa, params, clamp):
-    """Mass-balance derivatives of all wells from the numpy chain: the
-    formulation the plant's per-well float kernel must equal bit for bit."""
-    out = plant._chain(m_g, m_l, w_g, v_o, pp_pa, params, clamp)
-    w_l, w_g_in = out[0], out[1]
-    w_l_out, w_g_out = out[10], out[11]
-    return w_g_in - w_g_out, w_l - w_l_out
+def reference_chain(m_g, m_l, w_g, v_o, pp_pa, params):
+    """Pressures, densities and flows of all wells from the plant's numpy
+    chain, elementwise over arrays of any matching shape (one state or a
+    run's logged samples); gas injection in kg/s, pump pressure in Pa.
+
+    The plant's per-well float kernel (``plant._well_derivatives``) runs
+    these float operations in this order, so integrating this chain must give
+    its results bit for bit. Raises NegativeSqrtArgument when a driving
+    pressure difference is negative, DegenerateHoldup when liquid fills the
+    pipe.
+    """
+    V_l = m_l / params.rho_l
+    V_g = params.V_total - V_l
+    if np.any(V_g <= 0.0):
+        raise DegenerateHoldup(f"gas volume non-positive: V_g={V_g}")
+    rho_g = m_g / V_g
+    P_bi = rho_g * params.R * params.T / params.M_g
+
+    dp_res = pp_pa - P_bi
+    if np.any(dp_res < 0.0):
+        raise NegativeSqrtArgument(
+            f"pump pressure {pp_pa} Pa below injection-point pressure {P_bi}")
+    w_l = v_o * np.asarray(params.theta_res) * np.sqrt(params.rho_l * dp_res)
+
+    rho_mix = (m_g + m_l) / params.V_total
+    friction = 128.0 * params.mu_mix * (w_g + w_l) * params.L / (
+        math.pi * rho_mix * params.D ** 4)
+    P_rh = P_bi - rho_mix * params.g * params.delta_h - friction
+
+    dp_top = P_rh - params.P_atm
+    if np.any(dp_top < 0.0):
+        raise NegativeSqrtArgument(f"riser-head pressure below atmospheric: P_rh={P_rh}")
+    w_total = np.asarray(params.theta_top) * np.sqrt(rho_mix * dp_top)
+
+    alpha_l = m_l / (m_g + m_l)
+    w_l_out = alpha_l * w_total
+    return SimpleNamespace(
+        w_l=w_l, w_g=w_g, P_bi=P_bi, P_rh=P_rh, rho_g=rho_g, rho_mix=rho_mix, V_g=V_g,
+        V_l=V_l, alpha_l=alpha_l, w_total=w_total, w_l_out=w_l_out, w_g_out=w_total - w_l_out)
 
 
-def reference_rk4(m_g, m_l, w_g, v_o, pp_pa, params, dt, clamp):
-    k1g, k1l = reference_rhs(m_g, m_l, w_g, v_o, pp_pa, params, clamp)
+def reference_outputs(m_g, m_l, Q_g, v_o, P_pump, params):
+    """``reference_chain`` in the plant's input units (sL/min, bar): of one
+    state under ``PlantInputs``' arrays, or of a run's logged holdups under
+    its (n, 3) and (n,) input rows."""
+    return reference_chain(m_g, m_l, np.asarray(Q_g) * plant.SL_PER_MIN_TO_KG_S, v_o,
+                           np.asarray(P_pump)[..., None] * plant.BAR_TO_PA, params)
+
+
+def reference_rhs(m_g, m_l, w_g, v_o, pp_pa, params):
+    """Mass-balance derivatives of all wells from the numpy chain."""
+    out = reference_chain(m_g, m_l, w_g, v_o, pp_pa, params)
+    return out.w_g - out.w_g_out, out.w_l - out.w_l_out
+
+
+def reference_rk4(m_g, m_l, w_g, v_o, pp_pa, params, dt):
+    k1g, k1l = reference_rhs(m_g, m_l, w_g, v_o, pp_pa, params)
     k2g, k2l = reference_rhs(m_g + 0.5 * dt * k1g, m_l + 0.5 * dt * k1l, w_g, v_o, pp_pa,
-                             params, clamp)
+                             params)
     k3g, k3l = reference_rhs(m_g + 0.5 * dt * k2g, m_l + 0.5 * dt * k2l, w_g, v_o, pp_pa,
-                             params, clamp)
-    k4g, k4l = reference_rhs(m_g + dt * k3g, m_l + dt * k3l, w_g, v_o, pp_pa, params, clamp)
+                             params)
+    k4g, k4l = reference_rhs(m_g + dt * k3g, m_l + dt * k3l, w_g, v_o, pp_pa, params)
     new_g = m_g + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
     new_l = m_l + dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
     return new_g, new_l
 
 
-def reference_step(state, inputs, params, dt, clamp=False):
+def reference_step(state, inputs, params, dt):
     """(m_g, m_l) after one numpy RK4 step; the reference for ``plant.step``."""
     m_g, m_l = reference_rk4(state.m_g, state.m_l, inputs.Q_g * plant.SL_PER_MIN_TO_KG_S,
-                             inputs.v_o, inputs.P_pump * plant.BAR_TO_PA, params, dt, clamp)
+                             inputs.v_o, inputs.P_pump * plant.BAR_TO_PA, params, dt)
     plant._check_bounds(m_g, m_l, params)
     return m_g, m_l
 
 
 def reference_log(m_g, m_l, Q_g, v_o, P_pump, params):
     """Hold input row i over the i-th second with numpy RK4 substeps and log
-    the holdups and every algebraic output at the end of each second, one row
-    at a time; the reference for ``simulate_experiment`` and
-    ``simulate_schedule``. Returns (m_g, m_l, algebraic) with (k, 3) arrays."""
+    the holdups at the end of each second, one row at a time; the reference
+    for ``simulate_experiment`` and ``simulate_schedule``. Returns (m_g, m_l)
+    as (k, 3) arrays."""
     rows = []
     for i in range(len(P_pump)):
         w_g = Q_g[i] * plant.SL_PER_MIN_TO_KG_S
         pp_pa = P_pump[i] * plant.BAR_TO_PA
         for _ in range(plant.SUBSTEPS):
-            m_g, m_l = reference_rk4(m_g, m_l, w_g, v_o[i], pp_pa, params,
-                                     plant.INTERNAL_DT, False)
+            m_g, m_l = reference_rk4(m_g, m_l, w_g, v_o[i], pp_pa, params, plant.INTERNAL_DT)
         plant._check_bounds(m_g, m_l, params)
-        rows.append((m_g, m_l, plant._chain(m_g, m_l, w_g, v_o[i], pp_pa, params, False)))
-    algebraic = {name: np.array([r[2][k] for r in rows])
-                 for k, name in enumerate(plant.ALGEBRAIC_FIELDS)}
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), algebraic
+        rows.append((m_g, m_l))
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
 def _step_matches_predict(twin, Y, U, steps=None):
@@ -295,6 +339,9 @@ def window_reference():
 
 @pytest.fixture(scope="session")
 def numpy_plant():
-    """The numpy RK4 reference: ``step`` and ``log`` stand for ``plant.step``
-    and the 1 Hz loop of ``simulate_experiment``/``simulate_schedule``."""
-    return SimpleNamespace(rhs=reference_rhs, step=reference_step, log=reference_log)
+    """The plant's numpy reference: ``outputs`` evaluates the chain in input
+    units, ``rhs`` gives the mass-balance derivatives, and ``step`` and
+    ``log`` stand for ``plant.step`` and the 1 Hz loop of
+    ``simulate_experiment``/``simulate_schedule``."""
+    return SimpleNamespace(outputs=reference_outputs, rhs=reference_rhs,
+                           step=reference_step, log=reference_log)

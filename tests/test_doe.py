@@ -60,7 +60,8 @@ class TestLhsSample:
     @settings(max_examples=40, deadline=None)
     def test_projection_property(self, n, seed):
         # any subset of columns is itself a Latin hypercube in those dims
-        plan = doe.lhs_sample(n, doe.TABLE_BOUNDS + doe.CV_BOUNDS, seed=seed)
+        extra = (("x1", 0.7, 1.0), ("x2", 0.7, 1.0), ("x3", 0.7, 1.0))
+        plan = doe.lhs_sample(n, doe.TABLE_BOUNDS + extra, seed=seed)
         keep = (0, 3, 5)
         sub = doe.ExperimentPlan(
             n_experiments=n,
@@ -120,12 +121,6 @@ class TestBuildInputSequence:
         assert sched.plateau_of_row(0) == 0
         assert sched.plateau_of_row(99) == 0
         assert sched.plateau_of_row(100) == 1
-
-    def test_valve_columns_carried_through(self):
-        plan = doe.lhs_sample(5, doe.TABLE_BOUNDS + doe.CV_BOUNDS, seed=8)
-        sched = doe.build_input_sequence(plan, hold_duration=50.0)
-        assert (sched.v_o[:, 0] == plan.column("CV101")).all()
-        assert (sched.v_o >= 0.7).all() and (sched.v_o <= 1.0).all()
 
     def test_missing_required_column(self):
         plan = doe.lhs_sample(5, (("Qg1", 1, 5), ("Qg2", 1, 5)), seed=0)

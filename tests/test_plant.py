@@ -1,8 +1,8 @@
-"""Plant model tests: algebraic chain oracles, RK4 behaviour, invariants, and
-bit-equality of the float kernel with the numpy reference in conftest.py."""
+"""Plant model tests: hand-value oracles on the numpy reference chain in
+conftest.py, RK4 behaviour, physics checks on logged trajectories, and
+bit-equality of the per-well float kernel with that reference."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from gaslift_twin import plant
 from gaslift_twin.errors import (
-    ClampedFlowWarning,
     DegenerateHoldup,
     GasLiftError,
     IntegrationUnstable,
     NegativeSqrtArgument,
 )
 from gaslift_twin.plant import (
-    ALGEBRAIC_FIELDS,
     BAR_TO_PA,
     INTERNAL_DT,
     SL_PER_MIN_TO_KG_S,
@@ -28,7 +26,6 @@ from gaslift_twin.plant import (
     default_initial_state,
     simulate_experiment,
     simulate_schedule,
-    solve_algebraic,
     step,
 )
 
@@ -44,48 +41,60 @@ def state_with_gas_pressure(p_gas: float, fill: float = 0.6) -> PlantState:
     return PlantState(m_g=m_g, m_l=m_l)
 
 
+def outputs_at(numpy_plant, state, inputs):
+    """The reference chain's pressures, densities and flows for one state."""
+    return numpy_plant.outputs(state.m_g, state.m_l, inputs.Q_g, inputs.v_o, inputs.P_pump,
+                               PARAMS)
+
+
+def logged_outputs(numpy_plant, traj):
+    """The reference chain at every logged sample, under that sample's inputs."""
+    return numpy_plant.outputs(traj.m_g, traj.m_l, traj.Q_g, traj.v_o, traj.P_pump, PARAMS)
+
+
+def final_rate(numpy_plant, traj):
+    """Largest relative mass derivative (1/s) at the last logged sample."""
+    m_g, m_l = traj.m_g[-1], traj.m_l[-1]
+    dm_g, dm_l = numpy_plant.rhs(m_g, m_l, traj.Q_g[-1] * SL_PER_MIN_TO_KG_S, traj.v_o[-1],
+                                 traj.P_pump[-1] * BAR_TO_PA, PARAMS)
+    return max(np.max(np.abs(dm_g) / m_g), np.max(np.abs(dm_l) / m_l))
+
+
 class TestAlgebraicChain:
-    def test_ideal_gas_density_hand_value(self):
+    def test_ideal_gas_density_hand_value(self, numpy_plant):
         # rho_g = P*M/(R*T) = 1.2e5 * 0.02897 / (8.314 * 298.15) = 1.4024 kg/m^3
-        out = solve_algebraic(state_with_gas_pressure(1.2e5), MID, PARAMS)
+        out = outputs_at(numpy_plant, state_with_gas_pressure(1.2e5), MID)
         assert out.P_bi == pytest.approx(1.2e5, rel=1e-12)
         assert out.rho_g == pytest.approx(1.4024, abs=5e-4)
 
-    def test_zero_valve_opening_kills_reservoir_inflow(self):
+    def test_zero_valve_opening_kills_reservoir_inflow(self, numpy_plant):
         inp = PlantInputs(Q_g=[3.0, 3.0, 3.0], v_o=[0.0, 1.0, 0.0], P_pump=2.65)
-        out = solve_algebraic(state_with_gas_pressure(1.2e5), inp, PARAMS)
+        out = outputs_at(numpy_plant, state_with_gas_pressure(1.2e5), inp)
         assert out.w_l[0] == 0.0 and out.w_l[2] == 0.0
         assert out.w_l[1] > 0.0
 
-    def test_split_and_volume_identities(self):
-        out = solve_algebraic(state_with_gas_pressure(1.3e5), MID, PARAMS)
+    def test_split_and_volume_identities(self, numpy_plant):
+        out = outputs_at(numpy_plant, state_with_gas_pressure(1.3e5), MID)
         assert np.all(out.w_l_out + out.w_g_out == out.w_total)
         assert np.all(out.V_g + out.V_l == PARAMS.V_total)
         st_ = state_with_gas_pressure(1.3e5)
         np.testing.assert_allclose(out.alpha_l * (st_.m_g + st_.m_l), st_.m_l, rtol=1e-14)
         assert np.all((out.alpha_l >= 0.0) & (out.alpha_l <= 1.0))
 
-    def test_gas_injection_conversion(self):
-        out = solve_algebraic(state_with_gas_pressure(1.2e5), MID, PARAMS)
+    def test_gas_injection_conversion(self, numpy_plant):
+        out = outputs_at(numpy_plant, state_with_gas_pressure(1.2e5), MID)
         np.testing.assert_allclose(out.w_g, 3.0 * SL_PER_MIN_TO_KG_S)
 
-    def test_pump_below_injection_pressure_raises(self):
+    def test_pump_below_injection_pressure_raises(self, numpy_plant):
         state = state_with_gas_pressure(3.0e5)
         inp = PlantInputs(Q_g=[3.0] * 3, v_o=[1.0] * 3, P_pump=1.3)
         with pytest.raises(NegativeSqrtArgument):
-            solve_algebraic(state, inp, PARAMS)
+            outputs_at(numpy_plant, state, inp)
 
-    def test_clamp_mode_zeroes_flow_and_warns(self):
-        state = state_with_gas_pressure(3.0e5)
-        inp = PlantInputs(Q_g=[3.0] * 3, v_o=[1.0] * 3, P_pump=1.3)
-        with pytest.warns(ClampedFlowWarning):
-            out = solve_algebraic(state, inp, PARAMS, clamp=True)
-        assert np.all(out.w_l == 0.0)
-
-    def test_full_pipe_is_degenerate(self):
+    def test_full_pipe_is_degenerate(self, numpy_plant):
         m_l = np.full(3, PARAMS.V_total * PARAMS.rho_l * 1.0001)
         with pytest.raises(DegenerateHoldup):
-            solve_algebraic(PlantState(m_g=[1e-4] * 3, m_l=m_l), MID, PARAMS)
+            outputs_at(numpy_plant, PlantState(m_g=[1e-4] * 3, m_l=m_l), MID)
 
 
 class TestParamsAndStateValidation:
@@ -128,19 +137,6 @@ class TestParamsAndStateValidation:
 
 
 class TestStep:
-    def test_exact_steady_point_is_fixed(self):
-        # all four flows identically zero: closed top valve branch (P_rh < P_atm
-        # under clamping), closed reservoir valve, no injection
-        state = state_with_gas_pressure(1.02e5, fill=0.3)
-        inp = PlantInputs(Q_g=[0.0] * 3, v_o=[0.0] * 3, P_pump=2.65)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClampedFlowWarning)
-            out = solve_algebraic(state, inp, PARAMS, clamp=True)
-            assert np.all(out.w_total == 0.0) and np.all(out.w_l == 0.0)
-            nxt = step(state, inp, PARAMS, 1.0, clamp=True)
-        np.testing.assert_array_equal(nxt.m_g, state.m_g)
-        np.testing.assert_array_equal(nxt.m_l, state.m_l)
-
     def test_settled_state_barely_moves(self):
         traj = simulate_experiment(MID, 400.0, PARAMS, default_initial_state(PARAMS))
         settled = traj.final_state
@@ -183,59 +179,50 @@ class TestStep:
 
 
 class TestSimulateExperiment:
-    def test_mid_range_reaches_steady_state_in_100s(self):
+    def test_mid_range_reaches_steady_state_in_100s(self, numpy_plant):
         traj = simulate_experiment(MID, 100.0, PARAMS, default_initial_state(PARAMS))
-        assert traj.steady_state_reached
+        assert final_rate(numpy_plant, traj) < 1.0e-4
         assert len(traj) == 101
         assert traj.t[0] == 0.0 and traj.t[-1] == 100.0
 
-    def test_zero_duration_single_sample(self):
+    def test_zero_duration_single_sample(self, numpy_plant):
         traj = simulate_experiment(MID, 0.0, PARAMS, default_initial_state(PARAMS))
         assert len(traj) == 1
-        assert not traj.steady_state_reached  # startup transient, not settled
+        assert final_rate(numpy_plant, traj) >= 1.0e-4  # startup transient, not settled
 
     def test_determinism_bitwise(self):
         a = simulate_experiment(MID, 30.0, PARAMS, default_initial_state(PARAMS))
         b = simulate_experiment(MID, 30.0, PARAMS, default_initial_state(PARAMS))
         np.testing.assert_array_equal(a.m_g, b.m_g)
         np.testing.assert_array_equal(a.m_l, b.m_l)
-        np.testing.assert_array_equal(a.algebraic["P_rh"], b.algebraic["P_rh"])
 
-    def test_pressure_ordering_every_sample(self):
+    def test_pressure_ordering_every_sample(self, numpy_plant):
         traj = simulate_experiment(MID, 120.0, PARAMS, default_initial_state(PARAMS))
+        out = logged_outputs(numpy_plant, traj)
         pp = MID.P_pump * BAR_TO_PA
-        assert np.all(pp > traj.algebraic["P_bi"])
-        assert np.all(traj.algebraic["P_bi"] > traj.algebraic["P_rh"])
-        assert np.all(traj.algebraic["P_rh"] > PARAMS.P_atm)
+        assert np.all(pp > out.P_bi)
+        assert np.all(out.P_bi > out.P_rh)
+        assert np.all(out.P_rh > PARAMS.P_atm)
 
-    def test_mass_balance_quadrature(self):
+    def test_mass_balance_quadrature(self, numpy_plant):
         # 1 Hz trapezoid cannot resolve the sub-second startup spike, so the
         # conservation check uses the smooth window after it
         traj = simulate_experiment(MID, 80.0, PARAMS, default_initial_state(PARAMS))
+        out = logged_outputs(numpy_plant, traj)
         lo, hi = 15, 80
-        net = traj.algebraic["w_g"] + traj.algebraic["w_l"] - traj.algebraic["w_total"]
+        net = out.w_g + out.w_l - out.w_total
         integral = np.trapezoid(net[lo:hi + 1].sum(axis=1), traj.t[lo:hi + 1])
         total_lo = traj.m_g[lo].sum() + traj.m_l[lo].sum()
         total_hi = traj.m_g[hi].sum() + traj.m_l[hi].sum()
         assert total_hi - total_lo == pytest.approx(integral, rel=1e-3, abs=1e-9)
 
-    def test_monotone_liquid_inflow_in_opening(self):
+    def test_monotone_liquid_inflow_in_opening(self, numpy_plant):
         rates = []
         for vo in (0.6, 0.8, 1.0):
             inp = PlantInputs(Q_g=[3.0] * 3, v_o=[vo] * 3, P_pump=2.65)
             traj = simulate_experiment(inp, 200.0, PARAMS, default_initial_state(PARAMS))
-            rates.append(traj.algebraic["w_l"][-1, 0])
+            rates.append(logged_outputs(numpy_plant, traj).w_l[-1, 0])
         assert rates[0] < rates[1] < rates[2]
-
-    def test_measurement_noise_applied_to_logs_only(self):
-        clean = simulate_experiment(MID, 20.0, PARAMS, default_initial_state(PARAMS))
-        noisy = simulate_experiment(MID, 20.0, PARAMS, default_initial_state(PARAMS),
-                                    noise_std=1e-3, seed=7)
-        assert not np.array_equal(clean.m_l, noisy.m_l)
-        np.testing.assert_array_equal(clean.final_state.m_l, noisy.final_state.m_l)
-        again = simulate_experiment(MID, 20.0, PARAMS, default_initial_state(PARAMS),
-                                    noise_std=1e-3, seed=7)
-        np.testing.assert_array_equal(noisy.m_l, again.m_l)
 
 
 class TestSimulateSchedule:
@@ -281,12 +268,12 @@ def feasible_case(draw):
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(feasible_case())
-    def test_chain_invariants_hold(self, case):
+    def test_chain_invariants_hold(self, numpy_plant, case):
         fill, p_gas, qg, vo, pp = case
         state = state_with_gas_pressure(p_gas, fill)
         inp = PlantInputs(Q_g=[qg] * 3, v_o=[vo] * 3, P_pump=pp)
         try:
-            out = solve_algebraic(state, inp, PARAMS)
+            out = outputs_at(numpy_plant, state, inp)
         except NegativeSqrtArgument:
             return  # infeasible corner, policy covered elsewhere
         assert np.all((out.alpha_l >= 0.0) & (out.alpha_l <= 1.0))
@@ -321,33 +308,25 @@ def outcome(fn, *args, **kwargs):
         return type(exc)
 
 
-def assert_same_trajectory(traj, t, m_g, m_l, algebraic, final_t):
+def assert_same_trajectory(traj, t, m_g, m_l, final_t):
     np.testing.assert_array_equal(traj.t, t)
     np.testing.assert_array_equal(traj.m_g, m_g)
     np.testing.assert_array_equal(traj.m_l, m_l)
-    for name in ALGEBRAIC_FIELDS:
-        np.testing.assert_array_equal(traj.algebraic[name], algebraic[name], err_msg=name)
     np.testing.assert_array_equal(traj.final_state.m_g, m_g[-1])
     np.testing.assert_array_equal(traj.final_state.m_l, m_l[-1])
     assert traj.final_state.t == final_t
 
 
 class TestKernelMatchesNumpyReference:
-    """The per-well float kernel equals the numpy RK4 over the algebraic chain
-    bit for bit, errors and clamping included."""
+    """The per-well float kernel equals the numpy RK4 over the reference
+    chain bit for bit, errors included."""
 
     @settings(max_examples=60, deadline=None)
-    @given(feasible_case(), st.sampled_from([INTERNAL_DT, 1.0]), st.booleans())
-    def test_step(self, numpy_plant, case, dt, clamp):
+    @given(feasible_case(), st.sampled_from([INTERNAL_DT, 1.0]))
+    def test_step(self, numpy_plant, case, dt):
         state, inputs = spread_case(case)
-        if clamp:
-            # pump below the injection-point pressure: the clamp must act
-            inputs = PlantInputs(Q_g=inputs.Q_g, v_o=inputs.v_o,
-                                 P_pump=0.9 * case[1] / BAR_TO_PA)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClampedFlowWarning)
-            want = outcome(numpy_plant.step, state, inputs, PARAMS, dt, clamp)
-            got = outcome(step, state, inputs, PARAMS, dt, clamp=clamp)
+        want = outcome(numpy_plant.step, state, inputs, PARAMS, dt)
+        got = outcome(step, state, inputs, PARAMS, dt)
         if isinstance(want, type):
             assert got is want
             return
@@ -358,24 +337,15 @@ class TestKernelMatchesNumpyReference:
     def check_experiment(self, numpy_plant, inputs, duration, state):
         got = outcome(simulate_experiment, inputs, duration, PARAMS, state)
         n = int(math.floor(duration))
-        w_g, pp_pa = inputs.Q_g * SL_PER_MIN_TO_KG_S, inputs.P_pump * BAR_TO_PA
         ref = outcome(numpy_plant.log, state.m_g, state.m_l, np.tile(inputs.Q_g, (n, 1)),
                       np.tile(inputs.v_o, (n, 1)), np.full(n, inputs.P_pump), PARAMS)
         if isinstance(ref, type):
             assert got is ref
             return None
-        m_g, m_l, algebraic = ref
-        first = plant._chain(state.m_g, state.m_l, w_g, inputs.v_o, pp_pa, PARAMS, False)
+        m_g, m_l = ref
         assert_same_trajectory(
             got, [state.t + i * 1.0 for i in range(n + 1)],
-            np.vstack([state.m_g, m_g]), np.vstack([state.m_l, m_l]),
-            {name: np.vstack([first[k], algebraic[name]])
-             for k, name in enumerate(ALGEBRAIC_FIELDS)},
-            state.t + n * 1.0)
-        dm_g, dm_l = numpy_plant.rhs(m_g[-1], m_l[-1], w_g, inputs.v_o, pp_pa, PARAMS, False)
-        rel = max(np.max(np.abs(dm_g) / np.abs(m_g[-1])),
-                  np.max(np.abs(dm_l) / np.abs(m_l[-1])))
-        assert got.steady_state_reached == (rel < 1.0e-4)
+            np.vstack([state.m_g, m_g]), np.vstack([state.m_l, m_l]), state.t + n * 1.0)
         return got
 
     @settings(max_examples=20, deadline=None)
@@ -386,7 +356,7 @@ class TestKernelMatchesNumpyReference:
 
     def test_simulate_experiment_to_steady_state(self, numpy_plant):
         traj = self.check_experiment(numpy_plant, MID, 100.0, default_initial_state(PARAMS))
-        assert traj.steady_state_reached
+        assert final_rate(numpy_plant, traj) < 1.0e-4
 
     @settings(max_examples=20, deadline=None)
     @given(feasible_case(), st.integers(1, 8),
@@ -401,29 +371,17 @@ class TestKernelMatchesNumpyReference:
         if isinstance(ref, type):
             assert got is ref
             return
-        m_g, m_l, algebraic = ref
+        m_g, m_l = ref
         n = 3 * hold
         assert_same_trajectory(got, [state.t + (i + 1) * 1.0 for i in range(n)],
-                               m_g, m_l, algebraic, state.t + n * 1.0)
+                               m_g, m_l, state.t + n * 1.0)
 
 
 class TestInfeasiblePlateau:
-    @pytest.fixture(scope="class")
-    def settled(self):
+    def test_schedule_raises_typed_error(self, numpy_plant):
         start = simulate_experiment(MID, 150.0, PARAMS, default_initial_state(PARAMS))
-        low = 0.9 * solve_algebraic(start.final_state, MID, PARAMS).P_bi.min() / BAR_TO_PA
-        return start.final_state, low
-
-    def test_schedule_raises_typed_error(self, settled):
-        start, low = settled
+        low = 0.9 * outputs_at(numpy_plant, start.final_state, MID).P_bi.min() / BAR_TO_PA
         # the second plateau's pump sits below every injection-point pressure
         with pytest.raises(NegativeSqrtArgument):
             simulate_schedule(np.full((2, 3), 3.0), np.ones((2, 3)), np.array([2.65, low]),
-                              10, PARAMS, start)
-
-    def test_clamped_step_warns_and_stays_finite(self, settled):
-        start, low = settled
-        inputs = PlantInputs(Q_g=[3.0] * 3, v_o=[1.0] * 3, P_pump=low)
-        with pytest.warns(ClampedFlowWarning):
-            nxt = step(start, inputs, PARAMS, INTERNAL_DT, clamp=True)
-        assert np.all(np.isfinite(nxt.m_g)) and np.all(np.isfinite(nxt.m_l))
+                              10, PARAMS, start.final_state)

@@ -180,10 +180,6 @@ class TestValidTargetRows:
         rows = valid_target_rows(12, hold=4, max_lag=2)
         assert rows.tolist() == [2, 3, 6, 7, 10, 11]
 
-    def test_crossing_keeps_switch_rows(self):
-        rows = valid_target_rows(12, hold=4, max_lag=2, include_crossing=True)
-        assert rows.tolist() == list(range(2, 12))
-
     def test_three_sample_plateau_first_order(self):
         rows = valid_target_rows(3, hold=3, max_lag=1)
         assert rows.tolist() == [1, 2]
