@@ -250,7 +250,14 @@ def sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarr
     values are numpy's bit for bit. Only the sign of a zero can differ: the
     sort may order a tied ``-0.0`` and ``0.0`` otherwise than numpy's
     partition does. Returns (len(levels), m)."""
-    below, above, gamma, rest, upper = quantile_plan(len(ordered), levels)
+    return planned_quantiles(ordered, quantile_plan(len(ordered), levels))
+
+
+def planned_quantiles(ordered: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``sorted_quantiles`` through ``plan = quantile_plan(len(ordered),
+    levels)``, fetched once by a caller that reads the same levels of
+    samples of one size again and again."""
+    below, above, gamma, rest, upper = plan
     a, b = ordered[below], ordered[above]
     diff = b - a
     out = a + diff * gamma
@@ -294,10 +301,17 @@ def propagate_uncertainty(
     members = np.atleast_2d(np.asarray(members, dtype=float))
     if len(members) == 0:
         raise InvalidRegion("ensemble is empty")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidRegion(f"confidence {confidence} outside (0, 1)")
     with np.errstate(over="ignore", invalid="ignore"):
         paths = simulate_closed_loop(members, spec, layout, y_window, U)
+    return _coverage(paths, confidence)
+
+
+def _coverage(paths: np.ndarray, confidence: float) -> CoverageSeries:
+    """The per-step band of free-run ``paths``, (members, steps): the one
+    path from free runs to a band. Paths with a non-finite value are dropped
+    with a warning; at least one must survive."""
+    if not 0.0 < confidence < 1.0:
+        raise InvalidRegion(f"confidence {confidence} outside (0, 1)")
     ok = np.isfinite(paths).all(axis=1)
     if not ok.all():
         warnings.warn(
@@ -346,6 +360,12 @@ def reduce_ensemble(
     array, is a fresh draw of ceil(safety_factor * inflection) rows of
     ``samples``. If even the largest tested size has degenerated every
     sample is returned, with a warning.
+
+    A sample's free run does not depend on the other samples, so every
+    sample is run once, in one ``simulate_closed_loop`` call, and each band,
+    the full one and each candidate's, reads its rows of those paths. As in
+    ``propagate_uncertainty``, each band drops its diverged members with a
+    warning of its own.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = len(samples)
@@ -355,10 +375,9 @@ def reduce_ensemble(
     if sizes[0] > n or sizes[-1] < 1:
         raise ValueError("sizes must lie within the sample count")
 
-    full = propagate_uncertainty(
-        samples, spec, layout, y_window, U, confidence=confidence
-    )
-    w_full = float(np.mean(full.width()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = simulate_closed_loop(samples, spec, layout, y_window, U)
+    w_full = float(np.mean(_coverage(paths, confidence).width()))
     rng = np.random.Generator(np.random.PCG64(seed))
 
     ratios = []
@@ -367,9 +386,7 @@ def reduce_ensemble(
         if w_full == 0.0:
             ratios.append(1.0)       # zero-width bands cannot degenerate
             continue
-        sub = propagate_uncertainty(
-            samples[idx], spec, layout, y_window, U, confidence=confidence
-        )
+        sub = _coverage(paths[idx], confidence)
         ratios.append(float(np.mean(sub.width())) / w_full)
 
     inflection = None

@@ -8,10 +8,12 @@ generated at the current plant condition; when it is unknown, live samples are
 buffered until enough are available.
 
 Each 1 Hz step evaluates every channel's point weights and ensemble with one
-forward pass per group of like channels, reads each coverage band from one
-sort of the member predictions per member count (two order statistics and
-``np.quantile``'s linear interpolation, planned once per member count and
-confidence), and checks every channel's measurement against its band at once.
+forward pass per group of like channels, through a ``ForwardPlan`` the group
+built once (layer views into its weight stack and one output buffer per
+layer), reads each coverage band from one sort of the member predictions per
+member count (two order statistics and ``np.quantile``'s linear
+interpolation, planned once per member count and confidence when the group
+is built), and checks every channel's measurement against its band at once.
 One ``ViolationWindow`` then counts every channel's violations over the
 moving horizon: a ring of the last MH violation masks, a ring that delays each
 mask by ``a_offset - 1`` steps, and the counts and latched trigger flags as
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import sorted_quantiles
+from .bayes import planned_quantiles, quantile_plan, sorted_quantiles
 from .doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from .errors import (
     ArtifactMismatch,
@@ -36,7 +38,7 @@ from .errors import (
     OfflineInstanceUnavailable,
     ShapeMismatch,
 )
-from .network import NetworkSpec, forward, train
+from .network import ForwardPlan, NetworkSpec, forward, train
 from .plant import CHANNEL_NAMES, PlantParams, PlantState, simulate_schedule
 from .structure import NarxLayout, NormalizationSpec, build_lag_matrix, split_rows
 
@@ -235,13 +237,16 @@ class _ChannelGroup:
 
     ``weights`` is (channels, 1 + max members, n_params): row 0 of a channel
     is its point weights, rows 1..n_members its ensemble, and any rows past
-    those are zero padding that no quantile sees. The channels with the same
-    member count share one sort of their member predictions, and
-    ``bayes.sorted_quantiles`` reads both bounds from it through the cached
-    order-statistic plan of that count. ``offset`` and ``scale``
-    stack each channel's ``regressor_scaling``, so one subtraction and one
-    division normalize every row; ``y_offset`` and ``y_scale`` stack each
-    channel's ``target_scaling`` to denormalize the bands.
+    those are zero padding that no quantile sees. ``plan`` is the
+    ``ForwardPlan`` of that stack on one regressor row per channel, built
+    here, so a group built again after a retrain gets a new one. The
+    channels with the same member count share one sort of their member
+    predictions, and ``bayes.planned_quantiles`` reads both bounds from it
+    through the order-statistic plan of that count, fetched here.
+    ``offset`` and ``scale`` stack each channel's ``regressor_scaling``, so
+    one subtraction and one division normalize every row; ``y_offset`` and
+    ``y_scale`` stack each channel's ``target_scaling`` to denormalize the
+    bands.
     """
 
     def __init__(self, models: list[OnlineChannelModel], weights: np.ndarray,
@@ -249,16 +254,18 @@ class _ChannelGroup:
         self.channels = tuple(m.channel for m in models)
         self.spec, self.layout = models[0].spec, models[0].layout
         self.weights = weights
+        self.plan = ForwardPlan(weights, self.spec, (len(models), 1, 1, self.layout.width))
         self.n_members = np.array([m.n_members for m in models])
-        # (member count, channel rows) pairs: one sort per distinct count
-        self.by_count = [(n, _indexer(np.flatnonzero(self.n_members == n)))
+        alpha = (1.0 - confidence) / 2.0
+        self.levels = (alpha, 1.0 - alpha)
+        # (member count, channel rows, quantile plan): one sort per distinct count
+        self.by_count = [(n, _indexer(np.flatnonzero(self.n_members == n)),
+                          quantile_plan(int(n), self.levels))
                          for n in np.unique(self.n_members)]
         scaling = [m.norm.regressor_scaling(self.layout) for m in models]
         self.offset = np.stack([offset for offset, _ in scaling])
         self.scale = np.stack([scale for _, scale in scaling])
         self.y_offset, self.y_scale = np.array([m.norm.target_scaling() for m in models]).T
-        alpha = (1.0 - confidence) / 2.0
-        self.levels = (alpha, 1.0 - alpha)
 
     def band(self, x: np.ndarray) -> np.ndarray:
         """Point, lower and upper bound, (3, channels) in engineering units,
@@ -266,25 +273,24 @@ class _ChannelGroup:
         normalizes in place."""
         x -= self.offset
         x /= self.scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            preds = forward(self.weights, self.spec, x[:, None, None, :])[..., 0]
-        point, members = preds[:, 0], preds[:, 1:]
-        q = self.levels
         out = np.empty((3, len(self.channels)))
-        out[0] = point
-        with np.errstate(invalid="ignore"):
-            for n, rows in self.by_count:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a view of the plan's buffer, copied into ``out`` below
+            preds = forward(self.plan, self.spec, x[:, None, None, :])[..., 0]
+            point, members = preds[:, 0], preds[:, 1:]
+            out[0] = point
+            for n, rows, plan in self.by_count:
                 ordered = np.sort(members[rows, :n], axis=1).T
-                out[1:, rows] = sorted_quantiles(ordered, q)
+                out[1:, rows] = planned_quantiles(ordered, plan)
         if not np.isfinite(preds).all():
             for c in np.flatnonzero(~np.isfinite(preds).all(axis=1)):
                 n = self.n_members[c]
-                out[1:, c] = self._finite_quantile(c, point[c], members[c, :n], q)
+                out[1:, c] = self._finite_quantile(c, point[c], members[c, :n])
         out *= self.y_scale
         out += self.y_offset
         return out
 
-    def _finite_quantile(self, c: int, point: float, preds: np.ndarray, q):
+    def _finite_quantile(self, c: int, point: float, preds: np.ndarray):
         finite = np.isfinite(preds)
         if not finite.all():
             warnings.warn(
@@ -296,7 +302,7 @@ class _ChannelGroup:
             raise InvalidRegion(
                 f"no finite predictions available on {self.channels[c]}"
             )
-        return sorted_quantiles(np.sort(preds[finite])[:, None], q)[:, 0]
+        return sorted_quantiles(np.sort(preds[finite])[:, None], self.levels)[:, 0]
 
 
 def transfer_warm_start(artifact: OfflineArtifact) -> OnlineChannelModel:
@@ -619,11 +625,13 @@ class CognitiveTwin:
     Channels that share a network shape and a lag layout form one group, and
     the group's weights are one stack with a leading channel axis: one
     regressor row per channel, one forward over every channel's point weights
-    and members, one sort per member count read through the cached
-    order-statistic plan of ``np.quantile``'s linear method, and one
-    denormalisation give the whole group's bands per step. The stacks are
-    the only copy of the weights (each model's ``weights`` is a view into its
-    group's stack); they are built here and again after every retrain.
+    and members, one sort per member count read through the order-statistic
+    plan of ``np.quantile``'s linear method, and one denormalisation give the
+    whole group's bands per step. The stacks are the only copy of the weights
+    (each model's ``weights`` is a view into its group's stack); they are
+    built here and again after every retrain, and each group builds its
+    forward plan (layer views and buffers) and fetches its quantile plans
+    with them, so a step allocates no layer output and makes no cache lookup.
 
     One ``ViolationWindow`` counts every channel's violations; ``max_z``
     reads it and ``retrain`` resets it. The output history and the input

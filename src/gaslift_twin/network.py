@@ -10,6 +10,15 @@ n_params) stack on rows shaped (channels, 1, 1, width), one regressor row
 per channel, in one call. Each matmul then takes a single row, the same
 float operations as a single parameter vector on a single row.
 
+A caller that evaluates the same stack on rows of the same shape again and
+again builds a ``ForwardPlan`` once: each layer's weights and bias as views
+into the stack, and one output buffer per layer. ``forward`` on a plan
+fills those buffers in place and returns a view of the last one, which the
+next call overwrites, so the caller copies what it keeps. ``forward`` on
+plain weights builds a plan for the one call, so both run one kernel. The
+online twin keeps one plan per channel group and ``simulate_closed_loop``
+one per free run.
+
 Training takes a stack too. ``train`` fine-tunes R parameter rows, shaped
 (..., n_params), on one shared regressor matrix with one target row per
 parameter row, in one Adam loop: the rows draw the same mini-batches, and
@@ -208,34 +217,64 @@ def _forward_trace(theta: np.ndarray, spec: NetworkSpec, X: np.ndarray):
     return zs, acts
 
 
+class ForwardPlan:
+    """A weight stack set up for ``forward`` on rows of one shape.
+
+    ``theta`` is the stack itself, (..., n_params), not a copy. ``layers``
+    holds per layer its weight matrix and its bias as views into it, the
+    activation and one output buffer, allocated here with the shape that
+    layer's output has on ``rows_shape``. Since the weights are views, writes
+    into the stack show at the next call. ``out`` is the view of the last
+    buffer that ``forward`` returns.
+    """
+
+    def __init__(self, weights, spec: NetworkSpec, rows_shape: tuple[int, ...]):
+        self.theta = _theta_of(weights)
+        self.rows_shape = tuple(rows_shape)
+        if self.rows_shape[-1:] != (spec.n_inputs,):
+            raise ShapeMismatch(
+                f"regressor rows {self.rows_shape}, network expects width {spec.n_inputs}"
+            )
+        single_row = len(self.rows_shape) == 1
+        n_rows = 1 if single_row else self.rows_shape[-2]
+        lead = np.broadcast_shapes(self.rows_shape[:-2], self.theta.shape[:-1])
+        self.layers = []
+        for (W, b), kind in zip(_layers(self.theta, spec), spec.activations):
+            z = np.empty((*lead, n_rows, W.shape[-1]))
+            self.layers.append((W, b[..., None, :], kind, z))
+        self.out = z[..., 0, 0] if single_row else z[..., 0]
+
+
 def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
     """One-step-ahead predictions for regressor rows in normalized units.
 
     A single row yields a scalar, a (batch, width) matrix a vector, and a
     parameter stack (m, n_params) adds a leading member axis.
 
-    Keeps no backprop trace: each layer's pre-activation is one fresh matmul
-    result that the bias and the activation then update in place, so a pass
-    allocates one array per layer. The bits are those of ``_forward_trace``,
-    which ``gradient`` uses.
+    ``weights`` may be a ``ForwardPlan`` built with ``spec`` for rows of
+    this shape; other rows raise ShapeMismatch. The result is then a view of
+    the plan's last buffer, valid until the next call on the plan. Plain
+    weights get a plan of their own for this call.
+
+    Keeps no backprop trace: each layer's matmul writes into its buffer,
+    and the bias and the activation then update it in place. The bits are
+    those of ``_forward_trace``, which ``gradient`` uses.
     """
-    theta = _theta_of(weights)
     X = np.asarray(rows, dtype=float)
-    single_row = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.shape[-1] != spec.n_inputs:
-        raise ShapeMismatch(
-            f"regressor width {X.shape[-1]}, network expects {spec.n_inputs}"
-        )
-    a = X
-    for (W, b), kind in zip(_layers(theta, spec), spec.activations):
-        z = np.matmul(a, W)
-        z += b[..., None, :]
+    if isinstance(weights, ForwardPlan):
+        plan = weights
+        if X.shape != plan.rows_shape:
+            raise ShapeMismatch(
+                f"rows {X.shape}, the plan was built for {plan.rows_shape}"
+            )
+    else:
+        plan = ForwardPlan(weights, spec, X.shape)
+    a = X if X.ndim > 1 else X[None]
+    for W, b, kind, z in plan.layers:
+        np.matmul(a, W, out=z)
+        z += b
         a = _act(z, kind, out=z)
-    out = a[..., 0]
-    if single_row:
-        return out[..., 0]
-    return out
+    return plan.out
 
 
 def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -471,7 +510,8 @@ def simulate_closed_loop(
     the run, and each row after them is the held input sample driving the
     step into one prediction, so len(U) - n_a + 1 steps are predicted.
     Works in normalized units and accepts stacked parameter vectors, in
-    which case the result gains a leading member axis.
+    which case the result gains a leading member axis. Every step runs
+    ``forward`` on one plan built for the run.
     """
     theta = _theta_of(weights)
     y_window = np.asarray(y_window, dtype=float).ravel()
@@ -490,9 +530,10 @@ def simulate_closed_loop(
     lead = theta.shape[:-1]
     lags = np.broadcast_to(y_window[-layout.n_b :][::-1], (*lead, layout.n_b)).copy()
     out = np.empty((*lead, n_steps))
+    plan = ForwardPlan(theta, spec, (*lead, 1, layout.width))
     for t in range(n_steps):
         row = layout.regressors(lags, u_lags[t])
-        pred = forward(theta, spec, row[..., None, :])[..., 0]
+        pred = forward(plan, spec, row[..., None, :])[..., 0]
         out[..., t] = pred
         if layout.n_b > 1:
             lags[..., 1:] = lags[..., :-1]

@@ -11,6 +11,7 @@ input depths are refined separately against the converged index value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def lipschitz_coefficients(
         d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
         np.clip(d2, 0.0, None, out=d2)
         dy = np.abs(y[:, None] - y[None, :])
-        iu = np.triu_indices(n, k=1)
+        iu = _upper_pairs(n)
         d2, dy = d2[iu], dy[iu]
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -157,6 +158,29 @@ def lipschitz_coefficients(
     if not keep.any():
         raise AllPairsDegenerate("every regressor pair is coincident")
     return dy[keep] / np.sqrt(d2[keep])
+
+
+@lru_cache(maxsize=1)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only. Every level of an embedding
+    sweep has the same row count, so the last ``n`` is the one kept."""
+    pairs = np.triu_indices(n, k=1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _unique_columns(X: np.ndarray) -> np.ndarray:
+    """``np.unique(X, axis=1)`` of a 2-D ``X`` without its structured-dtype
+    sort: the distinct columns in the same lexicographic order (row 0 the
+    first key), and in the same F-contiguous layout, which the float
+    reductions over the result depend on. Only the sign of a zero can
+    differ, where two columns differ by nothing else."""
+    order = np.lexsort(X[::-1])
+    ordered = X[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    return X.T[order[first]].T
 
 
 def lipschitz_index(
@@ -243,8 +267,9 @@ def select_embedding_channel(
     constant within a plateau) are collapsed before pair distances: they
     carry no information but would rescale distances with lag count. The
     joint sweep fixes the lag depth; the output-lag and input-lag counts are
-    then refined by the same flattening rule along their own curves. Raises
-    NoPlateau if the joint curve never flattens within n_max.
+    then refined by the same flattening rule along their own curves. The
+    sweeps share some (n_b, n_a) levels, and each level is computed once.
+    Raises NoPlateau if the joint curve never flattens within n_max.
     """
     y = np.asarray(y, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -259,11 +284,14 @@ def select_embedding_channel(
     targets = yn[rows]
     p = max(1, int(np.ceil(0.015 * len(rows))))
 
+    levels: dict[tuple[int, int], float] = {}
+
     def level_at(n_b: int, n_a: int) -> float:
-        X = NarxLayout(n_b, n_a, n_u).regressors(y_lags, u_lags)
-        X = np.unique(X, axis=1)
-        coeffs = lipschitz_coefficients(X, targets, seed=seed)
-        return lipschitz_index(coeffs, 1, p=p)
+        if (n_b, n_a) not in levels:
+            X = _unique_columns(NarxLayout(n_b, n_a, n_u).regressors(y_lags, u_lags))
+            coeffs = lipschitz_coefficients(X, targets, seed=seed)
+            levels[n_b, n_a] = lipschitz_index(coeffs, 1, p=p)
+        return levels[n_b, n_a]
 
     joint = [level_at(n, n) for n in range(1, n_max + 1)]
     joint_order = plateau_order(joint, plateau_rel_tol)

@@ -1,13 +1,20 @@
 import math
+import warnings
 from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from gaslift_twin import bayes
 from gaslift_twin import network as nw
 from gaslift_twin import plant
-from gaslift_twin.errors import DegenerateHoldup, DivergedLoss, NegativeSqrtArgument
+from gaslift_twin.errors import (
+    DegenerateHoldup,
+    DivergedLoss,
+    NegativeSqrtArgument,
+    NoInflectionWarning,
+)
 from gaslift_twin.structure import build_lag_matrix, split_rows
 
 
@@ -292,6 +299,40 @@ def reference_log(m_g, m_l, Q_g, v_o, P_pump, params):
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
+def reference_reduce(samples, spec, layout, y_window, U, sizes, seed, *,
+                     degeneration_tol=0.1, confidence=0.95, safety_factor=1.25):
+    """``bayes.reduce_ensemble`` with one ``propagate_uncertainty`` free run
+    per band, the full ensemble's and each candidate size's, as it ran before
+    every sample was free-run once; the reference the one-run reduction must
+    match bit for bit, warnings included."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    n = len(samples)
+    full = bayes.propagate_uncertainty(samples, spec, layout, y_window, U,
+                                       confidence=confidence)
+    w_full = float(np.mean(full.width()))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ratios = []
+    for size in sizes:
+        idx = rng.choice(n, size=size, replace=False)
+        if w_full == 0.0:
+            ratios.append(1.0)
+            continue
+        sub = bayes.propagate_uncertainty(samples[idx], spec, layout, y_window, U,
+                                          confidence=confidence)
+        ratios.append(float(np.mean(sub.width())) / w_full)
+    inflection = next((size for size, ratio in sorted(zip(sizes, ratios))
+                       if ratio >= 1.0 - degeneration_tol), None)
+    if inflection is None:
+        warnings.warn("coverage width degenerates at every tested size; keeping "
+                      "the full ensemble", NoInflectionWarning)
+        return samples.copy(), bayes.ReductionReport(tuple(sizes), tuple(ratios), None, n)
+    chosen = min(n, int(np.ceil(safety_factor * inflection)))
+    idx = rng.choice(n, size=chosen, replace=False)
+    idx.sort()
+    return samples[idx], bayes.ReductionReport(tuple(sizes), tuple(ratios),
+                                               inflection, chosen)
+
+
 def _step_matches_predict(twin, Y, U, steps=None):
     """Step ``twin`` through rows ``steps`` (all by default) of the stream and
     require every monitored step's point, lower and upper bound to equal, bit
@@ -328,6 +369,11 @@ def retrain_reference():
 @pytest.fixture
 def train_reference():
     return reference_train
+
+
+@pytest.fixture
+def reduce_reference():
+    return reference_reduce
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -356,3 +358,57 @@ class TestReduceEnsemble:
                 members, CONST_SPEC, CONST_LAYOUT, np.array([0.0]), np.zeros((3, 1)),
                 sizes=(30, 10), seed=0,
             )
+
+
+class TestReduceOneFreeRunPerSample:
+    """Every sample is free-run once and each band reads its rows; the result
+    equals one free run per band, bit for bit and warning for warning."""
+
+    LAYOUT = NarxLayout(2, 2, 2)
+    SPEC = nw.NetworkSpec((LAYOUT.width, 6, 1), ("tanh", "linear"))
+
+    def _samples(self, n, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        base = nw.initialize(nw.NetworkSpec(self.SPEC.layer_sizes, self.SPEC.activations,
+                                            seed=seed)).theta
+        return base + 0.05 * rng.standard_normal((n, self.SPEC.n_params))
+
+    def _run(self, reduce, samples, sizes, seed, spec=SPEC):
+        rng = np.random.Generator(np.random.PCG64(seed + 100))
+        U = rng.uniform(size=(30, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ens, report = reduce(samples, spec, self.LAYOUT, np.array([0.1, 0.2]),
+                                 U, sizes, seed, degeneration_tol=0.1)
+        return ens, report, [(w.category, str(w.message)) for w in caught]
+
+    @pytest.mark.parametrize("n, sizes, seed", [
+        (16, (16, 8, 4), 0), (16, (12, 6, 3, 1), 1), (40, (30, 10, 2), 2), (5, (2,), 3),
+    ])
+    def test_equals_one_free_run_per_band(self, reduce_reference, n, sizes, seed):
+        samples = self._samples(n, seed)
+        ens, report, caught = self._run(bayes.reduce_ensemble, samples, sizes, seed)
+        ref_ens, ref_report, ref_caught = self._run(reduce_reference, samples, sizes, seed)
+        assert ens.tobytes() == ref_ens.tobytes() and ens.shape == ref_ens.shape
+        assert report == ref_report
+        assert caught == ref_caught
+
+    def test_diverging_member_warns_once_per_band_that_holds_it(self, reduce_reference):
+        # linear nets; row 5 weighs y(t-1) by 1e200, so its free run overflows
+        spec = nw.NetworkSpec((self.LAYOUT.width, 1), ("linear",))
+        rng = np.random.Generator(np.random.PCG64(5))
+        samples = 0.2 * rng.standard_normal((16, spec.n_params))
+        samples[5, 0] = 1e200
+        sizes = (12, 8, 4)
+        ens, report, caught = self._run(bayes.reduce_ensemble, samples, sizes, 4, spec)
+        ref_ens, ref_report, ref_caught = self._run(reduce_reference, samples, sizes, 4,
+                                                    spec)
+        assert ens.tobytes() == ref_ens.tobytes()
+        assert report == ref_report
+        assert caught == ref_caught
+        dropped = [m for c, m in caught if c is MemberDroppedWarning]
+        # the full band holds it, and so does each drawn subset that took row 5
+        rng = np.random.Generator(np.random.PCG64(4))
+        holding = sum(5 in rng.choice(16, size=s, replace=False) for s in sizes)
+        assert dropped == ["dropped 1 diverged ensemble member(s)"] * (1 + holding)
+        assert len(dropped) >= 2

@@ -691,6 +691,7 @@ class TestStackedStep:
         before = {c: twin.models[c].weights.copy() for c in SIX}
         twin.retrain(cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX))
         ((_, group),) = twin._groups
+        assert group.plan.theta is group.weights
         for c in SIX:
             model = twin.models[c]
             assert not np.array_equal(model.weights, before[c])

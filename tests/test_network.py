@@ -101,6 +101,63 @@ class TestForward:
             assert np.allclose(stacked[k], nw.forward(thetas[k], spec, X), rtol=1e-13)
 
 
+class TestForwardPlan:
+    SPEC = nw.NetworkSpec((9, 30, 30, 1), ("tanh", "relu", "linear"))
+
+    def _stack(self, lead, seed=0):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return rng.normal(scale=0.4, size=(*lead, self.SPEC.n_params))
+
+    @pytest.mark.parametrize("lead, rows_shape", [
+        ((), (9,)),                 # a single vector on a single row
+        ((), (7, 9)),               # a single vector on a batch
+        ((16,), (7, 9)),            # an (R, P) stack on (n, w) rows
+        ((6, 17), (6, 1, 1, 9)),    # the twin's (C, R, P) stack, one row per channel
+    ])
+    def test_equals_a_fresh_forward_and_the_trace(self, lead, rows_shape):
+        theta = self._stack(lead)
+        plan = nw.ForwardPlan(theta, self.SPEC, rows_shape)
+        rng = np.random.Generator(np.random.PCG64(1))
+        for _ in range(3):          # the buffers are reused call after call
+            X = rng.normal(size=rows_shape)
+            got = nw.forward(plan, self.SPEC, X).copy()
+            fresh = nw.forward(theta, self.SPEC, X)
+            assert got.shape == fresh.shape
+            assert got.tobytes() == fresh.tobytes()
+            _, acts = nw._forward_trace(theta, self.SPEC, np.atleast_2d(X))
+            assert got.tobytes() == acts[-1][..., 0].reshape(got.shape).tobytes()
+
+    def test_result_is_a_view_the_next_call_overwrites(self):
+        theta = self._stack((4,))
+        plan = nw.ForwardPlan(theta, self.SPEC, (3, 9))
+        first = nw.forward(plan, self.SPEC, np.zeros((3, 9)))
+        kept = first.copy()
+        second = nw.forward(plan, self.SPEC, np.ones((3, 9)))
+        assert second is first
+        assert not np.array_equal(second, kept)
+
+    def test_sees_in_place_weight_writes(self):
+        theta = self._stack((2, 5))
+        plan = nw.ForwardPlan(theta, self.SPEC, (2, 1, 1, 9))
+        X = np.random.Generator(np.random.PCG64(2)).normal(size=(2, 1, 1, 9))
+        nw.forward(plan, self.SPEC, X)
+        theta[1, 3] *= -2.0
+        theta[0, 0, -1] += 1.0       # an output bias
+        got = nw.forward(plan, self.SPEC, X)
+        assert plan.theta is theta
+        assert got.tobytes() == nw.forward(theta.copy(), self.SPEC, X).tobytes()
+
+    @pytest.mark.parametrize("rows_shape", [(2, 9), (3, 1, 9), (3, 1, 1, 8), (9,)])
+    def test_rows_of_another_shape_raise(self, rows_shape):
+        plan = nw.ForwardPlan(self._stack((3, 4)), self.SPEC, (3, 1, 1, 9))
+        with pytest.raises(ShapeMismatch):
+            nw.forward(plan, self.SPEC, np.zeros(rows_shape))
+
+    def test_width_mismatch_at_construction(self):
+        with pytest.raises(ShapeMismatch):
+            nw.ForwardPlan(self._stack(()), self.SPEC, (5, 8))
+
+
 class TestGradient:
     def test_zero_at_perfect_fit(self):
         spec = nw.NetworkSpec((2, 1), ("linear",))

@@ -149,6 +149,63 @@ class TestLipschitzIndex:
         )
 
 
+class TestUniqueColumns:
+    """``_unique_columns`` stands in for ``np.unique(X, axis=1)``: same
+    values, same column order, same strides (F-contiguous)."""
+
+    @staticmethod
+    def _assert_same(X):
+        got, want = structure._unique_columns(X), np.unique(X, axis=1)
+        assert got.shape == want.shape
+        assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert got.strides == want.strides
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    def test_held_input_lags_collapse(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        y = rng.random((50, 4))
+        u = np.repeat(rng.random((50, 3, 1)), 4, axis=2).reshape(50, 12)
+        X = np.concatenate([y, u], axis=1)
+        self._assert_same(X)
+        assert structure._unique_columns(X).shape == (50, 7)
+
+    def test_ties_in_the_leading_rows(self):
+        # columns agree on their first rows and differ only further down
+        X = np.array([[1.0, 1.0, 1.0, 0.0, 1.0, 0.0],
+                      [2.0, 2.0, 2.0, 5.0, 2.0, 5.0],
+                      [3.0, -1.0, 3.0, 0.0, 0.5, 0.0]])
+        self._assert_same(X)
+        assert structure._unique_columns(X).shape == (3, 4)
+
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_small_integer_matrices(self, n_rows, n_cols, seed):
+        # few distinct values, so duplicate columns and ties are common
+        rng = np.random.Generator(np.random.PCG64(seed))
+        self._assert_same(rng.integers(-1, 2, size=(n_rows, n_cols)).astype(float))
+
+
+class TestSelectEmbeddingLevels:
+    def test_each_level_is_computed_once(self, monkeypatch):
+        calls = []
+        real = structure.lipschitz_coefficients
+
+        def counting(X, y, **kwargs):
+            calls.append(X.shape[1])
+            return real(X, y, **kwargs)
+
+        monkeypatch.setattr(structure, "lipschitz_coefficients", counting)
+        rng = np.random.Generator(np.random.PCG64(3))
+        u = held_input(600, 25, rng)
+        y = simulate_known_order(u, "oscillatory")
+        a = select_embedding_channel(y, u[:, None], hold=25, n_max=6, seed=3)
+        j = a.joint_order
+        levels = ({(n, n) for n in a.n_values} | {(nb, j) for nb in range(1, j + 1)}
+                  | {(a.n_b, na) for na in range(1, j + 1)})
+        assert len(calls) == len(levels)
+        assert len(calls) < len(a.n_values) + 2 * j
+
+
 class TestPlateauOrder:
     def test_first_small_step_wins(self):
         levels = [10.0, 5.0, 3.0, 2.9, 2.89]
