@@ -216,18 +216,23 @@ def burn_in_trim(chain: Chain, n_burn: int) -> np.ndarray:
 
 
 @lru_cache
-def quantile_plan(n: int, levels: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """Where ``np.quantile``'s default ``linear`` method (Hyndman & Fan 1996,
-    method 7) reads a sorted sample of ``n`` values at each of ``levels``.
+def quantile_plan(n: int, levels: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where and how ``np.quantile``'s default ``linear`` method (Hyndman &
+    Fan 1996, method 7) reads a sorted sample of ``n`` values at each of
+    ``levels``.
 
-    Returns, per level, the order statistics below and above the virtual
-    index ``(n - 1) * q``, then as (levels, 1) columns the interpolation
-    weight ``gamma``, ``1 - gamma`` and the mask ``gamma >= 0.5``, all
-    read-only and built with numpy's own operations. numpy's bounds rule is
-    kept: a virtual index at or past the last value reads the last value
-    twice (index -1) with ``gamma`` measured from -1, so n = 1, where every
-    level lands on the last value, interpolates exactly as ``np.quantile``
-    does. Levels lie in [0, 1], so no virtual index is negative.
+    Returns ``stats``, (3, levels), and ``coef``, (levels, 1), both
+    read-only. Per level, ``stats`` holds the order statistics below and
+    above the virtual index ``(n - 1) * q`` and the one numpy's
+    interpolation starts from: the lower one, ``a + (b - a) * gamma``, below
+    ``gamma = 0.5`` and the upper one, ``b - (b - a) * (1 - gamma)``, from
+    it on. ``coef`` is ``gamma`` or ``-(1 - gamma)`` to match, so
+    ``(b - a) * coef + start`` is numpy's value bit for bit (negating a
+    product and adding a negation are exact). numpy's bounds rule is kept:
+    a virtual index at or past the last value reads the last value twice
+    (index -1) with ``gamma`` measured from -1, so n = 1, where every level
+    lands on the last value, interpolates exactly as ``np.quantile`` does.
+    Levels lie in [0, 1], so no virtual index is negative.
     """
     virtual = (n - 1) * np.asarray(levels, dtype=float)
     below = np.floor(virtual)
@@ -235,34 +240,35 @@ def quantile_plan(n: int, levels: tuple[float, ...]) -> tuple[np.ndarray, ...]:
     last = virtual >= n - 1
     below[last] = above[last] = -1
     below, above = below.astype(np.intp), above.astype(np.intp)
-    gamma = (virtual - below)[:, None]
-    plan = (below, above, gamma, 1 - gamma, gamma >= 0.5)
-    for a in plan:
+    gamma = virtual - below
+    upper = gamma >= 0.5
+    stats = np.stack([below, above, np.where(upper, above, below)])
+    coef = np.where(upper, -(1 - gamma), gamma)[:, None]
+    for a in (stats, coef):
         a.flags.writeable = False
-    return plan
+    return stats, coef
 
 
 def sorted_quantiles(ordered: np.ndarray, levels: tuple[float, ...]) -> np.ndarray:
     """``np.quantile(x, levels, axis=0)`` of a NaN-free (n, m) ``x``, given
-    ``ordered = np.sort(x, axis=0)``: two order statistics per level and
-    numpy's two-branch interpolation, ``a + (b - a) * gamma`` below
-    ``gamma = 0.5`` and ``b - (b - a) * (1 - gamma)`` from it on, so the
-    values are numpy's bit for bit. Only the sign of a zero can differ: the
-    sort may order a tied ``-0.0`` and ``0.0`` otherwise than numpy's
-    partition does. Returns (len(levels), m)."""
-    return planned_quantiles(ordered, quantile_plan(len(ordered), levels))
+    ``ordered = np.sort(x, axis=0)``: the order statistics and
+    interpolation of ``quantile_plan``, so the values are numpy's bit for
+    bit. Only the sign of a zero can differ: the sort may order a tied
+    ``-0.0`` and ``0.0`` otherwise than numpy's partition does. Returns
+    (len(levels), m)."""
+    stats, coef = quantile_plan(len(ordered), levels)
+    return quantiles_from_stats(ordered[stats], coef)
 
 
-def planned_quantiles(ordered: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``sorted_quantiles`` through ``plan = quantile_plan(len(ordered),
-    levels)``, fetched once by a caller that reads the same levels of
-    samples of one size again and again."""
-    below, above, gamma, rest, upper = plan
-    a, b = ordered[below], ordered[above]
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * rest, out=out, where=upper)
-    return out
+def quantiles_from_stats(picked: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The quantiles ``quantile_plan`` reads from ``picked``, the order
+    statistics its ``stats`` name, (3, levels, ...): ``(above - below) *
+    coef + start``, written over ``picked[0]``, which it returns."""
+    below, above, start = picked
+    np.subtract(above, below, out=below)
+    below *= coef
+    below += start
+    return below
 
 
 @dataclass(frozen=True)

@@ -7,28 +7,34 @@ paths exist: when the drift source is identified, fresh training data is
 generated at the current plant condition; when it is unknown, live samples are
 buffered until enough are available.
 
-Each 1 Hz step evaluates every channel's point weights and ensemble with one
-forward pass per group of like channels, through a ``ForwardPlan`` the group
-built once (layer views into its weight stack and one output buffer per
-layer), reads each coverage band from one sort of the member predictions per
-member count (two order statistics and ``np.quantile``'s linear
-interpolation, planned once per member count and confidence when the group
-is built), and checks every channel's measurement against its band at once.
-One ``ViolationWindow`` then counts every channel's violations over the
-moving horizon: a ring of the last MH violation masks, a ring that delays each
-mask by ``a_offset - 1`` steps, and the counts and latched trigger flags as
-vectors, all updated once per step.
+Each 1 Hz step runs a plan built once per group of like channels, when the
+twin is built and again after every retrain. A group gathers its regressor
+rows from the twin's newest-first history vector into one buffer and
+normalizes them in place, runs one forward pass over every channel's point
+weights and members through a ``ForwardPlan`` (layer views into the group's
+weight stack and one output buffer per layer), and reads each coverage band
+from one in-place sort of the member predictions per member count and one
+gather of both levels' order statistics (``np.quantile``'s linear
+interpolation, planned by ``bayes.quantile_plan``). The twin then checks
+every channel's measurement against its band at once, in place, and one
+``ViolationWindow`` counts every channel's violations over the moving
+horizon: a ring of the last MH violation flags, a ring that delays each
+step's flags by ``a_offset - 1`` steps, and the counts and latched trigger
+flags as vectors, all updated in place once per step. Besides the live
+buffer's copies, a monitored step allocates only the arrays of its
+``StepResult``: the bands, the indicator and the counts.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import planned_quantiles, quantile_plan, sorted_quantiles
+from .bayes import quantile_plan, quantiles_from_stats, sorted_quantiles
 from .doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from .errors import (
     ArtifactMismatch,
@@ -216,9 +222,13 @@ class OnlineChannelModel:
             raise ShapeMismatch(
                 f"need {layout.n_a} rows of {layout.n_u} inputs, got {u_window.shape}"
             )
-        x = layout.regressors(y_window[None, ::-1], u_window[::-1])
-        band = _ChannelGroup([self], self.weights[None], confidence).band(x)
-        point, lo, hi = band[:, 0]
+        # the windows newest first in one history vector, as the twin keeps its own
+        history = np.concatenate([y_window[::-1], u_window[::-1].ravel()])
+        positions = np.arange(history.size)
+        y_pos = positions[: len(y_window)][None]
+        u_pos = positions[len(y_window) :].reshape(u_window.shape)
+        group = _ChannelGroup([self], self.weights[None], confidence, y_pos, u_pos)
+        point, lo, hi = group.band(history)[:, 0]
         return float(point), float(lo), float(hi)
 
 
@@ -233,59 +243,86 @@ def _indexer(idx) -> slice | np.ndarray:
 
 class _ChannelGroup:
     """Channels sharing one network shape and one lag layout, evaluated as one
-    stack.
+    stack through a step planned once.
 
     ``weights`` is (channels, 1 + max members, n_params): row 0 of a channel
     is its point weights, rows 1..n_members its ensemble, and any rows past
-    those are zero padding that no quantile sees. ``plan`` is the
-    ``ForwardPlan`` of that stack on one regressor row per channel, built
-    here, so a group built again after a retrain gets a new one. The
-    channels with the same member count share one sort of their member
-    predictions, and ``bayes.planned_quantiles`` reads both bounds from it
-    through the order-statistic plan of that count, fetched here.
+    those are zero padding that no quantile sees. Everything a step reads or
+    writes besides the history and the weights is built here, so a group
+    built again after a retrain gets it new:
+
+    - ``gather`` holds, per channel and regressor column, the position in
+      the twin's history vector that ``band`` reads into ``rows``, the
+      regressor rows in the shape ``plan`` takes; ``y_pos`` (channels,
+      >= n_b) and ``u_pos`` (>= n_a, n_u) place each channel's past outputs
+      and the inputs, newest first, in that vector, and
+      ``NarxLayout.regressors`` lays them out;
+    - ``plan`` is the ``ForwardPlan`` of the stack on ``rows``;
+    - per member count, the positions of those channels' member predictions
+      in the plan's output, a buffer they are sorted in, and the positions
+      in it of both levels' order statistics (``bayes.quantile_plan``) with
+      their buffer and interpolation coefficients, so one sort and one
+      gather per count read every bound;
+    - ``out``, the (3, channels) result.
+
     ``offset`` and ``scale`` stack each channel's ``regressor_scaling``, so
-    one subtraction and one division normalize every row; ``y_offset`` and
-    ``y_scale`` stack each channel's ``target_scaling`` to denormalize the
-    bands.
+    one subtraction and one division normalize every row in place;
+    ``y_offset`` and ``y_scale`` stack each channel's ``target_scaling`` to
+    denormalize the bands. Every buffer is written in full before it is
+    read, so none carries anything from one step to the next.
     """
 
     def __init__(self, models: list[OnlineChannelModel], weights: np.ndarray,
-                 confidence: float):
+                 confidence: float, y_pos: np.ndarray, u_pos: np.ndarray):
         self.channels = tuple(m.channel for m in models)
         self.spec, self.layout = models[0].spec, models[0].layout
         self.weights = weights
-        self.plan = ForwardPlan(weights, self.spec, (len(models), 1, 1, self.layout.width))
+        self.gather = self.layout.regressors(y_pos, u_pos).astype(np.intp)[:, None, None]
+        self.rows = np.empty(self.gather.shape)
+        self.plan = ForwardPlan(weights, self.spec, self.rows.shape)
         self.n_members = np.array([m.n_members for m in models])
         alpha = (1.0 - confidence) / 2.0
         self.levels = (alpha, 1.0 - alpha)
-        # (member count, channel rows, quantile plan): one sort per distinct count
-        self.by_count = [(n, _indexer(np.flatnonzero(self.n_members == n)),
-                          quantile_plan(int(n), self.levels))
-                         for n in np.unique(self.n_members)]
+        stack_rows = weights.shape[1]
+        self.by_count = []
+        for n in np.unique(self.n_members):
+            which = np.flatnonzero(self.n_members == n)
+            stats, coef = quantile_plan(int(n), self.levels)
+            members = (stack_rows * which + 1)[:, None] + np.arange(n)
+            picks = (stats % n)[..., None] + n * np.arange(len(which))
+            self.by_count.append((_indexer(which), members, np.empty(members.shape),
+                                  picks, np.empty(picks.shape), coef))
         scaling = [m.norm.regressor_scaling(self.layout) for m in models]
-        self.offset = np.stack([offset for offset, _ in scaling])
-        self.scale = np.stack([scale for _, scale in scaling])
+        self.offset = np.stack([offset for offset, _ in scaling])[:, None, None]
+        self.scale = np.stack([scale for _, scale in scaling])[:, None, None]
         self.y_offset, self.y_scale = np.array([m.norm.target_scaling() for m in models]).T
+        self.out = np.empty((3, len(models)))
 
-    def band(self, x: np.ndarray) -> np.ndarray:
+    def band(self, history: np.ndarray) -> np.ndarray:
         """Point, lower and upper bound, (3, channels) in engineering units,
-        from one regressor row per channel, (channels, width), which it
-        normalizes in place."""
-        x -= self.offset
-        x /= self.scale
-        out = np.empty((3, len(self.channels)))
+        from the history vector: ``out``, overwritten by the next call."""
+        rows, out = self.rows, self.out
+        # every position is in range; a mode other than "raise" lets ``take``
+        # write into ``out`` directly instead of through a buffer
+        history.take(self.gather, out=rows, mode="wrap")
+        rows -= self.offset
+        rows /= self.scale
         with np.errstate(over="ignore", invalid="ignore"):
-            # a view of the plan's buffer, copied into ``out`` below
-            preds = forward(self.plan, self.spec, x[:, None, None, :])[..., 0]
-            point, members = preds[:, 0], preds[:, 1:]
-            out[0] = point
-            for n, rows, plan in self.by_count:
-                ordered = np.sort(members[rows, :n], axis=1).T
-                out[1:, rows] = planned_quantiles(ordered, plan)
-        if not np.isfinite(preds).all():
+            # a view of the plan's buffer, read into ``out`` below
+            preds = forward(self.plan, self.spec, rows)[..., 0]
+            out[0] = preds[:, 0]
+            for which, members, ordered, picks, stats, coef in self.by_count:
+                preds.take(members, out=ordered, mode="wrap")
+                ordered.sort(axis=1)
+                ordered.take(picks, out=stats, mode="wrap")
+                out[1:, which] = quantiles_from_stats(stats, coef)
+            # a sum is finite only if every term is, so this sends every
+            # non-finite prediction (and a rare overflow) to the exact check
+            all_finite = math.isfinite(np.add.reduce(preds, axis=None))
+        if not all_finite:
             for c in np.flatnonzero(~np.isfinite(preds).all(axis=1)):
                 n = self.n_members[c]
-                out[1:, c] = self._finite_quantile(c, point[c], members[c, :n])
+                out[1:, c] = self._finite_quantile(c, preds[c, 0], preds[c, 1 : 1 + n])
         out *= self.y_scale
         out += self.y_offset
         return out
@@ -312,46 +349,31 @@ def transfer_warm_start(artifact: OfflineArtifact) -> OnlineChannelModel:
     return OnlineChannelModel(artifact)
 
 
-def violation_indicator(measured, region_inf, region_sup):
-    """Elementwise 0 where the measurement lies inside [inf, sup], boundary
-    inclusive, and 1 elsewhere; a NaN measurement or bound counts as a
-    violation. Scalars give an int, arrays an int array. Raises
-    ``InvalidRegion`` if any region is inverted, before anything is
-    returned."""
-    lo, hi = np.asarray(region_inf), np.asarray(region_sup)
-    inverted = lo > hi
-    if inverted.any():
-        lo, hi = np.broadcast_arrays(lo, hi)
-        raise InvalidRegion(
-            f"inverted region [{lo[inverted][0]}, {hi[inverted][0]}]"
-        )
-    violated = ~((lo <= measured) & (measured <= hi))
-    return int(violated) if violated.ndim == 0 else violated.astype(int)
-
-
 class ViolationWindow:
     """Moving violation counts of every channel of a twin.
 
     ``Z[c]`` is how many of the last ``mh`` violation flags of channel c to
     enter the window were set. A flag enters ``a_offset - 1`` updates after
     it was pushed (at once for ``a_offset`` 0 or 1), so the newest flags
-    wait outside the count. The window is a ring of ``mh`` masks. The wait
-    is a ring of ``max(a_offset, 1)`` masks: each update writes its mask to
-    one slot and lets in the mask of the slot after it, written
+    wait outside the count. The window is a ring of ``mh`` flag rows. The
+    wait is a ring of ``max(a_offset, 1)`` flag rows: each update writes its
+    mask to one slot and lets in the row of the slot after it, written
     ``a_offset - 1`` updates before (the same slot, so the mask itself,
-    when there is no wait). Both rings start zero-filled; the zeros standing
-    in for flags that never entered leave every count what a window of only
-    the entered flags would give. ``k`` counts the updates since the last
-    reset, and ``triggered[c]`` latches once ``Z[c]`` has reached the
-    threshold ``ct``.
+    when there is no wait). Both rings hold the flags as 0 and 1 in the
+    counts' integer type, so an update adds and subtracts like types, and
+    both start zero-filled; the zeros standing in for flags that never
+    entered leave every count what a window of only the entered flags would
+    give. ``k`` counts the updates since the last reset, and
+    ``triggered[c]`` latches once ``Z[c]`` has reached the threshold ``ct``.
     """
 
     def __init__(self, config: CognitiveConfig, n_channels: int):
         self.config = config
-        self._ring = np.zeros((config.mh, n_channels), dtype=bool)
-        self._pending = np.zeros((max(config.a_offset, 1), n_channels), dtype=bool)
         self.Z = np.zeros(n_channels, dtype=int)
+        self._ring = np.zeros((config.mh, n_channels), dtype=self.Z.dtype)
+        self._pending = np.zeros((max(config.a_offset, 1), n_channels), dtype=self.Z.dtype)
         self.triggered = np.zeros(n_channels, dtype=bool)
+        self._hit = np.empty(n_channels, dtype=bool)      # written by every push
         self.k = 0
 
     def reset(self) -> None:
@@ -365,17 +387,17 @@ class ViolationWindow:
         bool, and report whether any channel's count reached ``ct``."""
         if violated.dtype != bool:
             raise ValueError(f"violation mask must be bool, got {violated.dtype}")
-        wait = len(self._pending)
-        self._pending[self.k % wait] = violated
-        entering = self._pending[(self.k + 1) % wait]
-        slot = self.k % self.config.mh
+        k, pending = self.k, self._pending
+        pending[k % len(pending)] = violated
+        entering = pending[(k + 1) % len(pending)]
+        leaving = self._ring[k % self.config.mh]
         self.Z += entering
-        self.Z -= self._ring[slot]
-        self._ring[slot] = entering
-        self.k += 1
-        hit = self.Z >= self.config.ct
+        self.Z -= leaving
+        leaving[:] = entering
+        self.k = k + 1
+        hit = np.greater_equal(self.Z, self.config.ct, out=self._hit)
         self.triggered |= hit
-        return bool(hit.any())
+        return bool(np.count_nonzero(hit))
 
 
 @dataclass(frozen=True)
@@ -629,18 +651,28 @@ class CognitiveTwin:
     plan of ``np.quantile``'s linear method, and one denormalisation give the
     whole group's bands per step. The stacks are the only copy of the weights
     (each model's ``weights`` is a view into its group's stack); they are
-    built here and again after every retrain, and each group builds its
-    forward plan (layer views and buffers) and fetches its quantile plans
-    with them, so a step allocates no layer output and makes no cache lookup.
+    built here and again after every retrain, and each group plans its step
+    with them (see ``_ChannelGroup``): where its regressor rows come from in
+    the history, its forward plan, its sort and gather positions per member
+    count, and the buffers all of these write.
 
-    One ``ViolationWindow`` counts every channel's violations; ``max_z``
-    reads it and ``retrain`` resets it. The output history and the input
-    lags are newest-first arrays. Row 0 of the input lags is the slot of the
+    A step is then band, check, window: each group's band into the step's
+    bands array, one in-place boundary check of every measurement into the
+    twin's violation mask (raising ``InvalidRegion`` on an inverted band),
+    and one ``ViolationWindow`` update from that mask. The bands, the
+    indicator and the copy of the counts in its ``StepResult`` are the only
+    arrays a monitored step allocates, so each step's ``StepResult`` holds
+    arrays of its own; every other buffer it writes is written in full
+    before it is read, and carries nothing to the next step.
+
+    ``max_z`` reads the window and ``retrain`` resets it. The output history
+    and the input lags are newest-first views into one history vector, the
+    one the groups gather from. Row 0 of the input lags is the slot of the
     current input, written at the start of a step, so a regressor row reads
     it with the past inputs behind it; both are shifted in place once a step
     has succeeded. A step that raises changes nothing: the step count, the
     window, the output history, the past inputs and the live buffer stay as
-    they were. Each step's ``StepResult`` holds arrays of its own.
+    they were.
     """
 
     def __init__(self, artifacts: dict[str, OfflineArtifact], config: CognitiveConfig):
@@ -654,12 +686,21 @@ class CognitiveTwin:
         if len(n_u) != 1:
             raise ShapeMismatch("channels disagree on the exogenous input count")
         self.n_inputs = n_u.pop()
-        self._stack_groups()
         y_depth = max(self.models[c].layout.n_b for c in self.channels)
         u_depth = max(self.models[c].layout.n_a for c in self.channels) - 1
-        # newest first: past outputs, and the current input then past ones
-        self._y_hist = np.full((y_depth, len(self.channels)), np.nan)
-        self._u_lags = np.full((1 + u_depth, self.n_inputs), np.nan)
+        # newest first, in one vector the groups read their regressor rows
+        # from: past outputs, and the current input then past ones
+        n_y = y_depth * len(self.channels)
+        self._history = np.full(n_y + (1 + u_depth) * self.n_inputs, np.nan)
+        self._y_hist = self._history[:n_y].reshape(y_depth, len(self.channels))
+        self._u_lags = self._history[n_y:].reshape(1 + u_depth, self.n_inputs)
+        # each part moved one sample back as one 1-D copy, which numpy makes
+        # in place where a 2-D overlapping one would go through a temporary
+        y_flat, u_flat = self._history[:n_y], self._history[n_y:]
+        self._shifts = ((y_flat[len(self.channels) :], y_flat[: -len(self.channels)]),
+                        (u_flat[self.n_inputs :], u_flat[: -self.n_inputs]))
+        self._flags = np.empty((2, len(self.channels)), dtype=bool)
+        self._stack_groups()
         self._warmup = max(y_depth, u_depth)
         self._k = 0
         self._buffering = False
@@ -687,19 +728,27 @@ class CognitiveTwin:
         if monitored:
             bands = np.empty((3, len(self.channels)))
             for cols, group in self._groups:
-                x = group.layout.regressors(self._y_hist[:, cols].T, self._u_lags)
-                bands[:, cols] = group.band(x)
-            indicator = violation_indicator(y_now, bands[1], bands[2])
-            # nothing from here on raises, so a failed step changed nothing
-            trigger = self.window.push(indicator.astype(bool))
+                bands[:, cols] = group.band(self._history)
+            lower, upper = bands[1], bands[2]
+            inside, violated = self._flags
+            if np.count_nonzero(np.greater(lower, upper, out=violated)):
+                c = violated.argmax()
+                raise InvalidRegion(f"inverted region [{lower[c]}, {upper[c]}]")
+            # nothing from here on raises, so a failed step changed nothing;
+            # outside [lower, upper], boundary inclusive, and a NaN counts
+            np.less_equal(lower, y_now, out=inside)
+            inside &= np.less_equal(y_now, upper, out=violated)
+            np.logical_not(inside, out=violated)
+            indicator = violated.astype(int)
+            trigger = self.window.push(violated)
         else:
             bands = np.full((3, len(self.channels)), np.nan)
             indicator = np.zeros(len(self.channels), dtype=int)
             trigger = False
         self._k += 1
-        self._y_hist[1:] = self._y_hist[:-1]
+        for later, earlier in self._shifts:
+            later[...] = earlier
         self._y_hist[0] = y_now
-        self._u_lags[1:] = self._u_lags[:-1]
         if self._buffering:
             self._buffer_y.append(y_now.copy())
             self._buffer_u.append(u_now.copy())
@@ -733,6 +782,9 @@ class CognitiveTwin:
             m = self.models[c]
             keys.setdefault((m.spec.layer_sizes, m.spec.activations, m.layout),
                             []).append(i)
+        positions = np.arange(self._history.size)
+        y_pos = positions[: self._y_hist.size].reshape(self._y_hist.shape)
+        u_pos = positions[self._y_hist.size :].reshape(self._u_lags.shape)
         self._groups = []
         for cols in keys.values():
             models = [self.models[self.channels[i]] for i in cols]
@@ -741,8 +793,9 @@ class CognitiveTwin:
             for row, m in zip(stack, models):
                 row[: 1 + m.n_members] = m.weights
                 m.weights = row[: 1 + m.n_members]
-            self._groups.append((_indexer(cols),
-                                 _ChannelGroup(models, stack, self.config.confidence)))
+            group = _ChannelGroup(models, stack, self.config.confidence,
+                                  y_pos[:, cols].T, u_pos)
+            self._groups.append((_indexer(cols), group))
 
     def retrain(self, data: RetrainData, *, seed: int = 0) -> tuple[RetrainRecord, ...]:
         """Fine-tune every channel, then reset monitors and the live buffer.

@@ -12,6 +12,7 @@ from gaslift_twin import plant
 from gaslift_twin.errors import (
     DegenerateHoldup,
     DivergedLoss,
+    InvalidRegion,
     NegativeSqrtArgument,
     NoInflectionWarning,
 )
@@ -68,6 +69,99 @@ def cognitive_update(state, indicator):
     if trigger:
         state.triggered = True
     return state, state.Z, trigger
+
+
+def violation_indicator(measured, region_inf, region_sup):
+    """Elementwise 0 where the measurement lies inside [inf, sup], boundary
+    inclusive, and 1 elsewhere; a NaN measurement or bound counts as a
+    violation. Scalars give an int, arrays an int array. Raises
+    ``InvalidRegion`` if any region is inverted, before anything is
+    returned. The twin's own check until its step checked in place, and
+    now the reference that in-place check must match."""
+    lo, hi = np.asarray(region_inf), np.asarray(region_sup)
+    inverted = lo > hi
+    if inverted.any():
+        lo, hi = np.broadcast_arrays(lo, hi)
+        raise InvalidRegion(
+            f"inverted region [{lo[inverted][0]}, {hi[inverted][0]}]"
+        )
+    violated = ~((lo <= measured) & (measured <= hi))
+    return int(violated) if violated.ndim == 0 else violated.astype(int)
+
+
+class ReferenceTwin:
+    """``CognitiveTwin.step`` one channel at a time, from the twin's models
+    (read at every step, so a retrain's new weights and normalization show)
+    and nothing of its step: each channel's regressor row built from its own
+    lag lists, normalized column by column, ``network._forward_trace`` for
+    the point weights and the members, ``np.quantile`` (linear) for the
+    bounds, ``violation_indicator`` and one scalar ``CognitiveState`` window
+    per channel. ``bands`` reads the bounds of the coming step, so a test
+    can place measurements against them; ``reset_windows`` does what
+    ``retrain`` does to the windows. Finite predictions only."""
+
+    def __init__(self, twin):
+        self.twin = twin
+        self.reset_windows()
+        self.y_past: list[np.ndarray] = []     # oldest first
+        self.u_past: list[np.ndarray] = []
+        self.k = 0
+
+    def reset_windows(self):
+        self.windows = [CognitiveState(self.twin.config) for _ in self.twin.channels]
+
+    def _row(self, model, c):
+        layout, norm = model.layout, model.norm
+        y_span = norm.y_max - norm.y_min if norm.y_max > norm.y_min else 1.0
+        u_span = np.where(norm.u_max > norm.u_min, norm.u_max - norm.u_min, 1.0)
+        row = [(self.y_past[-1 - j][c] - norm.y_min) / y_span for j in range(layout.n_b)]
+        for i in range(layout.n_u):
+            row += [(self.u_past[-1 - j][i] - norm.u_min[i]) / u_span[i]
+                    for j in range(layout.n_a)]
+        return np.array([row])
+
+    def _band(self, model, c, confidence):
+        x = self._row(model, c)
+        point = nw._forward_trace(model.theta, model.spec, x)[1][-1][0, 0]
+        preds = nw._forward_trace(model.members, model.spec, x)[1][-1][:, 0, 0]
+        alpha = (1.0 - confidence) / 2.0
+        lo, hi = np.quantile(preds, [alpha, 1.0 - alpha])
+        return model.norm.denormalize_target(np.array([point, lo, hi]))
+
+    def _monitored(self):
+        layouts = [self.twin.models[c].layout for c in self.twin.channels]
+        return (len(self.y_past) >= max(lay.n_b for lay in layouts)
+                and len(self.u_past) >= max(lay.n_a for lay in layouts) - 1)
+
+    def bands(self, u_now):
+        """Point, lower and upper bound, (3, channels), that ``step`` will
+        give on input ``u_now``; NaN while warming up."""
+        twin = self.twin
+        bands = np.full((3, len(twin.channels)), np.nan)
+        if self._monitored():
+            self.u_past.append(np.asarray(u_now, dtype=float))
+            for c, name in enumerate(twin.channels):
+                bands[:, c] = self._band(twin.models[name], c, twin.config.confidence)
+            self.u_past.pop()
+        return bands
+
+    def step(self, u_now, y_now):
+        """``(step, monitored, predicted, lower, upper, indicator, Z,
+        trigger)`` for this sample, as ``StepResult`` holds them."""
+        monitored = self._monitored()
+        bands = self.bands(u_now)
+        indicator = np.zeros(len(self.twin.channels), dtype=int)
+        z = np.array([w.Z for w in self.windows])
+        trigger = False
+        if monitored:
+            indicator = violation_indicator(y_now, bands[1], bands[2])
+            steps = [cognitive_update(w, ind) for w, ind in zip(self.windows, indicator)]
+            z = np.array([z_c for _, z_c, _ in steps])
+            trigger = any(t for _, _, t in steps)
+        self.u_past.append(np.asarray(u_now, dtype=float))
+        self.y_past.append(np.asarray(y_now, dtype=float))
+        self.k += 1
+        return (self.k, monitored, bands[0], bands[1], bands[2], indicator, z, trigger)
 
 
 def loop_retrained(model, data, *, epochs, lr_factor, seed):
@@ -374,6 +468,18 @@ def train_reference():
 @pytest.fixture
 def reduce_reference():
     return reference_reduce
+
+
+@pytest.fixture(scope="session")
+def indicator_reference():
+    return violation_indicator
+
+
+@pytest.fixture(scope="session")
+def step_reference():
+    """``ReferenceTwin``: built on a twin, its ``step`` is the reference
+    for the twin's."""
+    return ReferenceTwin
 
 
 @pytest.fixture(scope="session")

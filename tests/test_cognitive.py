@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -206,39 +207,41 @@ class TestPredict:
 
 
 class TestViolationIndicator:
-    def test_inside(self):
-        assert cg.violation_indicator(5.0, 4.0, 6.0) == 0
+    """``indicator_reference``, the check the twin's step must match."""
 
-    def test_outside(self):
-        assert cg.violation_indicator(7.0, 4.0, 6.0) == 1
-        assert cg.violation_indicator(3.0, 4.0, 6.0) == 1
+    def test_inside(self, indicator_reference):
+        assert indicator_reference(5.0, 4.0, 6.0) == 0
 
-    def test_boundaries_inclusive(self):
-        assert cg.violation_indicator(6.0, 4.0, 6.0) == 0
-        assert cg.violation_indicator(4.0, 4.0, 6.0) == 0
+    def test_outside(self, indicator_reference):
+        assert indicator_reference(7.0, 4.0, 6.0) == 1
+        assert indicator_reference(3.0, 4.0, 6.0) == 1
 
-    def test_inverted_region(self):
+    def test_boundaries_inclusive(self, indicator_reference):
+        assert indicator_reference(6.0, 4.0, 6.0) == 0
+        assert indicator_reference(4.0, 4.0, 6.0) == 0
+
+    def test_inverted_region(self, indicator_reference):
         with pytest.raises(InvalidRegion):
-            cg.violation_indicator(5.0, 6.0, 4.0)
+            indicator_reference(5.0, 6.0, 4.0)
 
-    def test_scalar_gives_int(self):
-        assert type(cg.violation_indicator(5.0, 4.0, 6.0)) is int
-        assert type(cg.violation_indicator(np.float64(7.0), 4.0, 6.0)) is int
+    def test_scalar_gives_int(self, indicator_reference):
+        assert type(indicator_reference(5.0, 4.0, 6.0)) is int
+        assert type(indicator_reference(np.float64(7.0), 4.0, 6.0)) is int
 
-    def test_elementwise_equals_scalar_calls(self):
+    def test_elementwise_equals_scalar_calls(self, indicator_reference):
         # the last three: a NaN measurement or bound counts as a violation
         measured = np.array([5.0, 7.0, 3.0, 6.0, 4.0, np.nan, 5.0, 5.0])
         lo = np.array([4.0, 4.0, 4.0, 4.0, 4.0, 4.0, np.nan, 4.0])
         hi = np.array([6.0, 6.0, 6.0, 6.0, 6.0, 6.0, 6.0, np.nan])
-        got = cg.violation_indicator(measured, lo, hi)
+        got = indicator_reference(measured, lo, hi)
         assert got.dtype == int
-        assert got.tolist() == [cg.violation_indicator(*v) for v in zip(measured, lo, hi)]
+        assert got.tolist() == [indicator_reference(*v) for v in zip(measured, lo, hi)]
         assert got.tolist() == [0, 1, 1, 0, 0, 1, 1, 1]
 
-    def test_any_inverted_region_raises(self):
+    def test_any_inverted_region_raises(self, indicator_reference):
         with pytest.raises(InvalidRegion, match=r"^inverted region \[6.0, 4.0\]$"):
-            cg.violation_indicator(np.full(3, 5.0), np.array([4.0, 6.0, 4.0]),
-                                   np.array([6.0, 4.0, 6.0]))
+            indicator_reference(np.full(3, 5.0), np.array([4.0, 6.0, 4.0]),
+                                np.array([6.0, 4.0, 6.0]))
 
 
 class TestCognitiveUpdate:
@@ -287,11 +290,18 @@ class TestCognitiveUpdate:
         assert window.triggered.tolist() == [True]   # latched though Z fell
 
     def test_indicator_domain(self):
-        window = cg.ViolationWindow(cg.CognitiveConfig(), 2)
+        window = cg.ViolationWindow(cg.CognitiveConfig(a_offset=2, ct=1), 2)
+        window.push(np.array([True, False]))
+
+        def state():
+            return (window.k, window.Z.tobytes(), window._ring.tobytes(),
+                    window._pending.tobytes(), window.triggered.tobytes())
+
+        before = state()
         for ints in ([0, 2], [0, 1]):
             with pytest.raises(ValueError, match="must be bool"):
                 window.push(np.array(ints))
-        assert (window.k, window.Z.tolist()) == (0, [0, 0])
+        assert state() == before
 
     @given(
         stream=st.lists(st.integers(0, 1), min_size=1, max_size=200),
@@ -605,6 +615,31 @@ class TestCognitiveTwin:
         assert not twin.window.triggered.any()
         assert twin.window.k == 0
 
+    @pytest.mark.parametrize("lo, hi", [
+        ([4.0] * 6 + [np.nan, 4.0], [6.0] * 7 + [np.nan]),
+        ([4.0, 6.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0], [6.0, 4.0] + [6.0] * 6),
+    ])
+    def test_step_check_equals_the_reference(self, monkeypatch, indicator_reference,
+                                             lo, hi):
+        # the in-place check on bands as given: boundaries, NaNs, inversions
+        measured = np.array([5.0, 7.0, 3.0, 6.0, 4.0, np.nan, 5.0, 5.0])
+        bands = np.array([np.full(8, 5.0), lo, hi])
+        twin = cg.CognitiveTwin({f"c{i}": const_artifact(f"c{i}") for i in range(8)},
+                                cg.CognitiveConfig(mh=10, ct=10))
+        for _ in range(2):
+            twin.step([0.5], np.full(8, 0.5))
+        monkeypatch.setattr(cg._ChannelGroup, "band", lambda group, history: bands.copy())
+        try:
+            want = indicator_reference(measured, lo, hi)
+        except InvalidRegion as exc:
+            with pytest.raises(InvalidRegion, match=f"^{re.escape(str(exc))}$"):
+                twin.step([0.5], measured)
+        else:
+            r = twin.step([0.5], measured)
+            assert r.indicator.dtype == want.dtype
+            assert r.indicator.tolist() == want.tolist()
+            assert r.Z.tolist() == want.tolist()
+
     def test_step_shape_validation(self):
         twin = self._twin()
         with pytest.raises(ShapeMismatch):
@@ -683,6 +718,69 @@ class TestStackedStep:
         twin = self._twin(six_channel_artifacts())
         Y, U = six_channel_stream(60, 1)
         assert step_matches_predict(twin, Y, U) == 57
+
+    @given(data=st.data(), mh=st.integers(1, 20), a_offset=st.integers(0, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_step_equals_the_reference_step(self, step_reference, data, mh, a_offset):
+        # alternating layouts: each group's channels, and each member count's
+        # channels within a group, are index arrays rather than slices
+        ct = data.draw(st.integers(1, mh), label="ct")
+        members = data.draw(st.lists(st.sampled_from((1, 2, 5)), min_size=6,
+                                     max_size=6), label="members")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        layouts = (NarxLayout(3, 2, 2), NarxLayout(1, 3, 2)) * 3
+        twin = cg.CognitiveTwin(
+            six_channel_artifacts(members=members, layouts=layouts, seed=seed),
+            cg.CognitiveConfig(mh=mh, a_offset=a_offset, ct=ct, confidence=0.9,
+                               retrain_epochs=1),
+        )
+        reference = step_reference(twin)
+        T = 2 * mh + 4
+        retrain_at = data.draw(st.integers(4, T - 1), label="retrain_at")
+        Y, U = six_channel_stream(T, seed)
+        # each monitored measurement the stream's, on a bound or mid-band,
+        # so counts rise and fall
+        where = np.random.Generator(np.random.PCG64(seed)).integers(0, 4, size=Y.shape)
+        for t in range(T):
+            if t == retrain_at:
+                Yr, Ur = six_channel_stream(60, seed + 1)
+                twin.retrain(cg.RetrainData(Y=Yr, U=Ur, hold=None, channels=SIX))
+                reference.reset_windows()
+            _, lo, hi = reference.bands(U[t])
+            y = np.choose(where[t], [Y[t], lo, hi, lo / 2 + hi / 2])
+            y = np.where(np.isnan(y), Y[t], y)
+            r = twin.step(U[t], y)
+            step, monitored, predicted, lower, upper, indicator, Z, trigger = \
+                reference.step(U[t], y)
+            assert (r.step, r.monitored, r.trigger) == (step, monitored, trigger)
+            # equal, not the same bytes: np.quantile may give a zero the other sign
+            for got, want in ((r.predicted, predicted), (r.lower, lower),
+                              (r.upper, upper)):
+                assert np.array_equal(got, want, equal_nan=True)
+            for got, want in ((r.indicator, indicator), (r.Z, Z)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_step_buffers_carry_nothing_between_steps(self):
+        # what twin_snapshot leaves out: every buffer a step writes in full
+        # before reading it, scribbled over before each step
+        layouts = (NarxLayout(3, 2, 2), NarxLayout(1, 3, 2)) * 3
+        arts = six_channel_artifacts(members=(5, 3, 5, 2, 5, 2), layouts=layouts)
+        clean, twin = self._twin(arts), self._twin(arts)
+        Y, U = six_channel_stream(30, 8)
+        for t in range(30):
+            scratch = [twin._flags, twin.window._hit]
+            for _, group in twin._groups:
+                scratch += [group.rows, group.out]
+                scratch += [z for *_, z in group.plan.layers]
+                scratch += [a for _, _, ordered, _, stats, _ in group.by_count
+                            for a in (ordered, stats)]
+            for a in scratch:
+                a.fill(np.nan if a.dtype == float else True)
+            a, b = clean.step(U[t], Y[t]), twin.step(U[t], Y[t])
+            for field in ("predicted", "lower", "upper", "indicator", "Z"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+            assert (a.step, a.trigger) == (b.step, b.trigger)
+        assert twin_snapshot(twin) == twin_snapshot(clean)
 
     def test_retrain_rebuilds_the_stacks(self, step_matches_predict):
         twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
@@ -834,14 +932,14 @@ class TestStackedStep:
         twin.begin_buffering()
         real = cg._ChannelGroup.band
 
-        def inverted_on_c3(group, x):
-            out = real(group, x)
+        def inverted_on_c3(group, history):
+            out = real(group, history)
             out[1:, 3] = out[2:0:-1, 3]
             return out
 
         monkeypatch.setattr(cg._ChannelGroup, "band", inverted_on_c3)
         before = twin_snapshot(twin)
-        with pytest.raises(InvalidRegion):
+        with pytest.raises(InvalidRegion, match=r"^inverted region \["):
             twin.step(U[8], Y[8])
         assert twin_snapshot(twin) == before
         monkeypatch.undo()
