@@ -1,5 +1,5 @@
-"""Weight-space uncertainty: random-walk Metropolis posteriors, Monte Carlo
-propagation to prediction coverage regions, and ensemble reduction.
+"""Weight-space uncertainty: random-walk Metropolis posteriors, coverage
+bands of ensemble free runs, and ensemble reduction.
 
 The likelihood is the Gaussian completion of the training MSE,
 log L = -n * MSE(theta) / (2 sigma^2), with sigma estimated from the
@@ -32,6 +32,8 @@ from .structure import NarxLayout
 DEFAULT_SIGMA_FLOOR = 5e-3
 DEFAULT_LIKELIHOOD_ROWS = 2000
 DEFAULT_PRIOR_HALF_WIDTH = 10.0
+# a reduced ensemble keeps 25 % more members than the inflection size
+SAFETY_FACTOR = 1.25
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,7 @@ def sample_weight_posterior(
     *,
     n_samples: int,
     burn_in: int,
-    proposal_scale: float = 1e-3,
+    proposal_scale: float,
     seed: int = 0,
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
     likelihood_rows: int = DEFAULT_LIKELIHOOD_ROWS,
@@ -271,51 +273,11 @@ def quantiles_from_stats(picked: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return below
 
 
-@dataclass(frozen=True)
-class CoverageSeries:
-    """Per-step empirical quantile band of an ensemble free run."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    confidence: float
-    n_members: int
-
-    def contains(self, y: np.ndarray) -> np.ndarray:
-        """Boundary-inclusive pointwise membership of a trajectory."""
-        y = np.asarray(y, dtype=float)
-        return (y >= self.lower) & (y <= self.upper)
-
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
-
-def propagate_uncertainty(
-    members: np.ndarray,
-    spec: NetworkSpec,
-    layout: NarxLayout,
-    y_window: np.ndarray,
-    U: np.ndarray,
-    *,
-    confidence: float = 0.95,
-) -> CoverageSeries:
-    """Free-run every member and summarize the trajectories per step; ``U``
-    carries the input history first, as ``simulate_closed_loop`` takes it.
-
-    Members whose trajectories go non-finite are dropped with a warning;
-    at least one must survive.
-    """
-    members = np.atleast_2d(np.asarray(members, dtype=float))
-    if len(members) == 0:
-        raise InvalidRegion("ensemble is empty")
-    with np.errstate(over="ignore", invalid="ignore"):
-        paths = simulate_closed_loop(members, spec, layout, y_window, U)
-    return _coverage(paths, confidence)
-
-
-def _coverage(paths: np.ndarray, confidence: float) -> CoverageSeries:
-    """The per-step band of free-run ``paths``, (members, steps): the one
-    path from free runs to a band. Paths with a non-finite value are dropped
-    with a warning; at least one must survive."""
+def _coverage(paths: np.ndarray, confidence: float) -> tuple[np.ndarray, np.ndarray]:
+    """The per-step band of free-run ``paths``, (members, steps), as its
+    lower and upper bound: the one path from free runs to a band. Paths with
+    a non-finite value are dropped with a warning; at least one must
+    survive."""
     if not 0.0 < confidence < 1.0:
         raise InvalidRegion(f"confidence {confidence} outside (0, 1)")
     ok = np.isfinite(paths).all(axis=1)
@@ -329,11 +291,7 @@ def _coverage(paths: np.ndarray, confidence: float) -> CoverageSeries:
         raise InvalidRegion("every ensemble member diverged")
     lo_q = (1.0 - confidence) / 2.0
     lower, upper = sorted_quantiles(np.sort(paths, axis=0), (lo_q, 1.0 - lo_q))
-    return CoverageSeries(
-        lower=lower, upper=upper,
-        confidence=confidence,
-        n_members=int(len(paths)),
-    )
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -355,7 +313,6 @@ def reduce_ensemble(
     *,
     degeneration_tol: float = 0.1,
     confidence: float = 0.95,
-    safety_factor: float = 1.25,
 ) -> tuple[np.ndarray, ReductionReport]:
     """Find the smallest sub-ensemble whose coverage band has not degenerated.
 
@@ -363,15 +320,14 @@ def reduce_ensemble(
     width on the validation sequence relative to the full ensemble. The
     inflection size is the smallest whose ratio stays at or above
     1 - degeneration_tol, and the returned ensemble, a (members, n_params)
-    array, is a fresh draw of ceil(safety_factor * inflection) rows of
+    array, is a fresh draw of ceil(SAFETY_FACTOR * inflection) rows of
     ``samples``. If even the largest tested size has degenerated every
     sample is returned, with a warning.
 
     A sample's free run does not depend on the other samples, so every
     sample is run once, in one ``simulate_closed_loop`` call, and each band,
-    the full one and each candidate's, reads its rows of those paths. As in
-    ``propagate_uncertainty``, each band drops its diverged members with a
-    warning of its own.
+    the full one and each candidate's, reads its rows of those paths, and
+    each band drops its diverged members with a warning of its own.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = len(samples)
@@ -383,7 +339,8 @@ def reduce_ensemble(
 
     with np.errstate(over="ignore", invalid="ignore"):
         paths = simulate_closed_loop(samples, spec, layout, y_window, U)
-    w_full = float(np.mean(_coverage(paths, confidence).width()))
+    lower, upper = _coverage(paths, confidence)
+    w_full = float(np.mean(upper - lower))
     rng = np.random.Generator(np.random.PCG64(seed))
 
     ratios = []
@@ -392,8 +349,8 @@ def reduce_ensemble(
         if w_full == 0.0:
             ratios.append(1.0)       # zero-width bands cannot degenerate
             continue
-        sub = _coverage(paths[idx], confidence)
-        ratios.append(float(np.mean(sub.width())) / w_full)
+        lower, upper = _coverage(paths[idx], confidence)
+        ratios.append(float(np.mean(upper - lower)) / w_full)
 
     inflection = None
     for size, ratio in sorted(zip(sizes, ratios)):
@@ -413,7 +370,7 @@ def reduce_ensemble(
         )
         return samples.copy(), report
 
-    chosen = min(n, int(np.ceil(safety_factor * inflection)))
+    chosen = min(n, int(np.ceil(SAFETY_FACTOR * inflection)))
     idx = rng.choice(n, size=chosen, replace=False)
     idx.sort()
     report = ReductionReport(

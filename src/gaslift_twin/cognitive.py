@@ -37,7 +37,7 @@ import numpy as np
 from .bayes import quantile_plan, quantiles_from_stats, sorted_quantiles
 from .doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from .errors import (
-    ArtifactMismatch,
+    FingerprintMismatch,
     InsufficientSamples,
     InvalidRegion,
     MemberDroppedWarning,
@@ -147,7 +147,7 @@ class OfflineArtifact:
             self.spec, self.layout, self.norm, self.map_theta, self.members
         )
         if expected != self.fingerprint:
-            raise ArtifactMismatch(
+            raise FingerprintMismatch(
                 f"artifact for {self.channel} failed its fingerprint check"
             )
 
@@ -172,9 +172,11 @@ def make_artifact(
 class OnlineChannelModel:
     """Mutable per-channel model: point weights plus the reduced ensemble.
 
-    ``weights`` holds the point weights in row 0 and the members after it.
-    Inside a ``CognitiveTwin`` it is a view into the twin's stack for the
-    channel's group, so ``theta`` and ``members`` write through to it.
+    ``weights`` holds the point weights in row 0 and the members after it,
+    and is the only copy of them: ``theta`` and ``members`` are views of its
+    rows and cannot be assigned. Inside a ``CognitiveTwin`` it is a view into the
+    twin's stack for the channel's group, so a write into it is a write
+    into that stack.
     """
 
     def __init__(self, artifact: OfflineArtifact):
@@ -188,17 +190,9 @@ class OnlineChannelModel:
     def theta(self) -> np.ndarray:
         return self.weights[0]
 
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        self.weights[0] = value
-
     @property
     def members(self) -> np.ndarray:
         return self.weights[1:]
-
-    @members.setter
-    def members(self, value: np.ndarray) -> None:
-        self.weights[1:] = value
 
     @property
     def n_members(self) -> int:
@@ -472,15 +466,15 @@ def request_offline_data(
     n_experiments: int = 40,
     hold: int = 60,
     seed: int = 0,
-    bounds=TABLE_BOUNDS,
 ) -> RetrainData:
-    """Fresh stratified experiment batch simulated at the drifted condition.
+    """Fresh stratified experiment batch over ``TABLE_BOUNDS``, simulated at
+    the drifted condition.
 
     The schedule starts from the supplied plant state (the system's current
     state when the harness requests data) and cycles the condition's valve
     rows across plateaus.
     """
-    plan = lhs_sample(n_experiments, bounds, seed)
+    plan = lhs_sample(n_experiments, TABLE_BOUNDS, seed)
     sched = build_input_sequence(plan, float(hold))
     v_rows = np.resize(condition.v_o_rows, (n_experiments, 3))
     traj = simulate_schedule(
@@ -499,7 +493,6 @@ def handle_drift(
     n_experiments: int = 40,
     hold: int = 60,
     seed: int = 0,
-    bounds=TABLE_BOUNDS,
 ) -> RetrainData | None:
     """Resolve a trigger into retraining data.
 
@@ -514,7 +507,6 @@ def handle_drift(
             )
         return request_offline_data(
             condition, n_experiments=n_experiments, hold=hold, seed=seed,
-            bounds=bounds,
         )
     if cause == CAUSE_UNKNOWN:
         if buffered is None or buffered.n_rows < wait_buffer:
@@ -540,39 +532,24 @@ class RetrainRecord:
     norm_widened: bool
 
 
-def online_retrain(
-    model: OnlineChannelModel,
-    data: RetrainData,
-    *,
-    epochs: int = DEFAULT_RETRAIN_EPOCHS,
-    lr_factor: float = DEFAULT_RETRAIN_LR_FACTOR,
-    seed: int = 0,
-) -> OnlineChannelModel:
-    """Fine-tune the point weights and every ensemble member on new data.
-
-    Each member is warm-started from its current parameters and trained toward
-    the new targets shifted by its own prediction offset from the point
-    weights. Training every member toward the raw targets would drive them all
-    into the same optimum and collapse the coverage interval to zero width;
-    the shifted targets make each member re-learn the new dynamics while
-    keeping its role as a distinct posterior draw, so the ensemble spread
-    survives retraining. A member whose fine-tune diverges is reset to the
-    fine-tuned point weights. Normalization widens only when the new data
-    falls outside the fitted ranges. The model takes the new weights and
-    normalization only once every fine-tune has run.
-    """
-    model.norm, model.weights, _ = _retrained(
-        model, data, epochs=epochs, lr_factor=lr_factor, seed=seed
-    )
-    return model
-
-
 def _retrained(
     model: OnlineChannelModel, data: RetrainData, *, epochs: int,
     lr_factor: float, seed: int,
 ) -> tuple[NormalizationSpec, np.ndarray, RetrainRecord]:
-    """``online_retrain``'s new normalization and weights, and what it did,
-    leaving the model as it is.
+    """New normalization and weights for one channel fine-tuned on new
+    data, and what the fine-tune did, leaving the model as it is.
+
+    Each member is warm-started from its current parameters and trained
+    toward the new targets shifted by its own prediction offset from the
+    point weights. Training every member toward the raw targets would drive
+    them all into the same optimum and collapse the coverage interval to
+    zero width; the shifted targets make each member re-learn the new
+    dynamics while keeping its role as a distinct posterior draw, so the
+    ensemble spread survives retraining. A diverged point fine-tune keeps
+    the weights from before, and a member whose fine-tune diverges, or
+    whose offset is non-finite, takes the fine-tuned point weights.
+    Normalization widens only when the new data falls outside the fitted
+    ranges.
 
     The point weights and every member with a finite offset are fine-tuned
     in one ``train`` call on a stack: row 0 is the point weights, the other

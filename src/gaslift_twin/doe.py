@@ -112,14 +112,6 @@ class InputSchedule:
     P_pump: np.ndarray     # (k,) bar
     hold: float            # s per plateau
 
-    @property
-    def n_plateaus(self) -> int:
-        return self.Q_g.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.n_plateaus * round(self.hold))
-
     def plateau_of_row(self, row: int) -> int:
         return int(row // round(self.hold))
 

@@ -77,10 +77,6 @@ class InvalidRegion(GasLiftError):
 
 # --- cognitive core ---
 
-class ArtifactMismatch(GasLiftError):
-    """An artifact fingerprint does not match its manifest."""
-
-
 class OfflineInstanceUnavailable(GasLiftError):
     """The source-identified drift path needs plant access but none was given."""
 

@@ -95,10 +95,12 @@ def bracket_schedule(config: HyperbandConfig) -> list[dict]:
 
 
 def sample_config(
-    space: SearchSpace, input_width: int, rng: np.random.Generator, *, seed: int = 0
+    space: SearchSpace, input_width: int, rng: np.random.Generator, *,
+    seed: int, batch_size: int, epochs: int,
 ) -> NetworkSpec:
     """Uniform draw per field; hidden layers each get their own activation
-    and width, the output layer is always linear and one unit wide."""
+    and width, the output layer is always linear and one unit wide. The
+    batch size, epoch budget and seed are the caller's."""
     lr = float(rng.choice(space.learning_rates))
     n_dense = int(rng.choice(space.dense_counts))
     hidden = [int(rng.choice(space.widths)) for _ in range(n_dense - 1)]
@@ -107,6 +109,8 @@ def sample_config(
         layer_sizes=(input_width, *hidden, 1),
         activations=(*acts, "linear"),
         learning_rate=lr,
+        batch_size=batch_size,
+        epochs=epochs,
         seed=seed,
     )
 
@@ -130,15 +134,9 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
         # state per live trial: (trial_id, spec, checkpoint weights, epochs so far)
         live = []
         for _ in range(bracket["n_start"]):
-            spec = sample_config(space, width, rng, seed=config.seed + next_id)
-            spec = NetworkSpec(
-                layer_sizes=spec.layer_sizes,
-                activations=spec.activations,
-                learning_rate=spec.learning_rate,
-                batch_size=config.batch_size,
-                epochs=config.max_resource,
-                seed=spec.seed,
-            )
+            spec = sample_config(space, width, rng, seed=config.seed + next_id,
+                                 batch_size=config.batch_size,
+                                 epochs=config.max_resource)
             live.append((next_id, spec, None, 0))
             next_id += 1
 

@@ -4,11 +4,13 @@ Parameters live in one flat vector per network: each layer contributes
 its weight matrix (row-major) followed by its bias vector, (in+1)*out
 entries in total. Forward, gradient and closed-loop simulation all accept
 either a single parameter vector or a stack of them (leading member
-axis), so ensemble operations run vectorized. The leading axes may be
-more than one: the online twin evaluates a (channels, 1 + members,
-n_params) stack on rows shaped (channels, 1, 1, width), one regressor row
-per channel, in one call. Each matmul then takes a single row, the same
-float operations as a single parameter vector on a single row.
+axis), so ensemble operations run vectorized. Regressor rows are always a
+matrix, (rows, width), one prediction per row, even for a single row. The
+leading axes may be more than one: the online twin evaluates a (channels,
+1 + members, n_params) stack on rows shaped (channels, 1, 1, width), one
+regressor row per channel, in one call. Each matmul then takes a single
+row, the same float operations as a single parameter vector on a (1,
+width) matrix.
 
 A caller that evaluates the same stack on rows of the same shape again and
 again builds a ``ForwardPlan`` once: each layer's weights and bias as views
@@ -231,25 +233,24 @@ class ForwardPlan:
     def __init__(self, weights, spec: NetworkSpec, rows_shape: tuple[int, ...]):
         self.theta = _theta_of(weights)
         self.rows_shape = tuple(rows_shape)
-        if self.rows_shape[-1:] != (spec.n_inputs,):
+        if len(self.rows_shape) < 2 or self.rows_shape[-1] != spec.n_inputs:
             raise ShapeMismatch(
-                f"regressor rows {self.rows_shape}, network expects width {spec.n_inputs}"
+                f"regressor rows {self.rows_shape}, network expects "
+                f"(..., rows, {spec.n_inputs})"
             )
-        single_row = len(self.rows_shape) == 1
-        n_rows = 1 if single_row else self.rows_shape[-2]
         lead = np.broadcast_shapes(self.rows_shape[:-2], self.theta.shape[:-1])
         self.layers = []
         for (W, b), kind in zip(_layers(self.theta, spec), spec.activations):
-            z = np.empty((*lead, n_rows, W.shape[-1]))
+            z = np.empty((*lead, self.rows_shape[-2], W.shape[-1]))
             self.layers.append((W, b[..., None, :], kind, z))
-        self.out = z[..., 0, 0] if single_row else z[..., 0]
+        self.out = z[..., 0]
 
 
 def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
     """One-step-ahead predictions for regressor rows in normalized units.
 
-    A single row yields a scalar, a (batch, width) matrix a vector, and a
-    parameter stack (m, n_params) adds a leading member axis.
+    A (batch, width) matrix yields a vector, and a parameter stack (m,
+    n_params) adds a leading member axis.
 
     ``weights`` may be a ``ForwardPlan`` built with ``spec`` for rows of
     this shape; other rows raise ShapeMismatch. The result is then a view of
@@ -269,7 +270,7 @@ def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
             )
     else:
         plan = ForwardPlan(weights, spec, X.shape)
-    a = X if X.ndim > 1 else X[None]
+    a = X
     for W, b, kind, z in plan.layers:
         np.matmul(a, W, out=z)
         z += b

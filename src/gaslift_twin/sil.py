@@ -179,11 +179,11 @@ class SilLog:
         )
 
 
-def _slope_rows(script: ScenarioScript, t_now: float, k: int = 8) -> np.ndarray:
-    """Valve-opening rows spanning the remaining scripted drift."""
+def _slope_rows(script: ScenarioScript, t_now: float) -> np.ndarray:
+    """Eight valve-opening rows spanning the remaining scripted drift."""
     now = script.valve_openings(t_now)
     end = script.valve_openings(script.duration_s)
-    return np.linspace(now, end, k)
+    return np.linspace(now, end, 8)
 
 
 def run_scenario(

@@ -183,14 +183,10 @@ def _unique_columns(X: np.ndarray) -> np.ndarray:
     return X.T[order[first]].T
 
 
-def lipschitz_index(
-    coeffs: np.ndarray, n: int, *, p: int | None = None, p_fraction: float = 0.015
-) -> float:
+def lipschitz_index(coeffs: np.ndarray, n: int, *, p: int) -> float:
     """sqrt(n)-scaled geometric mean of the p largest quotients."""
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     n_pairs = len(coeffs)
-    if p is None:
-        p = int(np.ceil(p_fraction * n_pairs))
     p = max(p, 1)
     if n_pairs < p:
         raise InsufficientPairs(f"{n_pairs} quotients < p={p}")
@@ -325,17 +321,17 @@ def select_embedding(
     U: np.ndarray,
     hold: int | None,
     *,
-    channels=CHANNEL_NAMES,
     n_max: int = 8,
     plateau_rel_tol: float = 0.05,
     max_rows: int = 1200,
     seed: int = 0,
 ) -> tuple[dict[str, LipschitzAnalysis], tuple[int, int]]:
-    """Per-channel embedding analysis plus a combined (n_a, n_b) that covers
-    every channel (elementwise maximum)."""
+    """Per-channel embedding analysis of the plant's channels, one column of
+    ``Y`` each in ``CHANNEL_NAMES`` order, plus a combined (n_a, n_b) that
+    covers every channel (elementwise maximum)."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     results: dict[str, LipschitzAnalysis] = {}
-    for c, name in enumerate(channels):
+    for c, name in enumerate(CHANNEL_NAMES):
         results[name] = select_embedding_channel(
             Y[:, c],
             U,
@@ -423,10 +419,6 @@ class NarxDataset:
     val_idx: np.ndarray
     test_idx: np.ndarray
     norm: NormalizationSpec
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.targets)
 
     def split(self, which: str) -> np.ndarray:
         return {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[which]

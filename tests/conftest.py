@@ -393,17 +393,34 @@ def reference_log(m_g, m_l, Q_g, v_o, P_pump, params):
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
+def propagate_uncertainty(members, spec, layout, y_window, U, *, confidence=0.95):
+    """Free-run every member and summarize the trajectories per step as the
+    band's lower and upper bound; ``U`` carries the input history first, as
+    ``simulate_closed_loop`` takes it.
+
+    Members whose trajectories go non-finite are dropped with a warning;
+    at least one must survive.
+    """
+    members = np.atleast_2d(np.asarray(members, dtype=float))
+    if len(members) == 0:
+        raise InvalidRegion("ensemble is empty")
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = nw.simulate_closed_loop(members, spec, layout, y_window, U)
+    return bayes._coverage(paths, confidence)
+
+
 def reference_reduce(samples, spec, layout, y_window, U, sizes, seed, *,
-                     degeneration_tol=0.1, confidence=0.95, safety_factor=1.25):
+                     degeneration_tol=0.1, confidence=0.95):
     """``bayes.reduce_ensemble`` with one ``propagate_uncertainty`` free run
     per band, the full ensemble's and each candidate size's, as it ran before
     every sample was free-run once; the reference the one-run reduction must
-    match bit for bit, warnings included."""
+    match bit for bit, warnings included. Keeps ceil(1.25 * inflection)
+    members, the paper's 25 % safety factor."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = len(samples)
-    full = bayes.propagate_uncertainty(samples, spec, layout, y_window, U,
-                                       confidence=confidence)
-    w_full = float(np.mean(full.width()))
+    lower, upper = propagate_uncertainty(samples, spec, layout, y_window, U,
+                                         confidence=confidence)
+    w_full = float(np.mean(upper - lower))
     rng = np.random.Generator(np.random.PCG64(seed))
     ratios = []
     for size in sizes:
@@ -411,16 +428,16 @@ def reference_reduce(samples, spec, layout, y_window, U, sizes, seed, *,
         if w_full == 0.0:
             ratios.append(1.0)
             continue
-        sub = bayes.propagate_uncertainty(samples[idx], spec, layout, y_window, U,
-                                          confidence=confidence)
-        ratios.append(float(np.mean(sub.width())) / w_full)
+        lower, upper = propagate_uncertainty(samples[idx], spec, layout, y_window, U,
+                                             confidence=confidence)
+        ratios.append(float(np.mean(upper - lower)) / w_full)
     inflection = next((size for size, ratio in sorted(zip(sizes, ratios))
                        if ratio >= 1.0 - degeneration_tol), None)
     if inflection is None:
         warnings.warn("coverage width degenerates at every tested size; keeping "
                       "the full ensemble", NoInflectionWarning)
         return samples.copy(), bayes.ReductionReport(tuple(sizes), tuple(ratios), None, n)
-    chosen = min(n, int(np.ceil(safety_factor * inflection)))
+    chosen = min(n, int(np.ceil(1.25 * inflection)))
     idx = rng.choice(n, size=chosen, replace=False)
     idx.sort()
     return samples[idx], bayes.ReductionReport(tuple(sizes), tuple(ratios),
@@ -463,6 +480,11 @@ def retrain_reference():
 @pytest.fixture
 def train_reference():
     return reference_train
+
+
+@pytest.fixture
+def propagate_reference():
+    return propagate_uncertainty
 
 
 @pytest.fixture

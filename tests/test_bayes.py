@@ -149,7 +149,7 @@ class TestSampleWeightPosterior:
     def test_chain_shape_and_sigma_floor(self, fitted):
         ds, spec, w = fitted
         ch, sigma = bayes.sample_weight_posterior(
-            ds, spec, w, n_samples=600, burn_in=100, seed=0
+            ds, spec, w, n_samples=600, burn_in=100, proposal_scale=1e-3, seed=0
         )
         assert ch.samples.shape == (600, spec.n_params)
         assert sigma >= bayes.DEFAULT_SIGMA_FLOOR
@@ -158,7 +158,7 @@ class TestSampleWeightPosterior:
     def test_posterior_concentrates_near_map(self, fitted):
         ds, spec, w = fitted
         ch, _ = bayes.sample_weight_posterior(
-            ds, spec, w, n_samples=2000, burn_in=500, seed=1
+            ds, spec, w, n_samples=2000, burn_in=500, proposal_scale=1e-3, seed=1
         )
         mean = ch.samples[ch.burn_in :].mean(axis=0)
         # noise-free data and a floored sigma keep the posterior tight
@@ -166,8 +166,10 @@ class TestSampleWeightPosterior:
 
     def test_seeded_replay(self, fitted):
         ds, spec, w = fitted
-        a, sa = bayes.sample_weight_posterior(ds, spec, w, n_samples=300, burn_in=50, seed=3)
-        b, sb = bayes.sample_weight_posterior(ds, spec, w, n_samples=300, burn_in=50, seed=3)
+        a, sa = bayes.sample_weight_posterior(ds, spec, w, n_samples=300, burn_in=50,
+                                              proposal_scale=1e-3, seed=3)
+        b, sb = bayes.sample_weight_posterior(ds, spec, w, n_samples=300, burn_in=50,
+                                              proposal_scale=1e-3, seed=3)
         assert (a.samples == b.samples).all()
         assert sa == sb
 
@@ -228,64 +230,53 @@ class TestSortedQuantiles:
 
 
 class TestPropagateUncertainty:
-    def test_identical_members_collapse_to_single_trajectory(self):
-        members = np.tile(const_member(0.4), (6, 1))
-        U = np.zeros((12, 1))
-        cov = bayes.propagate_uncertainty(
-            members, CONST_SPEC, CONST_LAYOUT, np.array([0.0]), U
-        )
-        assert (cov.lower == 0.4).all()
-        assert (cov.upper == 0.4).all()
-        assert (cov.width() == 0.0).all()
+    """Members' free runs to a band, read by ``bayes._coverage`` as in
+    ``reduce_ensemble``."""
 
-    def test_quantile_nesting(self):
+    @pytest.fixture
+    def band(self, propagate_reference):
+        def band(members, y_window, U, confidence=0.95):
+            return propagate_reference(members, CONST_SPEC, CONST_LAYOUT, y_window, U,
+                                       confidence=confidence)
+        return band
+
+    def test_identical_members_collapse_to_single_trajectory(self, band):
+        members = np.tile(const_member(0.4), (6, 1))
+        lower, upper = band(members, np.array([0.0]), np.zeros((12, 1)))
+        assert lower.shape == (12,)
+        assert (lower == 0.4).all()
+        assert (upper == 0.4).all()
+
+    def test_quantile_nesting(self, band):
         rng = np.random.Generator(np.random.PCG64(0))
         members = np.stack([const_member(v) for v in rng.normal(size=40)])
         U = np.zeros((5, 1))
-        wide = bayes.propagate_uncertainty(
-            members, CONST_SPEC, CONST_LAYOUT, np.array([0.0]), U, confidence=0.95
-        )
-        narrow = bayes.propagate_uncertainty(
-            members, CONST_SPEC, CONST_LAYOUT, np.array([0.0]), U, confidence=0.80
-        )
-        assert (wide.lower <= narrow.lower).all()
-        assert (narrow.upper <= wide.upper).all()
+        wide = band(members, np.array([0.0]), U, confidence=0.95)
+        narrow = band(members, np.array([0.0]), U, confidence=0.80)
+        assert (wide[0] <= narrow[0]).all()
+        assert (narrow[1] <= wide[1]).all()
 
-    def test_contains_is_boundary_inclusive(self):
-        members = np.stack([const_member(v) for v in (0.0, 1.0)])
-        cov = bayes.propagate_uncertainty(
-            members, CONST_SPEC, CONST_LAYOUT, np.array([0.0]), np.zeros((3, 1)),
-            confidence=0.5,
-        )
-        assert cov.contains(cov.lower).all()
-        assert cov.contains(cov.upper).all()
-
-    def test_diverging_member_dropped_with_warning(self):
+    def test_diverging_member_dropped_with_warning(self, band):
         sane = const_member(0.2)
         exploding = np.array([1e200, 0.0, 0.0])     # y(t) = 1e200 * y(t-1)
-        members = np.stack([sane, sane, exploding])
+        U = np.zeros((5, 1))
         with pytest.warns(MemberDroppedWarning):
-            cov = bayes.propagate_uncertainty(
-                members, CONST_SPEC, CONST_LAYOUT, np.array([1.0]), np.zeros((5, 1))
-            )
-        assert cov.n_members == 2
-        assert np.isfinite(cov.upper).all()
+            got = band(np.stack([sane, sane, exploding]), np.array([1.0]), U)
+        kept = band(np.stack([sane, sane]), np.array([1.0]), U)
+        assert np.array_equal(got, kept)
+        assert np.isfinite(got).all()
 
-    def test_all_members_diverging_fails(self):
+    def test_all_members_diverging_fails(self, band):
         exploding = np.array([1e200, 0.0, 0.0])
         with pytest.warns(MemberDroppedWarning):
             with pytest.raises(InvalidRegion):
-                bayes.propagate_uncertainty(
-                    np.stack([exploding, exploding]),
-                    CONST_SPEC, CONST_LAYOUT, np.array([1.0]), np.zeros((5, 1)),
-                )
+                band(np.stack([exploding, exploding]), np.array([1.0]),
+                     np.zeros((5, 1)))
 
-    def test_confidence_bounds(self):
+    def test_confidence_bounds(self, band):
         with pytest.raises(InvalidRegion):
-            bayes.propagate_uncertainty(
-                const_member(0.0)[None], CONST_SPEC, CONST_LAYOUT,
-                np.array([0.0]), np.zeros((2, 1)), confidence=1.0,
-            )
+            band(const_member(0.0)[None], np.array([0.0]), np.zeros((2, 1)),
+                 confidence=1.0)
 
 
 class TestReduceEnsemble:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gaslift_twin import cognitive as cg
 from gaslift_twin import network as nw
 from gaslift_twin.errors import (
-    ArtifactMismatch,
+    FingerprintMismatch,
     InsufficientSamples,
     InvalidRegion,
     MemberDroppedWarning,
@@ -70,7 +70,7 @@ class TestArtifacts:
     def test_tamper_detected(self):
         art = const_artifact()
         bad = dataclasses.replace(art, map_theta=art.map_theta + 1e-9)
-        with pytest.raises(ArtifactMismatch):
+        with pytest.raises(FingerprintMismatch):
             cg.transfer_warm_start(bad)
 
     def test_warm_start_copies_exactly(self):
@@ -186,8 +186,7 @@ class TestPredict:
     def test_non_finite_member_dropped(self):
         art = const_artifact(member_values=(0.4, 0.6))
         model = cg.transfer_warm_start(art)
-        model.members = model.members.copy()
-        model.members[1, :] = 1e200
+        model.weights[2] = 1e200          # member 1
         with pytest.warns(MemberDroppedWarning):
             _, lo, hi = model.predict([1e200, 1e200], [[0.5]], 0.8)
         assert np.isfinite([lo, hi]).all()
@@ -195,7 +194,7 @@ class TestPredict:
     def test_all_members_bad(self):
         art = const_artifact(member_values=(0.4, 0.6))
         model = cg.transfer_warm_start(art)
-        model.members = np.full_like(model.members, 1e200)
+        model.weights[1:] = 1e200
         with pytest.warns(MemberDroppedWarning):
             with pytest.raises(InvalidRegion):
                 model.predict([1e200, 1e200], [[0.5]], 0.8)
@@ -428,6 +427,8 @@ def narx_series(theta_w, theta_b, T, seed, scale=1.0):
 
 
 class TestOnlineRetrain:
+    """``CognitiveTwin.retrain`` on a one-channel twin."""
+
     W = np.array([0.4, 0.2, 0.3])
     B = 0.05
 
@@ -441,35 +442,41 @@ class TestOnlineRetrain:
         members = np.tile(theta, (3, 1))
         return cg.make_artifact("c0", spec, layout, identity_norm(1), theta, members)
 
+    def _twin(self, art=None, **config):
+        art = self._artifact() if art is None else art
+        return cg.CognitiveTwin({"c0": art}, cg.CognitiveConfig(**config))
+
     def _data(self, scale=1.0, T=300, seed=3):
         y, U = narx_series(self.W, self.B, T, seed, scale=scale)
         return cg.RetrainData(Y=y[:, None], U=U, hold=None, channels=("c0",))
 
     def test_fixed_point_on_already_fit_data(self):
-        model = cg.transfer_warm_start(self._artifact())
+        twin = self._twin(retrain_epochs=5)
+        model = twin.models["c0"]
         before = model.theta.copy()
-        cg.online_retrain(model, self._data(), epochs=5)
+        twin.retrain(self._data())
         # zero residuals mean zero gradients: nothing moves at all
         assert np.array_equal(model.theta, before)
         assert (model.members == before).all()
 
     def test_ensemble_size_preserved(self):
-        model = cg.transfer_warm_start(self._artifact())
-        cg.online_retrain(model, self._data(seed=4), epochs=2)
-        assert model.n_members == 3
+        twin = self._twin(retrain_epochs=2)
+        twin.retrain(self._data(seed=4))
+        assert twin.models["c0"].n_members == 3
 
     def test_norm_untouched_when_covered(self):
-        model = cg.transfer_warm_start(self._artifact())
-        norm_before = model.norm
-        cg.online_retrain(model, self._data(), epochs=1)
-        assert model.norm is norm_before
+        twin = self._twin(retrain_epochs=1)
+        norm_before = twin.models["c0"].norm
+        twin.retrain(self._data())
+        assert twin.models["c0"].norm is norm_before
 
     def test_norm_expanded_when_exceeded(self):
-        model = cg.transfer_warm_start(self._artifact())
+        twin = self._twin(retrain_epochs=1)
         data = self._data(scale=3.0)
-        cg.online_retrain(model, data, epochs=1)
-        assert model.norm.y_max == pytest.approx(float(data.Y.max()))
-        assert model.norm.y_min <= 0.0
+        twin.retrain(data)
+        norm = twin.models["c0"].norm
+        assert norm.y_max == pytest.approx(float(data.Y.max()))
+        assert norm.y_min <= 0.0
 
     def test_spread_survives_retraining_on_shifted_system(self):
         # members trained independently toward the same targets would all
@@ -477,20 +484,15 @@ class TestOnlineRetrain:
         # per-member target offsets must keep the bias spread alive
         art = self._artifact()
         offsets = np.array([-0.06, 0.0, 0.06])
-        art = dataclasses.replace(
-            art,
-            members=art.members + offsets[:, None] * np.eye(art.spec.n_params)[-1],
+        art = cg.make_artifact(
+            "c0", art.spec, art.layout, art.norm, art.map_theta,
+            art.members + offsets[:, None] * np.eye(art.spec.n_params)[-1],
         )
-        art = dataclasses.replace(
-            art,
-            fingerprint=cg.artifact_fingerprint(
-                art.spec, art.layout, art.norm, art.map_theta, art.members
-            ),
-        )
-        model = cg.transfer_warm_start(art)
+        twin = self._twin(art, retrain_epochs=400, retrain_lr_factor=1.0)
         y, U = narx_series(self.W, self.B + 0.2, 400, seed=7)
-        data = cg.RetrainData(Y=y[:, None], U=U, hold=None, channels=("c0",))
-        cg.online_retrain(model, data, epochs=400, lr_factor=1.0, seed=1)
+        twin.retrain(cg.RetrainData(Y=y[:, None], U=U, hold=None, channels=("c0",)),
+                     seed=1)
+        model = twin.models["c0"]
         X_raw, t_raw, _ = build_lag_matrix(y, U, model.layout, None)
         Xn = model.norm.normalize_regressors(X_raw, model.layout)
         pred = model.norm.denormalize_target(nw.forward(model.theta, model.spec, Xn))
@@ -502,19 +504,19 @@ class TestOnlineRetrain:
         assert got.max() - got.min() > 0.06
 
     def test_diverged_members_reset_to_map(self):
-        model = cg.transfer_warm_start(self._artifact())
-        model.members = model.members + np.array([[0.01], [0.02], [0.03]])
+        twin = self._twin(retrain_epochs=3, retrain_lr_factor=1e180)
+        model = twin.models["c0"]
+        model.weights[1:] += np.array([[0.01], [0.02], [0.03]])
         before = model.theta.copy()
-        cg.online_retrain(model, self._data(seed=5), epochs=3, lr_factor=1e180)
+        twin.retrain(self._data(seed=5))
         # everything diverges at this rate; the point weights fall back and
         # every member is reset to them
-        assert np.array_equal(model.theta, before)
-        assert (model.members == before).all()
+        assert np.array_equal(twin.models["c0"].theta, before)
+        assert (twin.models["c0"].members == before).all()
 
     def test_retrain_reports_every_fallback(self):
         art = self._artifact()
-        twin = cg.CognitiveTwin({"c0": art}, cg.CognitiveConfig(
-            retrain_epochs=3, retrain_lr_factor=1e180))
+        twin = self._twin(art, retrain_epochs=3, retrain_lr_factor=1e180)
         (record,) = twin.retrain(self._data(seed=5))
         assert record == cg.RetrainRecord(
             channel="c0", point_diverged=True, members_diverged=(0, 1, 2),
@@ -529,7 +531,7 @@ class TestOnlineRetrain:
         members[1, :3] = 1e308        # its predictions, and so its offset, overflow
         art = cg.make_artifact("c0", art.spec, art.layout, art.norm, art.map_theta,
                                members)
-        twin = cg.CognitiveTwin({"c0": art}, cg.CognitiveConfig(retrain_epochs=2))
+        twin = self._twin(art, retrain_epochs=2)
         (record,) = twin.retrain(self._data(scale=3.0, seed=4))
         assert record == cg.RetrainRecord(
             channel="c0", point_diverged=False, members_diverged=(),
@@ -541,16 +543,16 @@ class TestOnlineRetrain:
         assert not np.array_equal(model.members[2], model.theta)
 
     def test_too_few_rows(self):
-        model = cg.transfer_warm_start(self._artifact(batch_size=64))
+        twin = self._twin(self._artifact(batch_size=64), retrain_epochs=1)
         with pytest.raises(InsufficientSamples):
-            cg.online_retrain(model, self._data(T=50), epochs=1)
+            twin.retrain(self._data(T=50))
 
     def test_channel_must_be_present(self):
-        model = cg.transfer_warm_start(self._artifact())
+        twin = self._twin(retrain_epochs=1)
         data = self._data()
         bad = cg.RetrainData(Y=data.Y, U=data.U, hold=None, channels=("other",))
         with pytest.raises(ShapeMismatch):
-            cg.online_retrain(model, bad, epochs=1)
+            twin.retrain(bad)
 
 
 class TestCognitiveTwin:
@@ -907,9 +909,9 @@ class TestStackedStep:
     def test_no_finite_prediction_raises(self, bad):
         twin = self._twin(six_channel_artifacts())
         if bad == "point":
-            twin.models["c3"].theta = np.nan
+            twin.models["c3"].weights[0] = np.nan
         else:
-            twin.models["c3"].members = np.nan
+            twin.models["c3"].weights[1:] = np.nan
         Y, U = six_channel_stream(4, 6)
         twin.begin_buffering()
         for t in range(3):

@@ -114,8 +114,8 @@ class TestBuildInputSequence:
     def test_expands_plan_to_plateaus(self):
         plan = doe.lhs_sample(7, doe.TABLE_BOUNDS, seed=4)
         sched = doe.build_input_sequence(plan, hold_duration=100.0)
-        assert sched.n_plateaus == 7
-        assert sched.n_samples == 700
+        assert sched.hold == 100.0
+        assert sched.P_pump.shape == (7,)
         assert sched.Q_g.shape == (7, 3)
         assert (sched.v_o == 1.0).all()
         assert sched.plateau_of_row(0) == 0

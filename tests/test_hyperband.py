@@ -56,19 +56,22 @@ class TestBracketSchedule:
 
 
 class TestSampleConfig:
+    FIXED = {"seed": 3, "batch_size": 32, "epochs": 27}
+
     def test_reproducible_for_seeded_rng(self):
-        a = hb.sample_config(hb.SearchSpace(), 10, np.random.Generator(np.random.PCG64(5)))
-        b = hb.sample_config(hb.SearchSpace(), 10, np.random.Generator(np.random.PCG64(5)))
-        assert a.layer_sizes == b.layer_sizes
-        assert a.activations == b.activations
-        assert a.learning_rate == b.learning_rate
+        a = hb.sample_config(hb.SearchSpace(), 10, np.random.Generator(np.random.PCG64(5)),
+                             **self.FIXED)
+        b = hb.sample_config(hb.SearchSpace(), 10, np.random.Generator(np.random.PCG64(5)),
+                             **self.FIXED)
+        assert a == b
+        assert (a.seed, a.batch_size, a.epochs) == (3, 32, 27)
 
     def test_fields_stay_inside_search_space(self):
         space = hb.SearchSpace()
         rng = np.random.Generator(np.random.PCG64(0))
         seen_rates = set()
         for _ in range(1000):
-            spec = hb.sample_config(space, 10, rng)
+            spec = hb.sample_config(space, 10, rng, **self.FIXED)
             seen_rates.add(spec.learning_rate)
             n_dense = len(spec.layer_sizes) - 1
             assert n_dense in space.dense_counts

@@ -72,15 +72,17 @@ class TestForward:
     def test_single_linear_layer_is_affine(self):
         spec = nw.NetworkSpec((1, 1), ("linear",))
         theta = np.array([2.5, -0.75])     # weight then bias
-        assert nw.forward(theta, spec, np.array([3.0])) == pytest.approx(2.5 * 3.0 - 0.75)
+        assert nw.forward(theta, spec, np.array([[3.0]])) == pytest.approx([2.5 * 3.0 - 0.75])
 
-    def test_scalar_for_single_row(self):
+    def test_one_prediction_per_row(self):
         spec = nw.NetworkSpec((2, 3, 1), ("tanh", "linear"), seed=4)
         w = nw.initialize(spec)
-        out = nw.forward(w, spec, np.array([0.1, 0.2]))
-        assert np.ndim(out) == 0
+        assert nw.forward(w, spec, np.array([[0.1, 0.2]])).shape == (1,)
         batch = nw.forward(w, spec, np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert batch.shape == (2,)
+        # rows are a matrix; a bare row is not taken as one
+        with pytest.raises(ShapeMismatch):
+            nw.forward(w, spec, np.array([0.1, 0.2]))
 
     def test_width_mismatch(self):
         spec = nw.NetworkSpec((3, 1), ("linear",))
@@ -109,7 +111,7 @@ class TestForwardPlan:
         return rng.normal(scale=0.4, size=(*lead, self.SPEC.n_params))
 
     @pytest.mark.parametrize("lead, rows_shape", [
-        ((), (9,)),                 # a single vector on a single row
+        ((), (1, 9)),               # a single vector on a single row
         ((), (7, 9)),               # a single vector on a batch
         ((16,), (7, 9)),            # an (R, P) stack on (n, w) rows
         ((6, 17), (6, 1, 1, 9)),    # the twin's (C, R, P) stack, one row per channel
@@ -124,7 +126,7 @@ class TestForwardPlan:
             fresh = nw.forward(theta, self.SPEC, X)
             assert got.shape == fresh.shape
             assert got.tobytes() == fresh.tobytes()
-            _, acts = nw._forward_trace(theta, self.SPEC, np.atleast_2d(X))
+            _, acts = nw._forward_trace(theta, self.SPEC, X)
             assert got.tobytes() == acts[-1][..., 0].reshape(got.shape).tobytes()
 
     def test_result_is_a_view_the_next_call_overwrites(self):
@@ -170,10 +172,10 @@ class TestGradient:
     def test_hand_formula_single_linear_neuron(self):
         spec = nw.NetworkSpec((3, 1), ("linear",))
         theta = np.array([0.5, -1.0, 2.0, 0.3])
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         y = np.array([4.0])
         pred = nw.forward(theta, spec, x)
-        g = nw.gradient(theta, spec, x[None], y)
+        g = nw.gradient(theta, spec, x, y)
         assert np.allclose(g, 2 * (pred - 4.0) * np.array([1.0, 2.0, 3.0, 1.0]), rtol=1e-14)
 
     def test_matches_central_differences(self):

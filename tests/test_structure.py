@@ -123,16 +123,15 @@ class TestLipschitzIndex:
 
     def test_all_equal_quotients(self):
         q = np.full(50, 2.5)
-        assert lipschitz_index(q, 4) == pytest.approx(2.0 * 2.5, rel=1e-12)
+        assert lipschitz_index(q, 4, p=3) == pytest.approx(2.0 * 2.5, rel=1e-12)
 
     def test_zero_quotients_give_zero_index(self):
-        assert lipschitz_index(np.zeros(20), 5) == 0.0
+        assert lipschitz_index(np.zeros(20), 5, p=1) == 0.0
 
-    def test_default_p_fraction(self):
+    def test_geometric_mean_of_p_largest(self):
         q = np.linspace(0.1, 1.0, 200)
-        # ceil(0.015 * 200) = 3 largest values
         expect = np.sqrt(2) * np.exp(np.mean(np.log(q[-3:])))
-        assert lipschitz_index(q, 2) == pytest.approx(expect, rel=1e-12)
+        assert lipschitz_index(q, 2, p=3) == pytest.approx(expect, rel=1e-12)
 
     def test_insufficient_quotients(self):
         with pytest.raises(InsufficientPairs):
@@ -144,8 +143,8 @@ class TestLipschitzIndex:
         rng = np.random.Generator(np.random.PCG64(seed))
         q = rng.uniform(0.1, 5.0, size=80)
         k = 2.0**e
-        assert lipschitz_index(k * q, 3) == pytest.approx(
-            k * lipschitz_index(q, 3), rel=1e-12
+        assert lipschitz_index(k * q, 3, p=2) == pytest.approx(
+            k * lipschitz_index(q, 3, p=2), rel=1e-12
         )
 
 
@@ -452,7 +451,7 @@ class TestAssembleNarxDataset:
         Y, U = self._corpus()
         ds = assemble_narx_dataset(Y, U, hold=20, layout=NarxLayout(2, 1), seed=3)
         d = ds["well1_mg"]
-        n = d.n_rows
+        n = len(d.targets)
         assert abs(len(d.train_idx) - 0.7 * n) <= 1
         assert abs(len(d.val_idx) - 0.15 * n) <= 1
         assert len(d.train_idx) + len(d.val_idx) + len(d.test_idx) == n
