@@ -4,11 +4,25 @@ Bracket s starts n = ceil((s_max+1)/(s+1) * eta^s) sampled configurations
 at r = R * eta^(-s) epochs and runs s+1 rungs; each rung ranks trials by
 validation loss and keeps the top floor(n_i/eta). Training continues from
 each trial's checkpoint between rungs instead of restarting.
+
+Brackets share nothing but the order of their configuration draws, so every
+bracket's trials are drawn first, in one pass over the seeded rng, and the
+brackets then run at the same time in worker processes, one per CPU this
+process may use and at most one per bracket. The workers are forked: they
+start with numpy and this package already imported, where a spawned worker
+would import them again for every search. Fork copies only the calling
+thread; the package starts no other, so a caller that runs threads of its
+own must not search while one of them holds a lock. A bracket's trials,
+seeds and training depend only on its own draws, and its records come back
+in bracket order, so the result is the same, bit for bit, for any number of
+workers.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,67 +129,84 @@ def sample_config(
     )
 
 
+def _run_bracket(dataset, bracket: dict, drawn: list[tuple[int, NetworkSpec]],
+                 eta: int) -> list[TrialRecord]:
+    """Successive halving over one bracket's drawn ``(trial_id, spec)``
+    trials, every rung's records in training order."""
+    s = bracket["bracket"]
+    # state per live trial: (trial_id, spec, checkpoint weights, epochs so far)
+    live = [(trial_id, spec, None, 0) for trial_id, spec in drawn]
+    records: list[TrialRecord] = []
+    for i, rung in enumerate(bracket["rungs"]):
+        scored = []
+        for trial_id, spec, ckpt, done in live:
+            try:
+                res = train_channel(
+                    dataset, spec, initial=ckpt, epochs=rung["epochs"] - done,
+                    patience=10**9,
+                )
+                loss = min(res.val_loss) if res.val_loss else np.inf
+                ckpt = res.weights
+            except GasLiftError:
+                loss = np.inf
+            records.append(
+                TrialRecord(
+                    trial_id=trial_id, bracket=s, rung=i, spec=spec,
+                    epochs=rung["epochs"], val_loss=float(loss),
+                )
+            )
+            if np.isfinite(loss):
+                scored.append((loss, trial_id, spec, ckpt, rung["epochs"]))
+        if i == len(bracket["rungs"]) - 1:
+            break
+        scored.sort(key=lambda rec: (rec[0], rec[1]))
+        keep = int(np.floor(rung["n"] / eta))
+        live = [(tid, sp, ck, ep) for _, tid, sp, ck, ep in scored[:keep]]
+        if not live:
+            break
+    return records
+
+
 def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> HyperbandResult:
     """Search the space on one channel's dataset.
 
-    Trials whose training raises are scored +inf and drop out of later
-    rungs instead of aborting the search. Returns the lowest-validation-
-    loss trial over every bracket, ties resolved toward the earlier trial.
+    Trials whose training raises a ``GasLiftError`` are scored +inf and drop
+    out of later rungs instead of aborting the search; any other exception
+    reaches the caller with its type. Returns the lowest-validation-loss
+    trial over every bracket, ties resolved toward the earlier trial. Every
+    worker has exited when this returns or raises.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     width = dataset.layout.width
-    trials: list[TrialRecord] = []
-    best: tuple[float, int] | None = None
-    best_spec = None
+    schedule = bracket_schedule(config)
+    draws = []
     next_id = 0
+    for bracket in schedule:
+        ids = range(next_id, next_id + bracket["n_start"])
+        draws.append([(i, sample_config(space, width, rng, seed=config.seed + i,
+                                        batch_size=config.batch_size,
+                                        epochs=config.max_resource))
+                      for i in ids])
+        next_id = ids.stop
 
-    for bracket in bracket_schedule(config):
-        s = bracket["bracket"]
-        # state per live trial: (trial_id, spec, checkpoint weights, epochs so far)
-        live = []
-        for _ in range(bracket["n_start"]):
-            spec = sample_config(space, width, rng, seed=config.seed + next_id,
-                                 batch_size=config.batch_size,
-                                 epochs=config.max_resource)
-            live.append((next_id, spec, None, 0))
-            next_id += 1
+    # imported here, so that the processes that never search (the twin's
+    # online loop) do not load the pool's modules, about 1.9 MB resident
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        for i, rung in enumerate(bracket["rungs"]):
-            scored = []
-            for trial_id, spec, ckpt, done in live:
-                grant = rung["epochs"] - done
-                try:
-                    res = train_channel(
-                        dataset, spec, initial=ckpt, epochs=grant,
-                        patience=10**9,
-                    )
-                    loss = min(res.val_loss) if res.val_loss else np.inf
-                    ckpt = res.weights
-                except GasLiftError:
-                    loss = np.inf
-                trials.append(
-                    TrialRecord(
-                        trial_id=trial_id, bracket=s, rung=i, spec=spec,
-                        epochs=rung["epochs"], val_loss=float(loss),
-                    )
-                )
-                if np.isfinite(loss):
-                    scored.append((loss, trial_id, spec, ckpt, rung["epochs"]))
-                    if best is None or (loss, trial_id) < best:
-                        best = (loss, trial_id)
-                        best_spec = spec
-            if i == len(bracket["rungs"]) - 1:
-                break
-            scored.sort(key=lambda rec: (rec[0], rec[1]))
-            keep = int(np.floor(rung["n"] / config.eta))
-            live = [(tid, sp, ck, ep) for _, tid, sp, ck, ep in scored[:keep]]
-            if not live:
-                break
+    workers = min(len(schedule), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        runs = list(pool.map(partial(_run_bracket, dataset, eta=config.eta),
+                             schedule, draws))
+    trials = [t for records in runs for t in records]
 
-    if best_spec is None:
+    finite = [t for t in trials if np.isfinite(t.val_loss)]
+    if not finite:
         raise GasLiftError("every trial failed")
+    best = min(finite, key=lambda t: (t.val_loss, t.trial_id))
     return HyperbandResult(
-        best_spec=best_spec,
-        best_loss=best[0],
+        best_spec=best.spec,
+        best_loss=best.val_loss,
         trials=tuple(trials),
     )

@@ -278,6 +278,17 @@ def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
     return plan.out
 
 
+def _regressor_matrix(X, spec: NetworkSpec, name: str) -> np.ndarray:
+    """``X`` as a float (rows, width) matrix of this network's input width;
+    anything else, a bare row included, raises ShapeMismatch."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != spec.n_inputs:
+        raise ShapeMismatch(
+            f"{name} regressor rows {X.shape}, network expects (rows, {spec.n_inputs})"
+        )
+    return X
+
+
 def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Analytic gradient of the batch MSE with respect to every parameter.
 
@@ -285,17 +296,13 @@ def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.nda
     one target row per parameter row, (..., n).
     """
     theta = _theta_of(weights)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _regressor_matrix(X, spec, "batch")
     y = np.asarray(y, dtype=float)
     if theta.ndim == 1 or y.ndim == 0:
         y = y.ravel()
     n = y.shape[-1]
     if n == 0 or X.shape[0] != n:
         raise ShapeMismatch("batch rows and targets must align and be non-empty")
-    if X.shape[1] != spec.n_inputs:
-        raise ShapeMismatch(
-            f"regressor width {X.shape[1]}, network expects {spec.n_inputs}"
-        )
 
     return _gradient_sse(theta, spec, X, y)[0]
 
@@ -369,10 +376,8 @@ def train(
     result's ``diverged`` instead of raising. Each row that does not diverge
     ends bit-equal to its own single-vector run.
     """
-    X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
-    X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
-    if X_train.shape[1] != spec.n_inputs:
-        raise ShapeMismatch("training rows do not match network input width")
+    X_train = _regressor_matrix(X_train, spec, "training")
+    X_val = _regressor_matrix(X_val, spec, "validation")
     theta = _theta_of(initialize(spec) if initial is None else initial).copy()
     if theta.shape[-1:] != (spec.n_params,):
         raise ShapeMismatch(f"initial weights {theta.shape}, network needs {spec.n_params}")

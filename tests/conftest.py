@@ -1,22 +1,32 @@
-import math
-import warnings
-from collections import deque
-from types import SimpleNamespace
+import os
 
-import numpy as np
-import pytest
+# BLAS on one thread before numpy loads, as perfbench/run.py does: OpenBLAS
+# sums some products in another order when it splits them over threads, so
+# the bits the tests pin would otherwise depend on the host's CPU count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from gaslift_twin import bayes
-from gaslift_twin import network as nw
-from gaslift_twin import plant
-from gaslift_twin.errors import (
+import math  # noqa: E402
+import warnings  # noqa: E402
+from collections import deque  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gaslift_twin import bayes  # noqa: E402
+from gaslift_twin import hyperband as hb  # noqa: E402
+from gaslift_twin import network as nw  # noqa: E402
+from gaslift_twin import plant  # noqa: E402
+from gaslift_twin.errors import (  # noqa: E402
     DegenerateHoldup,
     DivergedLoss,
+    GasLiftError,
     InvalidRegion,
     NegativeSqrtArgument,
     NoInflectionWarning,
 )
-from gaslift_twin.structure import build_lag_matrix, split_rows
+from gaslift_twin.structure import build_lag_matrix, split_rows  # noqa: E402
 
 
 def loop_predict(model, y_window, u_window, confidence):
@@ -302,6 +312,67 @@ def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epoch
     )
 
 
+def reference_hyperband(dataset, space, config):
+    """``hyperband.hyperband`` as one sequential loop in this process: each
+    bracket draws its trials from the seeded rng at its start and runs its
+    rungs before the next bracket draws, and the best trial is tracked as
+    the records come. The reference the forked brackets must match trial
+    for trial, bit for bit."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    width = dataset.layout.width
+    trials = []
+    best = None
+    best_spec = None
+    next_id = 0
+
+    for bracket in hb.bracket_schedule(config):
+        s = bracket["bracket"]
+        # state per live trial: (trial_id, spec, checkpoint weights, epochs so far)
+        live = []
+        for _ in range(bracket["n_start"]):
+            spec = hb.sample_config(space, width, rng, seed=config.seed + next_id,
+                                    batch_size=config.batch_size,
+                                    epochs=config.max_resource)
+            live.append((next_id, spec, None, 0))
+            next_id += 1
+
+        for i, rung in enumerate(bracket["rungs"]):
+            scored = []
+            for trial_id, spec, ckpt, done in live:
+                grant = rung["epochs"] - done
+                try:
+                    res = nw.train_channel(
+                        dataset, spec, initial=ckpt, epochs=grant,
+                        patience=10**9,
+                    )
+                    loss = min(res.val_loss) if res.val_loss else np.inf
+                    ckpt = res.weights
+                except GasLiftError:
+                    loss = np.inf
+                trials.append(
+                    hb.TrialRecord(
+                        trial_id=trial_id, bracket=s, rung=i, spec=spec,
+                        epochs=rung["epochs"], val_loss=float(loss),
+                    )
+                )
+                if np.isfinite(loss):
+                    scored.append((loss, trial_id, spec, ckpt, rung["epochs"]))
+                    if best is None or (loss, trial_id) < best:
+                        best = (loss, trial_id)
+                        best_spec = spec
+            if i == len(bracket["rungs"]) - 1:
+                break
+            scored.sort(key=lambda rec: (rec[0], rec[1]))
+            keep = int(np.floor(rung["n"] / config.eta))
+            live = [(tid, sp, ck, ep) for _, tid, sp, ck, ep in scored[:keep]]
+            if not live:
+                break
+
+    if best_spec is None:
+        raise GasLiftError("every trial failed")
+    return hb.HyperbandResult(best_spec=best_spec, best_loss=best[0], trials=tuple(trials))
+
+
 def reference_chain(m_g, m_l, w_g, v_o, pp_pa, params):
     """Pressures, densities and flows of all wells from the plant's numpy
     chain, elementwise over arrays of any matching shape (one state or a
@@ -480,6 +551,11 @@ def retrain_reference():
 @pytest.fixture
 def train_reference():
     return reference_train
+
+
+@pytest.fixture
+def hyperband_reference():
+    return reference_hyperband
 
 
 @pytest.fixture

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -167,3 +171,64 @@ class TestHyperband:
             hb.hyperband(
                 tiny_dataset(), space, hb.HyperbandConfig(max_resource=3, eta=3, seed=0)
             )
+
+
+class TestForkedBrackets:
+    SPACES = {
+        "small": hb.SearchSpace(learning_rates=(1e-2, 1e-1), dense_counts=(1, 2),
+                                widths=(4, 8)),
+        # half the draws diverge, so failed trials are merged as well
+        "failing": hb.SearchSpace(learning_rates=(1e200, 1e-2), dense_counts=(1, 2),
+                                  widths=(4,)),
+    }
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_sequential_reference(self, hyperband_reference, space, seed):
+        ds = tiny_dataset(seed)
+        cfg = hb.HyperbandConfig(max_resource=9, eta=3, seed=seed)
+        got = hb.hyperband(ds, self.SPACES[space], cfg)
+        # every record field, val_loss exactly, in order, and the winner
+        assert got == hyperband_reference(ds, self.SPACES[space], cfg)
+        if space == "failing":
+            assert not all(np.isfinite(t.val_loss) for t in got.trials)
+
+    def test_one_worker_gives_the_same_result(self, hyperband_reference, monkeypatch):
+        ds = tiny_dataset(3)
+        cfg = hb.HyperbandConfig(max_resource=9, eta=3, seed=3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert hb.hyperband(ds, self.SPACES["failing"], cfg) == \
+            hyperband_reference(ds, self.SPACES["failing"], cfg)
+
+    def test_ties_go_to_the_earliest_trial(self, monkeypatch):
+        def flat(dataset, spec, **kwargs):
+            return SimpleNamespace(val_loss=(0.5,), weights=None)
+
+        monkeypatch.setattr(hb, "train_channel", flat)
+        res = hb.hyperband(tiny_dataset(), self.SPACES["small"],
+                           hb.HyperbandConfig(max_resource=9, eta=3, seed=0))
+        assert res.trials[0].trial_id == 0
+        assert (res.best_spec, res.best_loss) == (res.trials[0].spec, 0.5)
+
+    def test_no_worker_outlives_a_search(self):
+        hb.hyperband(tiny_dataset(), self.SPACES["small"],
+                     hb.HyperbandConfig(max_resource=9, eta=3, seed=0))
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failed_search(self):
+        space = hb.SearchSpace(learning_rates=(1e200,), dense_counts=(1,), widths=(4,))
+        with pytest.raises(GasLiftError, match="every trial failed"):
+            hb.hyperband(tiny_dataset(), space,
+                         hb.HyperbandConfig(max_resource=9, eta=3, seed=0))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch):
+        # the fork carries the patched module into every worker
+        def broken(*args, **kwargs):
+            raise ValueError("broken trial")
+
+        monkeypatch.setattr(hb, "train_channel", broken)
+        with pytest.raises(ValueError, match="broken trial"):
+            hb.hyperband(tiny_dataset(), self.SPACES["small"],
+                         hb.HyperbandConfig(max_resource=9, eta=3, seed=0))
+        assert multiprocessing.active_children() == []

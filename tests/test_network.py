@@ -197,6 +197,12 @@ class TestGradient:
         with pytest.raises(ShapeMismatch):
             nw.gradient(np.zeros(3), spec, np.empty((0, 2)), np.empty(0))
 
+    def test_bare_row_rejected(self):
+        # one sample is a (1, width) matrix, as forward takes it
+        spec = nw.NetworkSpec((2, 1), ("linear",))
+        with pytest.raises(ShapeMismatch, match="batch regressor rows"):
+            nw.gradient(np.zeros(3), spec, np.array([1.0, 2.0]), np.array([0.5]))
+
     def test_stacked_members_match_loop(self):
         spec = nw.NetworkSpec((3, 4, 1), ("tanh", "linear"))
         thetas = np.stack(
@@ -315,6 +321,17 @@ class TestTrain:
         yv = np.resize(yv, len(yv) + extra_val)
         spec = nw.NetworkSpec((1, 1), ("linear",), epochs=2)
         with pytest.raises(ShapeMismatch, match="targets"):
+            nw.train(spec, Xt, yt, Xv, yv)
+
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_bare_row_split_rejected(self, split):
+        Xt, yt, Xv, yv = self._linear_problem()
+        if split == "training":
+            Xt, yt = Xt[0], yt[:1]
+        else:
+            Xv, yv = Xv[0], yv[:1]
+        spec = nw.NetworkSpec((1, 1), ("linear",), epochs=2)
+        with pytest.raises(ShapeMismatch, match=f"{split} regressor rows"):
             nw.train(spec, Xt, yt, Xv, yv)
 
     def test_plain_full_batch_descent_monotone_on_linear_net(self):

@@ -53,6 +53,14 @@ FIT_WEIGHTS_SHA256 = {
     "well3_ml": "2552fc770e769aeaca1c1a80ddeeb4d22338eb468b2aada816535dcdacf09994",
 }
 
+# sha256 of the tune stage's files under TINY with BLAS on one thread (see
+# conftest.py); every trial record and the winner must reproduce them,
+# whatever the number of bracket workers
+TUNE_SHA256 = {
+    "tune.json": "13952148cdcaa6eef7a09560e8826478a04438ea1019824e48830c61abd3f3db",
+    "trials.csv": "a523584a57cf5fa2a8db93e21e6cea54c6eb0d0dc51bc56a52cdb39d7936366f",
+}
+
 
 def write_config(root, extra=""):
     path = root / "run.cfg"
@@ -136,6 +144,12 @@ class TestEndToEnd:
         weights = sorted((root / "artifacts" / "fit" / "weights").glob("*.npy"))
         assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in weights} == FIT_WEIGHTS_SHA256
+
+    def test_tune_files_keep_their_bits(self, run):
+        root, _, _ = run
+        tune = root / "artifacts" / "tune"
+        assert {name: hashlib.sha256((tune / name).read_bytes()).hexdigest()
+                for name in TUNE_SHA256} == TUNE_SHA256
 
     def test_report_files(self, run):
         root, _, outputs = run
