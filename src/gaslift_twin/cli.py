@@ -13,9 +13,15 @@ import json
 import os
 import sys
 
-from .config import RunConfig, default_config, describe_keys, parse_config
-from .errors import UsageError
-from .pipeline import run_stage
+# BLAS on one thread before numpy loads (through the imports below): OpenBLAS
+# orders some sums by its thread count, so the artifacts would otherwise
+# depend on the CPUs a run may use; a variable set by the caller still wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .config import RunConfig, default_config, describe_keys, parse_config  # noqa: E402
+from .errors import UsageError  # noqa: E402
+from .pipeline import run_stage  # noqa: E402
 
 CONFIG_ENV_VAR = "GASLIFT_TWIN_CONFIG"
 

@@ -1,11 +1,12 @@
 """Online cognitive twin.
 
 Warm-starts per-channel models from offline artifacts, monitors one-step-ahead
-coverage of live measurements over a moving horizon, and retrains the ensemble
-when the violation count crosses the cognitive threshold. Two drift-response
-paths exist: when the drift source is identified, fresh training data is
-generated at the current plant condition; when it is unknown, live samples are
-buffered until enough are available.
+coverage of live measurements over a moving horizon, triggers when the
+violation count crosses the cognitive threshold, and retrains the ensemble on
+the data it is given. The harness answers a trigger by its cause: for an
+identified source ``handle_drift`` generates fresh training data at the
+current plant condition; for an unknown one the twin buffers live samples
+(``begin_buffering``) until the harness's wait is met.
 
 Each 1 Hz step runs a plan built once per group of like channels, when the
 twin is built and again after every retrain. A group gathers its regressor
@@ -41,7 +42,6 @@ from .errors import (
     InsufficientSamples,
     InvalidRegion,
     MemberDroppedWarning,
-    OfflineInstanceUnavailable,
     ShapeMismatch,
 )
 from .network import ForwardPlan, NetworkSpec, forward, train
@@ -402,7 +402,6 @@ class DriftEvent:
     cause: str
     action: str
     retrain_step: int | None = None
-    post_retrain_z: int | None = None
 
     def __post_init__(self):
         if self.cause not in (CAUSE_IDENTIFIED, CAUSE_UNKNOWN):
@@ -455,20 +454,13 @@ class RetrainData:
         if Y.shape[1] != len(self.channels):
             raise ShapeMismatch("one output column per channel required")
 
-    @property
-    def n_rows(self) -> int:
-        return self.Y.shape[0]
 
-
-def request_offline_data(
-    condition: DriftCondition,
-    *,
-    n_experiments: int = 40,
-    hold: int = 60,
-    seed: int = 0,
+def handle_drift(
+    condition: DriftCondition, *, n_experiments: int, hold: int, seed: int,
 ) -> RetrainData:
-    """Fresh stratified experiment batch over ``TABLE_BOUNDS``, simulated at
-    the drifted condition.
+    """The data request of a drift whose source is identified: a fresh
+    stratified experiment batch over ``TABLE_BOUNDS``, simulated at the
+    drifted condition.
 
     The schedule starts from the supplied plant state (the system's current
     state when the harness requests data) and cycles the condition's valve
@@ -482,37 +474,6 @@ def request_offline_data(
         condition.initial,
     )
     return RetrainData(Y=traj.states_matrix(), U=traj.inputs_matrix(), hold=int(hold))
-
-
-def handle_drift(
-    cause: str,
-    *,
-    condition: DriftCondition | None = None,
-    buffered: RetrainData | None = None,
-    wait_buffer: int = DEFAULT_WAIT_BUFFER,
-    n_experiments: int = 40,
-    hold: int = 60,
-    seed: int = 0,
-) -> RetrainData | None:
-    """Resolve a trigger into retraining data.
-
-    Identified sources get a fresh generated batch immediately and require
-    plant access through ``condition``. Unknown sources return None until the
-    live buffer holds ``wait_buffer`` rows.
-    """
-    if cause == CAUSE_IDENTIFIED:
-        if condition is None:
-            raise OfflineInstanceUnavailable(
-                "identified drift needs plant access to generate data"
-            )
-        return request_offline_data(
-            condition, n_experiments=n_experiments, hold=hold, seed=seed,
-        )
-    if cause == CAUSE_UNKNOWN:
-        if buffered is None or buffered.n_rows < wait_buffer:
-            return None
-        return buffered
-    raise ValueError(f"unknown drift cause {cause!r}")
 
 
 @dataclass(frozen=True)
@@ -642,12 +603,11 @@ class CognitiveTwin:
     arrays of its own; every other buffer it writes is written in full
     before it is read, and carries nothing to the next step.
 
-    ``max_z`` reads the window and ``retrain`` resets it. The output history
-    and the input lags are newest-first views into one history vector, the
-    one the groups gather from. Row 0 of the input lags is the slot of the
-    current input, written at the start of a step, so a regressor row reads
-    it with the past inputs behind it; both are shifted in place once a step
-    has succeeded. A step that raises changes nothing: the step count, the
+    ``retrain`` resets the window. The output history and the input lags are
+    newest-first views into one history vector, the one the groups gather
+    from. Row 0 of the input lags is the slot of the current input, written
+    at the start of a step, so a regressor row reads it with the past inputs
+    behind it; both are shifted in place once a step has succeeded. A step that raises changes nothing: the step count, the
     window, the output history, the past inputs and the live buffer stay as
     they were.
     """
@@ -687,9 +647,6 @@ class CognitiveTwin:
     @property
     def warmed_up(self) -> bool:
         return self._k >= self._warmup
-
-    def max_z(self) -> int:
-        return int(self.window.Z.max())
 
     def step(self, u_now: np.ndarray, y_now: np.ndarray) -> StepResult:
         u_now = np.asarray(u_now, dtype=float).ravel()

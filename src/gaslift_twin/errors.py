@@ -75,12 +75,6 @@ class InvalidRegion(GasLiftError):
     """A coverage region has inf > sup."""
 
 
-# --- cognitive core ---
-
-class OfflineInstanceUnavailable(GasLiftError):
-    """The source-identified drift path needs plant access but none was given."""
-
-
 # --- configuration / CLI ---
 
 class ConfigError(GasLiftError):

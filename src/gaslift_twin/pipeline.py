@@ -11,8 +11,10 @@ as JSON, tables as CSV) plus a manifest:
     fit               final per-channel network training
     mcmc              weight-posterior chains around each trained network
     reduce            ensemble reduction with the 25% safety factor
-    sil-scenario<k>   software-in-the-loop scenario replay logs
-    report            plot-ready CSVs and metric summaries per scenario
+    sil-scenario<k>   software-in-the-loop scenario replay logs, drift
+                      events in the log's meta.json
+    report            plot-ready CSVs, the events.jsonl drift-event log and
+                      metric summaries per scenario
 
 Stages are deterministic functions of the configuration, so re-running any
 of them with the same config reproduces its artifacts byte for byte.
@@ -33,7 +35,9 @@ from .artifacts import (
     write_array,
     write_csv,
     write_json,
-    write_text,
+    # no stage writes text any more, but perfbench/layers.py wraps
+    # ``pipeline.write_text`` by name
+    write_text,  # noqa: F401
 )
 from .bayes import Chain, burn_in_trim, reduce_ensemble, sample_weight_posterior
 from .cognitive import OfflineArtifact, make_artifact
@@ -582,13 +586,10 @@ def stage_sil(cfg: RunConfig, scenario: int | None = None) -> list[dict]:
             retrain_experiments=cfg.sil.retrain_experiments,
             retrain_hold=cfg.sil.retrain_hold,
         )
-        events_path = write_text(
-            out / "events.jsonl", sil_mod.events_jsonl(log.events)
-        )
         fp = store.write_manifest(
             stage,
             config_hash=cfg.stage_hash(stage),
-            outputs=[*sil_mod.write_log(log, out / "log"), events_path],
+            outputs=sil_mod.write_log(log, out / "log"),
             inputs={"reduce": fp_reduce},
             seeds={"sil.seed": cfg.sil.seed + sid},
             extra={
@@ -626,9 +627,8 @@ def stage_report(cfg: RunConfig, scenario: int | None = None) -> dict:
     for sid in _selected_scenarios(cfg, scenario):
         log, fp_log = load_sil_log(cfg, sid)
         inputs[f"sil-scenario{sid}"] = fp_log
-        written = sil_mod.emit_report(log, out / f"scenario{sid}")
+        written, comparison = sil_mod.emit_report(log, out / f"scenario{sid}")
         paths.extend(written)
-        comparison = sil_mod.compare_static_vs_dt(log)
         index[f"scenario{sid}"] = {
             "n_events": len(log.events),
             "n_retrains": comparison.n_retrains,

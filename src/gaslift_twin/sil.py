@@ -3,12 +3,16 @@
 Binds the virtual plant to the cognitive twin: replays scripted disturbance
 scenarios at 1 Hz, applies valve degradations, routes measurements through the
 twin, and records everything alongside a frozen static model for contrast.
+
+``run_scenario`` decides each drift episode by its cause, retrains the twin
+and records the episode as one ``DriftEvent``; the log keeps the events in
+``meta.json``, and ``emit_report`` renders them as ``events.jsonl``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +93,6 @@ class ScenarioScript:
     baseline: PlantInputs
     disturbances: tuple[Disturbance, ...]
     drift_source_identified: bool
-    wait_buffer: int | None = None      # overrides the twin config when set
 
     def __post_init__(self):
         if self.duration_s < 1:
@@ -117,9 +120,9 @@ def scenario_library() -> dict[str, ScenarioScript]:
     All start from the baseline operating point ``BASELINE_INPUTS`` and
     disturb one well's production valve at t = 2700 s: scenario 1 halves
     CV101 in one step (cause identified), scenario 2 cuts CV102 by 75% with
-    the cause unknown so 5000 s of live data must be buffered, and scenario
-    3 ramps CV103 continuously from fully open down to 0.4 over 5000 s
-    (cause identified).
+    the cause unknown, so the twin waits for ``CognitiveConfig.wait_buffer``
+    seconds of live data (5000 by default), and scenario 3 ramps CV103
+    continuously from fully open down to 0.4 over 5000 s (cause identified).
     """
     return {
         "scenario1": ScenarioScript(
@@ -131,7 +134,6 @@ def scenario_library() -> dict[str, ScenarioScript]:
             id="scenario2", duration_s=12_000, baseline=BASELINE_INPUTS,
             disturbances=(Disturbance(2700, 1, KIND_STEP, 0.25),),
             drift_source_identified=False,
-            wait_buffer=5000,
         ),
         "scenario3": ScenarioScript(
             id="scenario3", duration_s=10_000, baseline=BASELINE_INPUTS,
@@ -200,13 +202,16 @@ def run_scenario(
     """Replay one scenario at 1 Hz and return the full log.
 
     The plant settles for ``warmup_s`` unlogged seconds at the baseline before
-    scenario time starts. Identified drifts retrain immediately on data
-    generated from the live plant state; unknown drifts buffer live samples
-    until the wait threshold fills.
+    scenario time starts. Each drift episode is decided here, by the script's
+    cause: an identified drift retrains at its detection step on data that
+    ``handle_drift`` generates from the live plant state; an unknown one
+    buffers live samples from the next step on and retrains on them at the
+    first step after detection at which the buffer holds
+    ``config.wait_buffer`` rows. Each retrain completes one ``DriftEvent``;
+    an episode still waiting when the run ends is logged with no retrain
+    step (truncated). Triggers during a wait are ignored.
     """
     params = params if params is not None else PlantParams()
-    if script.wait_buffer is not None:
-        config = replace(config, wait_buffer=script.wait_buffer)
 
     settle = simulate_experiment(
         script.baseline, warmup_s, params, default_initial_state(params)
@@ -235,9 +240,10 @@ def run_scenario(
     z_log = np.zeros((n, n_c), dtype=z_type)
     monitored = np.zeros(n, dtype=bool)
 
-    events: list[DriftEvent] = []
+    # (detection step, retrain step) of every drift episode
+    episodes: list[tuple[int, int | None]] = []
     records: list[tuple[RetrainRecord, ...]] = []
-    active: DriftEvent | None = None
+    detected: int | None = None     # detection step of the episode waiting
     u_row = np.concatenate([script.baseline.Q_g, [script.baseline.P_pump]])
 
     for i in range(n):
@@ -262,39 +268,35 @@ def run_scenario(
         z_log[i] = r.Z
         monitored[i] = r.monitored
 
-        if r.trigger and active is None:
-            t_step = int(t)
+        data = None
+        if r.trigger and detected is None:
+            detected = int(t)
             if script.drift_source_identified:
                 condition = DriftCondition(
                     params=params, initial=state,
                     v_o_rows=_slope_rows(script, t),
                 )
                 data = handle_drift(
-                    CAUSE_IDENTIFIED, condition=condition,
-                    n_experiments=retrain_experiments, hold=retrain_hold,
-                    seed=seed + len(events) + 1,
+                    condition, n_experiments=retrain_experiments,
+                    hold=retrain_hold, seed=seed + len(episodes) + 1,
                 )
-                records.append(twin.retrain(data, seed=seed + len(events) + 1))
-                events.append(DriftEvent(
-                    t_step, CAUSE_IDENTIFIED, ACTION_OFFLINE,
-                    retrain_step=t_step, post_retrain_z=twin.max_z(),
-                ))
             else:
                 twin.begin_buffering()
-                active = DriftEvent(t_step, CAUSE_UNKNOWN, ACTION_WAIT)
-        elif active is not None and twin.buffer_size >= config.wait_buffer:
-            data = handle_drift(
-                CAUSE_UNKNOWN, buffered=twin.buffer_data(),
-                wait_buffer=config.wait_buffer,
-            )
-            records.append(twin.retrain(data, seed=seed + len(events) + 1))
-            events.append(replace(
-                active, retrain_step=int(t), post_retrain_z=twin.max_z(),
-            ))
-            active = None
+        elif detected is not None and twin.buffer_size >= config.wait_buffer:
+            data = twin.buffer_data()
+        if data is not None:
+            records.append(twin.retrain(data, seed=seed + len(episodes) + 1))
+            episodes.append((detected, int(t)))
+            detected = None
 
-    if active is not None:
-        events.append(active)       # truncated: run ended while waiting
+    if detected is not None:
+        episodes.append((detected, None))   # truncated: run ended while waiting
+    if script.drift_source_identified:
+        cause, action = CAUSE_IDENTIFIED, ACTION_OFFLINE
+    else:
+        cause, action = CAUSE_UNKNOWN, ACTION_WAIT
+    events = tuple(DriftEvent(detection, cause, action, retrain_step=retrain)
+                   for detection, retrain in episodes)
 
     # the frozen static model sees the same measured history as the twin, from
     # the deepest lag of any channel on; one matmul per regressor row, as in
@@ -315,7 +317,7 @@ def run_scenario(
         t=log_t, v_o=log_vo, U=log_u, truth=truth, predicted=predicted,
         lower=lower, upper=upper, static_pred=static_pred,
         indicator=indicator, Z=z_log, monitored=monitored,
-        events=tuple(events), retrain_records=tuple(records),
+        events=events, retrain_records=tuple(records),
     )
 
 
@@ -430,12 +432,15 @@ def events_jsonl(events: tuple[DriftEvent, ...]) -> str:
     )
 
 
-def emit_report(log: SilLog, out_dir: str | Path) -> list[Path]:
+def emit_report(
+    log: SilLog, out_dir: str | Path
+) -> tuple[list[Path], SilComparison | None]:
     """Write channel CSVs, an event log and a summary to ``out_dir``.
 
     Output is byte-stable for a given log: fixed column order, full-precision
     decimal floats, sorted JSON keys and no timestamps, so re-emitting the
-    same log is idempotent.
+    same log is idempotent. Returns the written paths and the comparison the
+    summary holds (None for a log with no steps).
     """
     out = Path(out_dir)
     written = [
@@ -461,7 +466,7 @@ def emit_report(log: SilLog, out_dir: str | Path) -> list[Path]:
         "n_retrains": len(log.retrain_steps()),
         "metrics": None if comparison is None else asdict(comparison),
     }))
-    return written
+    return written, comparison
 
 
 # the SilLog fields stored one .npy each; the rest goes to meta.json
@@ -485,12 +490,19 @@ def write_log(log: SilLog, out_dir: str | Path) -> list[Path]:
     ]
 
 
+def _without(doc: dict, retired: str) -> dict:
+    """``doc`` without a key that older logs stored and logs no longer do."""
+    return {k: v for k, v in doc.items() if k != retired}
+
+
 def read_log(in_dir: str | Path) -> SilLog:
     """The log that :func:`write_log` stored in ``in_dir``. A ``meta.json``
-    without retrain records reads back with none."""
+    without retrain records reads back with none; one that still carries a
+    script's ``wait_buffer`` or an event's ``post_retrain_z`` reads back
+    without them."""
     src = Path(in_dir)
     meta = read_json(src / "meta.json")
-    s = meta["script"]
+    s = _without(meta["script"], "wait_buffer")
     script = ScenarioScript(**{
         **s,
         "baseline": PlantInputs(**s["baseline"]),
@@ -501,7 +513,8 @@ def read_log(in_dir: str | Path) -> SilLog:
         config=CognitiveConfig(**meta["config"]),
         seed=meta["seed"],
         channels=tuple(meta["channels"]),
-        events=tuple(DriftEvent(**e) for e in meta["events"]),
+        events=tuple(DriftEvent(**_without(e, "post_retrain_z"))
+                     for e in meta["events"]),
         retrain_records=tuple(
             tuple(RetrainRecord(**{k: tuple(v) if isinstance(v, list) else v
                                    for k, v in r.items()}) for r in rs)

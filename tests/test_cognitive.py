@@ -15,7 +15,6 @@ from gaslift_twin.errors import (
     InsufficientSamples,
     InvalidRegion,
     MemberDroppedWarning,
-    OfflineInstanceUnavailable,
     ShapeMismatch,
 )
 from gaslift_twin.plant import PlantParams, default_initial_state
@@ -362,7 +361,7 @@ class TestCognitiveUpdate:
 class TestDriftEvent:
     def test_valid(self):
         ev = cg.DriftEvent(100, cg.CAUSE_UNKNOWN, cg.ACTION_WAIT,
-                           retrain_step=5100, post_retrain_z=0)
+                           retrain_step=5100)
         assert ev.retrain_step - ev.detection_step == 5000
 
     def test_retrain_before_detection(self):
@@ -377,21 +376,6 @@ class TestDriftEvent:
 
 
 class TestHandleDrift:
-    def test_identified_requires_plant_access(self):
-        with pytest.raises(OfflineInstanceUnavailable):
-            cg.handle_drift(cg.CAUSE_IDENTIFIED, condition=None)
-
-    def test_unknown_waits_for_buffer(self):
-        small = cg.RetrainData(Y=np.zeros((10, 6)), U=np.zeros((10, 4)), hold=None)
-        assert cg.handle_drift(cg.CAUSE_UNKNOWN, buffered=small, wait_buffer=50) is None
-        assert cg.handle_drift(cg.CAUSE_UNKNOWN, buffered=None, wait_buffer=50) is None
-        full = cg.RetrainData(Y=np.zeros((50, 6)), U=np.zeros((50, 4)), hold=None)
-        assert cg.handle_drift(cg.CAUSE_UNKNOWN, buffered=full, wait_buffer=50) is full
-
-    def test_unknown_cause_rejected(self):
-        with pytest.raises(ValueError):
-            cg.handle_drift("other")
-
     def test_identified_generates_at_condition(self):
         params = PlantParams()
         condition = cg.DriftCondition(
@@ -399,9 +383,7 @@ class TestHandleDrift:
             initial=default_initial_state(params),
             v_o_rows=np.array([[0.5, 1.0, 1.0]]),
         )
-        data = cg.handle_drift(
-            cg.CAUSE_IDENTIFIED, condition=condition, n_experiments=3, hold=5, seed=1
-        )
+        data = cg.handle_drift(condition, n_experiments=3, hold=5, seed=1)
         assert data.Y.shape == (15, 6)
         assert data.U.shape == (15, 4)
         assert data.hold == 5
@@ -613,7 +595,7 @@ class TestCognitiveTwin:
         assert data.channels == ("c0", "c1")
         twin.retrain(data)
         assert twin.buffer_size == 0
-        assert twin.max_z() == 0
+        assert not twin.window.Z.any()
         assert not twin.window.triggered.any()
         assert twin.window.k == 0
 

@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -155,18 +158,26 @@ class TestEndToEnd:
         root, _, outputs = run
         report = root / "reports" / "report"
         index = json.loads((report / "index.json").read_text())
-        # scenario 2's cause is unknown and its 5000-row buffer never fills
+        # scenario 2's cause is unknown and its buffer never reaches the
+        # default wait of 5000 rows
         assert index["scenario2"]["n_retrains"] == 0
         events = (report / "scenario2" / "events.jsonl").read_text()
         assert json.loads(events)["status"] == "truncated"
-        assert (root / "artifacts" / "sil-scenario2" / "events.jsonl").read_text() \
-            == events
         for sid in (1, 2, 3):
             summary = json.loads(
                 (report / f"scenario{sid}" / "summary.json").read_text())
             assert summary["config"]["mh"] == 20
             assert summary["n_events"] == outputs["sil"][sid - 1]["n_events"]
             assert len(list((report / f"scenario{sid}" / "channels").glob("*.csv"))) == 6
+
+    def test_events_are_stored_once_and_rendered_by_report(self, run):
+        root, _, _ = run
+        for sid in (1, 2, 3):
+            sil_dir = root / "artifacts" / f"sil-scenario{sid}"
+            assert not (sil_dir / "events.jsonl").exists()
+            log = sil.read_log(sil_dir / "log")
+            rendered = root / "reports" / "report" / f"scenario{sid}" / "events.jsonl"
+            assert rendered.read_text() == sil.events_jsonl(log.events)
 
     def test_rerun_reproduces_bytes(self, run):
         root, cfg, _ = run
@@ -241,3 +252,15 @@ def test_config_defaults_are_the_library_defaults():
         bayes.DEFAULT_SIGMA_FLOOR, bayes.DEFAULT_LIKELIHOOD_ROWS,
         bayes.DEFAULT_PRIOR_HALF_WIDTH,
     )
+
+
+def test_cli_pins_blas_unless_the_caller_set_it():
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["MKL_NUM_THREADS"] = "2"
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import os, sys, gaslift_twin.cli; "
+            "print(*(os.environ[v] for v in sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, *blas], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["1", "1", "2"]

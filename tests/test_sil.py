@@ -37,13 +37,13 @@ def mini_series():
     return traj.states_matrix(), traj.inputs_matrix()
 
 
-def fit_mini_twin(series, layouts):
+def fit_mini_twin(series, layouts, channels=MINI_CHANNELS):
     """Small fitted twin: linear nets on ``series``, one lag layout per
     channel, ensemble members spread around the fit by a few residual
     standard deviations."""
     Y, U = series
     arts = {}
-    for c, layout in zip(MINI_CHANNELS, layouts):
+    for c, layout in zip(channels, layouts):
         ds = assemble_narx_dataset(Y, U, 30, layout, seed=0)
         spec = nw.NetworkSpec((layout.width, 1), ("linear",), learning_rate=0.05,
                               epochs=150, batch_size=32, seed=0)
@@ -80,12 +80,11 @@ def quiet_script(duration=300):
 
 
 def step_script(identified=True, magnitude=0.25, onset=100, duration=400,
-                valve=0, wait_buffer=None):
+                valve=0):
     return sil.ScenarioScript(
         id="mini-step", duration_s=duration, baseline=BASELINE,
         disturbances=(sil.Disturbance(onset, valve, sil.KIND_STEP, magnitude),),
         drift_source_identified=identified,
-        wait_buffer=wait_buffer,
     )
 
 
@@ -138,7 +137,6 @@ class TestScenarioLibrary:
         s = sil.scenario_library()["scenario2"]
         assert s.duration_s == 12_000
         assert not s.drift_source_identified
-        assert s.wait_buffer == 5000
         (d,) = s.disturbances
         assert (d.time_s, d.valve, d.kind, d.magnitude) == (2700, 1, "step", 0.25)
 
@@ -241,12 +239,35 @@ class TestRunScenario:
         assert ev.retrain_step == ev.detection_step + 80
 
     def test_truncated_event_when_buffer_never_fills(self, mini_artifacts):
-        script = step_script(identified=False, duration=160,
-                             wait_buffer=10_000)
-        log = sil.run_scenario(script, mini_artifacts, mini_config(), seed=5)
+        script = step_script(identified=False, duration=160)
+        log = sil.run_scenario(script, mini_artifacts,
+                               mini_config(wait_buffer=10_000), seed=5)
         assert len(log.events) == 1
         assert log.events[0].retrain_step is None
         assert log.retrain_steps() == ()
+
+    def test_config_wait_reaches_scenario2(self, mini_series):
+        # scenario 2, the library's unknown-cause scenario, shortened and
+        # watched on the well whose valve it cuts; its wait is the config's,
+        # and a batch of 4 lets the twin fine-tune on the 10 rows it buffers
+        base = sil.scenario_library()["scenario2"]
+        (cut,) = base.disturbances
+        script = dataclasses.replace(base, duration_s=300, disturbances=(
+            dataclasses.replace(cut, time_s=100),))
+        well2 = fit_mini_twin(mini_series, [NarxLayout(2, 1, 4)] * 2,
+                              channels=("well2_mg", "well2_ml"))
+        artifacts = {
+            c: cg.make_artifact(c, dataclasses.replace(a.spec, batch_size=4),
+                                a.layout, a.norm, a.map_theta, a.members)
+            for c, a in well2.items()
+        }
+        log = sil.run_scenario(script, artifacts, mini_config(wait_buffer=10),
+                               seed=2)
+        ev = log.events[0]
+        assert (ev.cause, ev.action) == (cg.CAUSE_UNKNOWN, cg.ACTION_WAIT)
+        assert ev.detection_step >= 100
+        assert ev.retrain_step == ev.detection_step + 10
+        assert log.config.wait_buffer == 10
 
     def test_disturbance_applied_exactly(self, mini_artifacts):
         log = sil.run_scenario(step_script(), mini_artifacts, mini_config(),
@@ -318,10 +339,13 @@ class TestEmitReport:
         log = sil.run_scenario(
             step_script(identified=False), mini_artifacts, mini_config(), seed=4
         )
-        first = sil.emit_report(log, tmp_path)
+        first, comparison = sil.emit_report(log, tmp_path)
         blobs = {p: p.read_bytes() for p in first}
-        again = sil.emit_report(log, tmp_path)
+        again, _ = sil.emit_report(log, tmp_path)
         assert first == again
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert comparison == sil.compare_static_vs_dt(log)
+        assert summary["metrics"] == jsonable(asdict(comparison))
         for p in again:
             assert p.read_bytes() == blobs[p]
 
@@ -339,7 +363,8 @@ class TestEmitReport:
         assert summary["scenario"] == "mini-step"
 
     def test_empty_log(self, tmp_path):
-        files = sil.emit_report(empty_log(), tmp_path)
+        files, comparison = sil.emit_report(empty_log(), tmp_path)
+        assert comparison is None
         csvs = [p for p in files if p.suffix == ".csv"]
         assert len(csvs) == 2
         for p in csvs:
@@ -411,6 +436,24 @@ class TestLogCodec:
         del meta["retrain_records"]
         meta_path.write_text(json.dumps(meta))
         assert sil.read_log(tmp_path).retrain_records == ()
+
+    def test_meta_with_retired_keys_reads_back(self, tmp_path):
+        # logs written before the harness stopped storing them carry the
+        # script's wait_buffer and each event's post_retrain_z
+        log = dataclasses.replace(empty_log(), events=(
+            cg.DriftEvent(5, cg.CAUSE_UNKNOWN, cg.ACTION_WAIT, retrain_step=9),
+            cg.DriftEvent(12, cg.CAUSE_UNKNOWN, cg.ACTION_WAIT),
+        ))
+        sil.write_log(log, tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["script"]["wait_buffer"] = 5000
+        for e in meta["events"]:
+            e["post_retrain_z"] = 0 if e["retrain_step"] is not None else None
+        meta_path.write_text(json.dumps(meta))
+        back = sil.read_log(tmp_path)
+        assert back.events == log.events
+        assert jsonable(asdict(back.script)) == jsonable(asdict(log.script))
 
     def test_narrow_integer_columns(self, mini_artifacts):
         log = sil.run_scenario(quiet_script(10), mini_artifacts, mini_config(),
