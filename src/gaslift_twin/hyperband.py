@@ -8,7 +8,8 @@ each trial's checkpoint between rungs instead of restarting.
 Brackets share nothing but the order of their configuration draws, so every
 bracket's trials are drawn first, in one pass over the seeded rng, and the
 brackets then run at the same time in worker processes, one per CPU this
-process may use and at most one per bracket. The workers are forked: they
+process may use and at most one per bracket; with one CPU they run one after
+another in this process, which starts no worker. The workers are forked: they
 start with numpy and this package already imported, where a spawned worker
 would import them again for every search. Fork copies only the calling
 thread; the package starts no other, so a caller that runs threads of its
@@ -189,16 +190,20 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
                       for i in ids])
         next_id = ids.stop
 
-    # imported here, so that the processes that never search (the twin's
-    # online loop) do not load the pool's modules, about 1.9 MB resident
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    run = partial(_run_bracket, dataset, eta=config.eta)
     workers = min(len(schedule), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        runs = list(pool.map(partial(_run_bracket, dataset, eta=config.eta),
-                             schedule, draws))
+    if workers == 1:
+        runs = list(map(run, schedule, draws))
+    else:
+        # imported here, so that the processes that never fork a search (the
+        # twin's online loop) do not load the pool's modules, about 1.9 MB
+        # resident
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            runs = list(pool.map(run, schedule, draws))
     trials = [t for records in runs for t in records]
 
     finite = [t for t in trials if np.isfinite(t.val_loss)]

@@ -30,6 +30,20 @@ on, so every row that does not diverge ends bit-equal to its own
 single-vector run. A single vector is never lifted to a stack of one: its
 loop keeps its own shapes, and only a single vector raises DivergedLoss.
 
+``train`` plans its work once per call, as the twin plans its forward: one
+gradient plan for the mini-batch size and one for a short last batch, each
+holding a ``ForwardPlan`` over the weights whose layer buffers are the
+activations backpropagation reads, a delta buffer per layer and one flat
+gradient buffer that each layer's weight and bias gradients view. Each
+epoch gathers the training split in its shuffled order once, so a
+mini-batch is a slice of that copy. The validation loss runs on a
+``ForwardPlan`` built once per call, and one ``np.errstate`` covers the
+whole loop. Every mini-batch step writes into those buffers, in the same
+float operations and order as the allocating textbook chain, so the bits
+are those of that chain; a single vector takes its matrix products with
+``np.dot``, which makes the same BLAS calls as ``np.matmul`` for less
+overhead. ``gradient`` builds a plan for its one call, as ``forward`` does.
+
 An epoch does only the work its result needs. Its training loss is the
 sample-weighted mean of the squared residuals of its mini-batches, each
 taken at the weights that batch's gradient used, so it costs no pass over
@@ -63,17 +77,6 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(z, out=out)
     return z
-
-
-def _times_act_prime(delta: np.ndarray, z: np.ndarray, a: np.ndarray,
-                     kind: str) -> np.ndarray:
-    """``delta`` times the derivative at ``z`` of the activation whose output
-    there is ``a``; a linear layer's derivative is one, so it is skipped."""
-    if kind == "relu":
-        return delta * (z > 0.0)
-    if kind == "tanh":
-        return delta * (1.0 - a * a)
-    return delta
 
 
 @dataclass(frozen=True)
@@ -207,18 +210,6 @@ def _layers(theta: np.ndarray, spec: NetworkSpec):
         yield theta[..., start:w_end].reshape(*lead, fan_in, fan_out), theta[..., w_end:b_end]
 
 
-def _forward_trace(theta: np.ndarray, spec: NetworkSpec, X: np.ndarray):
-    """Activations and pre-activations per layer for backpropagation."""
-    a = X
-    zs, acts = [], [a]
-    for (W, b), kind in zip(_layers(theta, spec), spec.activations):
-        z = np.matmul(a, W) + b[..., None, :]
-        a = _act(z, kind)
-        zs.append(z)
-        acts.append(a)
-    return zs, acts
-
-
 class ForwardPlan:
     """A weight stack set up for ``forward`` on rows of one shape.
 
@@ -257,9 +248,10 @@ def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
     the plan's last buffer, valid until the next call on the plan. Plain
     weights get a plan of their own for this call.
 
-    Keeps no backprop trace: each layer's matmul writes into its buffer,
-    and the bias and the activation then update it in place. The bits are
-    those of ``_forward_trace``, which ``gradient`` uses.
+    Each layer's matmul writes into its buffer, and the bias and the
+    activation then update it in place. ``gradient`` and ``train`` run this
+    same loop for their forward pass, so predictions and gradients come from
+    one set of bits.
     """
     X = np.asarray(rows, dtype=float)
     if isinstance(weights, ForwardPlan):
@@ -270,12 +262,105 @@ def forward(weights, spec: NetworkSpec, rows: np.ndarray) -> np.ndarray:
             )
     else:
         plan = ForwardPlan(weights, spec, X.shape)
+    return _forward_into(plan, X)
+
+
+def _forward_into(plan: ForwardPlan, X: np.ndarray, matmul=np.matmul) -> np.ndarray:
+    """``forward`` on a plan and rows of its shape, unchecked, each layer's
+    matrix product taken by ``matmul``."""
     a = X
     for W, b, kind, z in plan.layers:
-        np.matmul(a, W, out=z)
+        matmul(a, W, out=z)
         z += b
         a = _act(z, kind, out=z)
     return plan.out
+
+
+def _times_act_prime(delta: np.ndarray, kind: str, a: np.ndarray,
+                     scratch: np.ndarray | None) -> None:
+    """Multiply ``delta`` in place by the derivative of the activation whose
+    output is ``a``, using ``scratch`` (of ``a``'s shape: bool for relu,
+    float for tanh) for the factor. relu reads its mask from ``a > 0``, which
+    equals ``z > 0`` for every pre-activation ``z``, NaN included; a linear
+    layer's derivative is one, so it is skipped."""
+    if kind == "relu":
+        np.multiply(delta, np.greater(a, 0.0, out=scratch), out=delta)
+    elif kind == "tanh":
+        np.multiply(a, a, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.multiply(delta, scratch, out=delta)
+
+
+class _GradientPlan:
+    """A weight stack set up for the batch-MSE gradient on ``n_rows``
+    regressor rows.
+
+    ``forward`` is a ``ForwardPlan`` over ``theta``, and its per-layer
+    buffers are the activations backpropagation reads. Every delta, mask and
+    gradient has a buffer of its own, and ``grad`` is one flat buffer shaped
+    like ``theta`` that each layer's (W, b) gradient views write, so ``run``
+    allocates only its sums of squared residuals.
+
+    A single C-contiguous parameter vector on C-contiguous rows takes its
+    matrix products with ``np.dot``, which costs less per call than
+    ``np.matmul``: every operand is then a BLAS-ready matrix or its
+    transpose, on which both make the same BLAS call. Anything else, a stack
+    or strided rows, keeps ``np.matmul``.
+    """
+
+    def __init__(self, theta: np.ndarray, spec: NetworkSpec, n_rows: int):
+        self.forward = ForwardPlan(theta, spec, (n_rows, spec.n_inputs))
+        self.grad = np.empty(theta.shape)
+        flat = theta.ndim == 1 and theta.flags.c_contiguous
+        self.contiguous_matmul = np.dot if flat else np.matmul
+        lead = theta.shape[:-1]
+        acts = [z for *_, z in self.forward.layers]
+        deltas = [np.empty_like(z) for z in acts]
+        self.output, self.resid, self.scale = acts[-1], deltas[-1], 2.0 / n_rows
+        self.squares = np.empty(deltas[-1].shape[:-1])
+        scratch = [None if kind == "linear" else
+                   np.empty(a.shape, dtype=bool if kind == "relu" else float)
+                   for a, kind in zip(acts, spec.activations)]
+        self.last_prime = (spec.activations[-1], acts[-1], scratch[-1])
+        # per layer, last first: its transposed input activation (None for
+        # layer 0, whose input is the rows of the call), its delta, its W and
+        # b gradient views and, but for layer 0, its transposed W with the
+        # delta and activation derivative of the layer below
+        self.backward = []
+        for l in range(len(deltas) - 1, -1, -1):
+            start, w_end, b_end, fan_in, fan_out = spec.layer_slices[l]
+            below = None
+            if l > 0:
+                W = self.forward.layers[l][0]
+                below = (np.swapaxes(W, -1, -2), deltas[l - 1],
+                         (spec.activations[l - 1], acts[l - 1], scratch[l - 1]))
+            self.backward.append((
+                np.swapaxes(acts[l - 1], -1, -2) if l > 0 else None, deltas[l],
+                self.grad[..., start:w_end].reshape(*lead, fan_in, fan_out),
+                self.grad[..., w_end:b_end], below,
+            ))
+
+    def run(self, rows: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient (``grad`` itself, overwritten by the next call) and
+        the sum of squared residuals per parameter row, at the current
+        weights, on ``rows`` (n_rows, width) and ``targets``, (n_rows,) or
+        one row per parameter row."""
+        matmul = self.contiguous_matmul if rows.flags.c_contiguous else np.matmul
+        _forward_into(self.forward, rows, matmul)
+        resid = self.resid
+        np.subtract(self.output, targets[..., None], out=resid)
+        np.square(resid[..., 0], out=self.squares)
+        sse = np.add.reduce(self.squares, axis=-1)
+        np.multiply(self.scale, resid, out=resid)
+        _times_act_prime(resid, *self.last_prime)
+        for a_t, delta, dW, db, below in self.backward:
+            matmul(rows.T if a_t is None else a_t, delta, out=dW)
+            np.add.reduce(delta, axis=-2, out=db)
+            if below is not None:
+                W_t, delta_below, prime = below
+                matmul(delta, W_t, out=delta_below)
+                _times_act_prime(delta_below, *prime)
+        return self.grad, sse
 
 
 def _regressor_matrix(X, spec: NetworkSpec, name: str) -> np.ndarray:
@@ -304,30 +389,7 @@ def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.nda
     if n == 0 or X.shape[0] != n:
         raise ShapeMismatch("batch rows and targets must align and be non-empty")
 
-    return _gradient_sse(theta, spec, X, y)[0]
-
-
-def _gradient_sse(theta: np.ndarray, spec: NetworkSpec, X: np.ndarray,
-                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``gradient`` on checked inputs, and the sum of squared residuals per
-    parameter row, both from one forward trace."""
-    zs, acts = _forward_trace(theta, spec, X)
-    grad = np.empty_like(theta)
-    Ws = [W for W, _ in _layers(theta, spec)]
-
-    resid = acts[-1] - y[..., None]
-    sse = np.square(resid[..., 0]).sum(axis=-1)
-    delta = _times_act_prime((2.0 / X.shape[0]) * resid, zs[-1], acts[-1],
-                             spec.activations[-1])
-    for l in range(len(Ws) - 1, -1, -1):
-        start, w_end, b_end, _, _ = spec.layer_slices[l]
-        dW = np.matmul(np.swapaxes(acts[l], -1, -2), delta)
-        grad[..., start:w_end] = dW.reshape(*dW.shape[:-2], -1)
-        grad[..., w_end:b_end] = delta.sum(axis=-2)
-        if l > 0:
-            delta = _times_act_prime(np.matmul(delta, np.swapaxes(Ws[l], -1, -2)),
-                                     zs[l - 1], acts[l], spec.activations[l - 1])
-    return grad, sse
+    return _GradientPlan(theta, spec, n).run(X, y)[0]
 
 
 def mse_loss(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -408,28 +470,39 @@ def train(
     train_hist: list[np.ndarray] = []
     val_hist: list[np.ndarray] = []
 
-    if initial is not None:
-        # warm starts compete as the baseline candidate: fine-tuning data the
-        # weights already fit must not push them off the optimum
-        with np.errstate(over="ignore", invalid="ignore"):
-            va0 = mse_loss(theta, spec, X_val, y_val)
-        best_val = np.where(np.isfinite(va0), va0, np.inf)
-
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    m_new, v_new, theta_new, tmp = (np.empty_like(theta) for _ in range(4))
-    step = 0
     n = X_train.shape[0]
     batch = min(spec.batch_size, n)
+    # one plan for full batches and one for a short last batch; both view
+    # ``theta``, which therefore stays one buffer that every step updates in
+    # place. Each epoch gathers the split in its shuffled order once, so
+    # every mini-batch is a slice of that copy
+    plans = {size: _GradientPlan(theta, spec, size) for size in {batch, n % batch} - {0}}
+    X_perm, y_perm = np.empty(X_train.shape), np.empty(y_train.shape)
+    val_plan = ForwardPlan(theta, spec, X_val.shape)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    m_new, v_new, tmp = (np.empty_like(theta) for _ in range(3))
+    # a single vector raises once its new weights are non-finite, so it steps
+    # in place; a stack keeps a frozen row's weights
+    theta_new = np.empty_like(theta) if lead else theta
+    step = 0
 
-    for epoch in range(n_epochs):
-        perm = rng.permutation(n)
-        sse = np.zeros(lead)
-        for start in range(0, n, batch):
-            idx = perm[start : start + batch]
-            with np.errstate(over="ignore", invalid="ignore"):
-                g, batch_sse = _gradient_sse(theta, spec, X_train[idx],
-                                             y_train.take(idx, axis=-1))
+    # overflow and invalid operations are divergence, which training detects
+    with np.errstate(over="ignore", invalid="ignore"):
+        if initial is not None:
+            # warm starts compete as the baseline candidate: fine-tuning data the
+            # weights already fit must not push them off the optimum
+            va0 = mse_loss(val_plan, spec, X_val, y_val)
+            best_val = np.where(np.isfinite(va0), va0, np.inf)
+
+        for epoch in range(n_epochs):
+            perm = rng.permutation(n)
+            X_train.take(perm, axis=0, out=X_perm, mode="clip")
+            y_train.take(perm, axis=-1, out=y_perm, mode="clip")
+            sse = np.zeros(lead)
+            for start in range(0, n, batch):
+                rows = X_perm[start : start + batch]
+                g, batch_sse = plans[len(rows)].run(rows, y_perm[..., start : start + batch])
                 sse += batch_sse
                 step += 1
                 # m_new = b1 * m + (1 - b1) * g; v_new = b2 * v + (1 - b2) * g * g
@@ -444,24 +517,22 @@ def train(
                 np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
                 np.divide(np.multiply(lr, g, out=g), tmp, out=g)
                 np.subtract(theta, g, out=theta_new)
-            ok = np.isfinite(theta_new).all(axis=-1)
-            if lead:
-                diverged |= active & ~ok
-                active &= ok
-                keep = active[..., None]
-                np.copyto(theta, theta_new, where=keep)
-                np.copyto(m, m_new, where=keep)
-                np.copyto(v, v_new, where=keep)
-            elif ok:
-                theta, theta_new = theta_new, theta
-                m, m_new = m_new, m
-                v, v_new = v_new, v
-            else:
-                raise DivergedLoss(f"parameters diverged at epoch {epoch}")
+                ok = np.isfinite(theta_new).all(axis=-1)
+                if lead:
+                    diverged |= active & ~ok
+                    active &= ok
+                    keep = active[..., None]
+                    np.copyto(theta, theta_new, where=keep)
+                    np.copyto(m, m_new, where=keep)
+                    np.copyto(v, v_new, where=keep)
+                elif ok:
+                    m, m_new = m_new, m
+                    v, v_new = v_new, v
+                else:
+                    raise DivergedLoss(f"parameters diverged at epoch {epoch}")
 
-        with np.errstate(over="ignore", invalid="ignore"):
             tr = sse / n
-            va = mse_loss(theta, spec, X_val, y_val)
+            va = mse_loss(val_plan, spec, X_val, y_val)
             ok = np.isfinite(tr) & np.isfinite(va)
             if not (lead or ok):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
@@ -470,13 +541,13 @@ def train(
             train_hist.append(np.where(active, tr, np.nan))
             val_hist.append(np.where(active, va, np.nan))
             improved = active & (va < best_val)
-        best_val = np.where(improved, va, best_val)
-        best_theta = np.where(improved[..., None], theta, best_theta)
-        best_epoch = np.where(improved, epoch, best_epoch)
-        since_best = np.where(improved, 0, since_best + 1)
-        active &= improved | (since_best < patience)
-        if not active.any():
-            break
+            best_val = np.where(improved, va, best_val)
+            best_theta = np.where(improved[..., None], theta, best_theta)
+            best_epoch = np.where(improved, epoch, best_epoch)
+            since_best = np.where(improved, 0, since_best + 1)
+            active &= improved | (since_best < patience)
+            if not active.any():
+                break
 
     w = NetworkWeights(theta=best_theta, layer_sizes=spec.layer_sizes)
     if lead:

@@ -567,15 +567,44 @@ def _selected_scenarios(cfg: RunConfig, scenario: int | None) -> tuple[int, ...]
     return (scenario,)
 
 
+def _check_retrain_rows(cfg: RunConfig, artifacts: dict[str, OfflineArtifact],
+                        scripts: list[sil_mod.ScenarioScript]) -> None:
+    """Raise RangeViolation, before any replay, when a scenario's retrain
+    data would hold too few rows for some channel's fine-tune, which needs 2
+    × batch_size rows with a full lag window: an identified drift's
+    experiments give sil.retrain_experiments × (sil.retrain_hold − max lag)
+    of them, the live buffer of an unknown one cognitive.wait_buffer − max
+    lag."""
+    for script in scripts:
+        for name, art in artifacts.items():
+            need, lag = 2 * art.spec.batch_size, art.layout.max_lag
+            if script.drift_source_identified:
+                e, h = cfg.sil.retrain_experiments, cfg.sil.retrain_hold
+                usable = e * max(0, h - lag)
+                setting = (f"sil.retrain_experiments: {e} experiments of "
+                           f"sil.retrain_hold = {h} s give")
+            else:
+                usable = max(0, cfg.cognitive.wait_buffer - lag)
+                setting = (f"cognitive.wait_buffer: a wait of "
+                           f"{cfg.cognitive.wait_buffer} rows gives")
+            if usable < need:
+                raise RangeViolation(
+                    f"{setting} {usable} usable rows for {name} (max lag {lag}) in "
+                    f"{script.id}'s retrain, which needs 2 × batch_size = {need}"
+                )
+
+
 def stage_sil(cfg: RunConfig, scenario: int | None = None) -> list[dict]:
     """Replay the selected scenarios against the reduced-ensemble twin."""
     artifacts, fp_reduce = load_offline_artifacts(cfg)
     store = _art_store(cfg)
     library = sil_mod.scenario_library()
+    sids = _selected_scenarios(cfg, scenario)
+    scripts = [library[f"scenario{sid}"] for sid in sids]
+    _check_retrain_rows(cfg, artifacts, scripts)
 
     results = []
-    for sid in _selected_scenarios(cfg, scenario):
-        script = library[f"scenario{sid}"]
+    for sid, script in zip(sids, scripts):
         stage = f"sil-scenario{sid}"
         out = store.stage_dir(stage)
         log = sil_mod.run_scenario(

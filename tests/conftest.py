@@ -99,12 +99,61 @@ def violation_indicator(measured, region_inf, region_sup):
     return int(violated) if violated.ndim == 0 else violated.astype(int)
 
 
+def reference_trace(theta, spec, X):
+    """Pre-activations and activations per layer, each a new array: the
+    allocating forward pass ``network.forward`` and the gradient's forward
+    must match bit for bit. ``acts[0]`` is ``X``."""
+    a = X
+    zs, acts = [], [a]
+    for (W, b), kind in zip(nw._layers(theta, spec), spec.activations):
+        z = np.matmul(a, W) + b[..., None, :]
+        a = nw._act(z, kind)
+        zs.append(z)
+        acts.append(a)
+    return zs, acts
+
+
+def _times_act_prime(delta, z, a, kind):
+    """``delta`` times the derivative at ``z`` of the activation whose output
+    there is ``a``, as a new array."""
+    if kind == "relu":
+        return delta * (z > 0.0)
+    if kind == "tanh":
+        return delta * (1.0 - a * a)
+    return delta
+
+
+def reference_gradient(theta, spec, X, y):
+    """The batch-MSE gradient and the sum of squared residuals per parameter
+    row, by backpropagation through ``reference_trace`` with every delta and
+    gradient a new array: the textbook chain that the preallocated kernel of
+    ``network.gradient`` and ``network.train`` must match bit for bit. ``X``
+    is (n, width), ``y`` (n,) or one row of targets per parameter row."""
+    zs, acts = reference_trace(theta, spec, X)
+    grad = np.empty_like(theta)
+    Ws = [W for W, _ in nw._layers(theta, spec)]
+
+    resid = acts[-1] - y[..., None]
+    sse = np.square(resid[..., 0]).sum(axis=-1)
+    delta = _times_act_prime((2.0 / X.shape[0]) * resid, zs[-1], acts[-1],
+                             spec.activations[-1])
+    for l in range(len(Ws) - 1, -1, -1):
+        start, w_end, b_end, _, _ = spec.layer_slices[l]
+        dW = np.matmul(np.swapaxes(acts[l], -1, -2), delta)
+        grad[..., start:w_end] = dW.reshape(*dW.shape[:-2], -1)
+        grad[..., w_end:b_end] = delta.sum(axis=-2)
+        if l > 0:
+            delta = _times_act_prime(np.matmul(delta, np.swapaxes(Ws[l], -1, -2)),
+                                     zs[l - 1], acts[l], spec.activations[l - 1])
+    return grad, sse
+
+
 class ReferenceTwin:
     """``CognitiveTwin.step`` one channel at a time, from the twin's models
     (read at every step, so a retrain's new weights and normalization show)
     and nothing of its step: each channel's regressor row built from its own
-    lag lists, normalized column by column, ``network._forward_trace`` for
-    the point weights and the members, ``np.quantile`` (linear) for the
+    lag lists, normalized column by column, ``reference_trace`` for the
+    point weights and the members, ``np.quantile`` (linear) for the
     bounds, ``violation_indicator`` and one scalar ``CognitiveState`` window
     per channel. ``bands`` reads the bounds of the coming step, so a test
     can place measurements against them; ``reset_windows`` does what
@@ -132,8 +181,8 @@ class ReferenceTwin:
 
     def _band(self, model, c, confidence):
         x = self._row(model, c)
-        point = nw._forward_trace(model.theta, model.spec, x)[1][-1][0, 0]
-        preds = nw._forward_trace(model.members, model.spec, x)[1][-1][:, 0, 0]
+        point = reference_trace(model.theta, model.spec, x)[1][-1][0, 0]
+        preds = reference_trace(model.members, model.spec, x)[1][-1][:, 0, 0]
         alpha = (1.0 - confidence) / 2.0
         lo, hi = np.quantile(preds, [alpha, 1.0 - alpha])
         return model.norm.denormalize_target(np.array([point, lo, hi]))
@@ -214,12 +263,14 @@ def loop_retrained(model, data, *, epochs, lr_factor, seed):
 
 
 def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epochs=None,
-                    learning_rate=None, patience=20):
-    """``network.train`` as a plain loop: the loss over the whole training
-    split after every epoch and an out-of-place Adam update. The reference
-    the training loop's weights, validation losses, best epochs and
-    divergence masks must match bit for bit; its ``train_loss`` is the
-    full-split MSE at the end of each epoch."""
+                    learning_rate=None, patience=20, batch_weights=None):
+    """``network.train`` as a plain loop: ``reference_gradient`` on each
+    mini-batch, the loss over the whole training split after every epoch and
+    an out-of-place Adam update. The reference the training loop's weights,
+    validation losses, best epochs and divergence masks must match bit for
+    bit; its ``train_loss`` is the full-split MSE at the end of each epoch.
+    A list passed as ``batch_weights`` receives a copy of the weights each
+    mini-batch's gradient is taken at."""
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
     theta = nw._theta_of(nw.initialize(spec) if initial is None else initial).copy()
@@ -257,7 +308,10 @@ def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epoch
         for start in range(0, n, batch):
             idx = perm[start : start + batch]
             with np.errstate(over="ignore", invalid="ignore"):
-                g = nw.gradient(theta, spec, X_train[idx], y_train.take(idx, axis=-1))
+                if batch_weights is not None:
+                    batch_weights.append(theta.copy())
+                g = reference_gradient(theta, spec, X_train[idx],
+                                       y_train.take(idx, axis=-1))[0]
                 step += 1
                 m_new = nw.ADAM_BETA1 * m + (1 - nw.ADAM_BETA1) * g
                 v_new = nw.ADAM_BETA2 * v + (1 - nw.ADAM_BETA2) * g * g
@@ -551,6 +605,16 @@ def retrain_reference():
 @pytest.fixture
 def train_reference():
     return reference_train
+
+
+@pytest.fixture
+def gradient_reference():
+    return reference_gradient
+
+
+@pytest.fixture
+def trace_reference():
+    return reference_trace
 
 
 @pytest.fixture

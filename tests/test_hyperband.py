@@ -200,6 +200,19 @@ class TestForkedBrackets:
         assert hb.hyperband(ds, self.SPACES["failing"], cfg) == \
             hyperband_reference(ds, self.SPACES["failing"], cfg)
 
+    def test_one_cpu_searches_in_this_process(self, hyperband_reference, monkeypatch):
+        ds = tiny_dataset(4)
+        cfg = hb.HyperbandConfig(max_resource=9, eta=3, seed=4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def no_fork():
+            raise AssertionError("a one-CPU search started a child process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        got = hb.hyperband(ds, self.SPACES["failing"], cfg)
+        assert multiprocessing.active_children() == []
+        assert got == hyperband_reference(ds, self.SPACES["failing"], cfg)
+
     def test_ties_go_to_the_earliest_trial(self, monkeypatch):
         def flat(dataset, spec, **kwargs):
             return SimpleNamespace(val_loss=(0.5,), weights=None)

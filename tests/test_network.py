@@ -116,7 +116,7 @@ class TestForwardPlan:
         ((16,), (7, 9)),            # an (R, P) stack on (n, w) rows
         ((6, 17), (6, 1, 1, 9)),    # the twin's (C, R, P) stack, one row per channel
     ])
-    def test_equals_a_fresh_forward_and_the_trace(self, lead, rows_shape):
+    def test_equals_a_fresh_forward_and_the_trace(self, trace_reference, lead, rows_shape):
         theta = self._stack(lead)
         plan = nw.ForwardPlan(theta, self.SPEC, rows_shape)
         rng = np.random.Generator(np.random.PCG64(1))
@@ -126,7 +126,7 @@ class TestForwardPlan:
             fresh = nw.forward(theta, self.SPEC, X)
             assert got.shape == fresh.shape
             assert got.tobytes() == fresh.tobytes()
-            _, acts = nw._forward_trace(theta, self.SPEC, X)
+            _, acts = trace_reference(theta, self.SPEC, X)
             assert got.tobytes() == acts[-1][..., 0].reshape(got.shape).tobytes()
 
     def test_result_is_a_view_the_next_call_overwrites(self):
@@ -524,26 +524,109 @@ class TestTrainMatchesReference:
             nw.train(spec, X, Y[1], Xv, Yv[1], **single)
 
 
+class TestGradientKernel:
+    """``gradient`` and ``train`` run one preallocated forward/backward
+    kernel; ``conftest.reference_gradient`` is the allocating chain it must
+    equal bit for bit."""
+
+    @pytest.mark.parametrize("net", REFERENCE_NETS)
+    @pytest.mark.parametrize("lead, targets", [
+        ((), ()),                   # a single vector
+        ((4,), ()),                 # a stack on shared targets
+        ((4,), (4,)),               # a stack with one target row per weight row
+        ((2, 3), (2, 3)),           # two leading axes
+    ])
+    def test_gradient_equals_the_allocating_chain(self, gradient_reference, net,
+                                                  lead, targets):
+        spec = nw.NetworkSpec(*net)
+        rng = np.random.Generator(np.random.PCG64(len(lead) + len(targets)))
+        theta = rng.normal(scale=0.8, size=(*lead, spec.n_params))
+        for n in (1, 7, 16):
+            X = rng.normal(size=(n, spec.n_inputs))
+            y = rng.normal(size=(*targets, n))
+            want = gradient_reference(theta, spec, X, y)[0]
+            got = nw.gradient(theta, spec, X, y)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("net", REFERENCE_NETS)
+    def test_strided_rows_and_weights_keep_their_bits(self, gradient_reference, net):
+        # contiguous single vectors take np.dot, anything else np.matmul
+        spec = nw.NetworkSpec(*net)
+        rng = np.random.Generator(np.random.PCG64(8))
+        theta = rng.normal(scale=0.8, size=2 * spec.n_params)[::2]
+        X = rng.normal(size=(9, 2 * spec.n_inputs))
+        y = rng.normal(size=9)
+        for t, rows in ((theta, X[:, ::2]), (theta, X[:, ::2].copy()),
+                        (theta.copy(), X[:, ::2]), (theta.copy(), X[:, ::2].copy())):
+            got = nw.gradient(t, spec, rows, y)
+            assert got.tobytes() == gradient_reference(t, spec, rows, y)[0].tobytes()
+
+    @pytest.mark.parametrize("net", REFERENCE_NETS[1:])
+    def test_non_finite_gradients_keep_their_bits(self, gradient_reference, net):
+        # overflowing weights and a NaN input: NaN and inf must flow through
+        # the relu masks and tanh derivatives as in the allocating chain
+        spec = nw.NetworkSpec(*net)
+        rng = np.random.Generator(np.random.PCG64(5))
+        theta = rng.normal(size=(3, spec.n_params))
+        theta[1] *= 1e300
+        X = rng.normal(size=(6, spec.n_inputs))
+        X[2, 0] = np.nan
+        y = rng.normal(size=(3, 6))
+        for t, targets in ((theta, y), (theta[1].copy(), y[1])):    # a stack, a single vector
+            with np.errstate(all="ignore"):
+                want = gradient_reference(t, spec, X, targets)[0]
+                got = nw.gradient(t, spec, X, targets)
+            assert not np.isfinite(got).all()
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("net", REFERENCE_NETS)
+    # 120 rows in full batches only, and in one batch; ``TestTrainMatchesReference``
+    # has a short last batch
+    @pytest.mark.parametrize("batch_size", [20, 200])
+    @pytest.mark.parametrize("rows", [None, 4])
+    def test_train_equals_the_reference_loop(self, train_reference, net, batch_size, rows):
+        X, Y, Xv, Yv = stack_problem(rows or 1, seed=4)
+        spec = nw.NetworkSpec(*net, learning_rate=3e-2, batch_size=batch_size, seed=1)
+        rng = np.random.Generator(np.random.PCG64(batch_size))
+        init = rng.normal(scale=0.6, size=(rows or 1, spec.n_params))
+        if rows is None:
+            Y, Yv, init = Y[0], Yv[0], init[0]
+        kwargs = dict(initial=init, epochs=12, patience=4)
+        got = nw.train(spec, X, Y, Xv, Yv, **kwargs)
+        assert_matches_reference(got, train_reference(spec, X, Y, Xv, Yv, **kwargs))
+
+    def test_a_diverging_row_of_a_relu_stack_freezes(self, train_reference):
+        X, Y, Xv, Yv = stack_problem(3, seed=5)
+        spec = nw.NetworkSpec(*REFERENCE_NETS[1], learning_rate=3e-2, batch_size=16, seed=3)
+        init = np.random.Generator(np.random.PCG64(3)).normal(scale=0.6,
+                                                               size=(3, spec.n_params))
+        init[1] *= 1e200        # its relu layer overflows the output
+        kwargs = dict(initial=init, epochs=10, patience=4)
+        got = nw.train(spec, X, Y, Xv, Yv, **kwargs)
+        assert got.diverged.tolist() == [False, True, False]
+        assert np.array_equal(got.weights.theta[1], init[1])
+        assert_matches_reference(got, train_reference(spec, X, Y, Xv, Yv, **kwargs))
+
+
 class TestTrainLoss:
     @pytest.mark.parametrize("rows", [None, 3])
-    def test_is_the_epochs_sample_weighted_mini_batch_mse(self, monkeypatch, rows):
+    def test_is_the_epochs_sample_weighted_mini_batch_mse(self, train_reference, rows):
         # 120 rows in batches of 16: the last batch of each epoch holds 8
         X, Y, Xv, Yv = stack_problem(rows or 1, seed=3)
         y, yv = (Y[0], Yv[0]) if rows is None else (Y, Yv)
         spec = nw.NetworkSpec((3, 5, 1), ("tanh", "linear"), learning_rate=3e-2,
                               batch_size=16, seed=6)
-        seen = []
-        gradient_sse = nw._gradient_sse
-
-        def recording(theta, *args):
-            seen.append(theta.copy())
-            return gradient_sse(theta, *args)
-
-        monkeypatch.setattr(nw, "_gradient_sse", recording)
-        res = nw.train(spec, X, y, Xv, yv, epochs=6, patience=100,
-                       initial=None if rows is None else np.tile(nw.initialize(spec).theta,
-                                                                 (rows, 1)))
+        kwargs = dict(epochs=6, patience=100,
+                      initial=None if rows is None else np.tile(nw.initialize(spec).theta,
+                                                                (rows, 1)))
+        res = nw.train(spec, X, y, Xv, yv, **kwargs)
         assert len(res.train_loss) == 6
+        # the reference walks the same weights, so ``seen`` holds the weights
+        # each of ``train``'s mini-batch gradients was taken at
+        seen = []
+        ref = train_reference(spec, X, y, Xv, yv, batch_weights=seen, **kwargs)
+        assert np.array_equal(res.weights.theta, ref.weights.theta)
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         thetas = iter(seen)
         for epoch in range(6):

@@ -203,6 +203,30 @@ class TestFailures:
         assert out == ""
         assert error_of(err)["error"] == "FingerprintMismatch"
 
+    @pytest.mark.parametrize("key, value, sid", [
+        ("cognitive.wait_buffer", 10, 2),           # an unknown cause waits
+        ("sil.retrain_experiments", 1, 1),          # an identified one requests data
+    ])
+    def test_too_little_retrain_data_fails_before_the_replay(self, run, tmp_path,
+                                                             key, value, sid):
+        # the fine-tune needs 2 x 64 rows with a full lag window; 10 buffered
+        # rows, or one 40 s experiment, cannot give them
+        root, _, _ = run
+        shutil.copytree(root / "artifacts", tmp_path / "artifacts",
+                        ignore=shutil.ignore_patterns("sil-scenario*"))
+        cfg = write_config(tmp_path)
+        text = "".join(line for line in cfg.read_text().splitlines(keepends=True)
+                       if not line.startswith(key + " "))
+        cfg.write_text(text + f"{key} = {value}\n")
+        rc, out, err = run_cli("--config", cfg, "sil", "--scenario", sid)
+        assert rc == 1
+        assert out == ""
+        error = error_of(err)
+        assert error["error"] == "RangeViolation"
+        assert error["message"].startswith(key + ":")
+        assert "2 × batch_size = 128" in error["message"]
+        assert not (tmp_path / "artifacts" / f"sil-scenario{sid}").exists()
+
     def test_any_exception_becomes_a_json_error(self, tmp_path, monkeypatch):
         def boom(cfg):
             raise RuntimeError("disk on fire")
