@@ -24,6 +24,12 @@ step's flags by ``a_offset - 1`` steps, and the counts and latched trigger
 flags as vectors, all updated in place once per step. Besides the live
 buffer's copies, a monitored step allocates only the arrays of its
 ``StepResult``: the bands, the indicator and the counts.
+
+A retrain fine-tunes each channel on its own, from its model, the data and
+the seed, so the channels fan out over forked workers, one per CPU
+(``parallel.forked_map``), and come back in channel order with the bits of a
+fine-tune in this process. The twin takes the new weights only once every
+channel has returned.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +52,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .network import ForwardPlan, NetworkSpec, forward, train
+from .parallel import forked_map
 from .plant import CHANNEL_NAMES, PlantParams, PlantState, simulate_schedule
 from .structure import NarxLayout, NormalizationSpec, build_lag_matrix, split_rows
 
@@ -737,24 +745,28 @@ class CognitiveTwin:
         Returns one record per channel, in channel order, naming the rows
         whose fine-tune fell back and whether the normalization widened.
 
+        The channels are fine-tuned through ``parallel.forked_map``, in
+        forked workers, one per CPU this process may use and at most one
+        per channel (in this process when that is one). A channel's
+        fine-tune reads only its own model, the data and the seed, and the
+        results come back in channel order, so the weights, normalizations
+        and records are the same, bit for bit, for any number of workers.
+
         All or nothing: every channel is fine-tuned into new weights and
         normalization first, and only when all have succeeded does the twin
-        take them and rebuild its stacks. If any channel raises, the weights,
-        normalizations, monitors and buffer stay as they were.
+        take them and rebuild its stacks. If any channel raises, the error
+        reaches the caller with its type, and the weights, normalizations,
+        monitors and buffer stay as they were. No worker outlives the call.
 
         Called between steps, so the updated ensemble takes over at the next
         step boundary; measurement history is kept, predictions continue
         seamlessly.
         """
-        tuned = [
-            _retrained(
-                self.models[c], data,
-                epochs=self.config.retrain_epochs,
-                lr_factor=self.config.retrain_lr_factor,
-                seed=seed,
-            )
-            for c in self.channels
-        ]
+        tuned = forked_map(
+            partial(_retrained, data=data, epochs=self.config.retrain_epochs,
+                    lr_factor=self.config.retrain_lr_factor, seed=seed),
+            [self.models[c] for c in self.channels],
+        )
         for c, (norm, weights, _) in zip(self.channels, tuned):
             self.models[c].norm, self.models[c].weights = norm, weights
         self._stack_groups()

@@ -7,21 +7,17 @@ each trial's checkpoint between rungs instead of restarting.
 
 Brackets share nothing but the order of their configuration draws, so every
 bracket's trials are drawn first, in one pass over the seeded rng, and the
-brackets then run at the same time in worker processes, one per CPU this
-process may use and at most one per bracket; with one CPU they run one after
-another in this process, which starts no worker. The workers are forked: they
-start with numpy and this package already imported, where a spawned worker
-would import them again for every search. Fork copies only the calling
-thread; the package starts no other, so a caller that runs threads of its
-own must not search while one of them holds a lock. A bracket's trials,
-seeds and training depend only on its own draws, and its records come back
-in bracket order, so the result is the same, bit for bit, for any number of
-workers.
+brackets then run at the same time through ``parallel.forked_map``, one
+forked worker per CPU this process may use and at most one per bracket (in
+this process when that is one). The dataset's training and validation splits
+are normalized before the workers fork, so no worker normalizes them again.
+A bracket's trials, seeds and training depend only on its own draws, and its
+records come back in bracket order, so the result is the same, bit for bit,
+for any number of workers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -29,6 +25,7 @@ import numpy as np
 
 from .errors import GasLiftError
 from .network import NetworkSpec, train_channel
+from .parallel import forked_map
 
 DEFAULT_LEARNING_RATES = (1e-3, 1e-2, 1e-1)
 DEFAULT_DENSE_COUNTS = (1, 2, 3, 4)
@@ -130,10 +127,12 @@ def sample_config(
     )
 
 
-def _run_bracket(dataset, bracket: dict, drawn: list[tuple[int, NetworkSpec]],
-                 eta: int) -> list[TrialRecord]:
-    """Successive halving over one bracket's drawn ``(trial_id, spec)``
-    trials, every rung's records in training order."""
+def _run_bracket(dataset, eta: int,
+                 job: tuple[dict, list[tuple[int, NetworkSpec]]]) -> list[TrialRecord]:
+    """Successive halving over one ``(bracket, drawn)`` job: the bracket's
+    schedule and its drawn ``(trial_id, spec)`` trials. Every rung's records
+    come in training order."""
+    bracket, drawn = job
     s = bracket["bracket"]
     # state per live trial: (trial_id, spec, checkpoint weights, epochs so far)
     live = [(trial_id, spec, None, 0) for trial_id, spec in drawn]
@@ -174,8 +173,9 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
     Trials whose training raises a ``GasLiftError`` are scored +inf and drop
     out of later rungs instead of aborting the search; any other exception
     reaches the caller with its type. Returns the lowest-validation-loss
-    trial over every bracket, ties resolved toward the earlier trial. Every
-    worker has exited when this returns or raises.
+    trial over every bracket, ties resolved toward the earlier trial. The
+    brackets run through ``parallel.forked_map``, so every worker has exited
+    when this returns or raises.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     width = dataset.layout.width
@@ -190,20 +190,12 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
                       for i in ids])
         next_id = ids.stop
 
-    run = partial(_run_bracket, dataset, eta=config.eta)
-    workers = min(len(schedule), len(os.sched_getaffinity(0)))
-    if workers == 1:
-        runs = list(map(run, schedule, draws))
-    else:
-        # imported here, so that the processes that never fork a search (the
-        # twin's online loop) do not load the pool's modules, about 1.9 MB
-        # resident
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("fork")) as pool:
-            runs = list(pool.map(run, schedule, draws))
+    # every trial trains on these splits: normalized here, before the fork,
+    # once for every worker
+    for split in ("train", "val"):
+        dataset.normalized_split(split)
+    runs = forked_map(partial(_run_bracket, dataset, config.eta),
+                      list(zip(schedule, draws)))
     trials = [t for records in runs for t in records]
 
     finite = [t for t in trials if np.isfinite(t.val_loss)]

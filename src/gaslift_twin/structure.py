@@ -10,7 +10,7 @@ input depths are refined separately against the converged index value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -408,7 +408,8 @@ class NormalizationSpec:
 class NarxDataset:
     """Regressor/target rows for one output channel with split indices and a
     train-fitted normalization. Arrays are stored in engineering units;
-    `normalized_split` yields the scaled views used for training."""
+    `normalized_split` yields the scaled copies used for training, each
+    split normalized once and kept read-only."""
 
     channel: str
     layout: NarxLayout
@@ -419,15 +420,23 @@ class NarxDataset:
     val_idx: np.ndarray
     test_idx: np.ndarray
     norm: NormalizationSpec
+    _normalized: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def split(self, which: str) -> np.ndarray:
         return {"train": self.train_idx, "val": self.val_idx, "test": self.test_idx}[which]
 
     def normalized_split(self, which: str) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.split(which)
-        X = self.norm.normalize_regressors(self.regressors[idx], self.layout)
-        y = self.norm.normalize_target(self.targets[idx])
-        return X, y
+        """The split's regressor rows and targets in normalized units,
+        computed on the first call; every call returns the same read-only
+        arrays."""
+        if which not in self._normalized:
+            idx = self.split(which)
+            X = self.norm.normalize_regressors(self.regressors[idx], self.layout)
+            y = self.norm.normalize_target(self.targets[idx])
+            X.flags.writeable = y.flags.writeable = False
+            self._normalized[which] = (X, y)
+        return self._normalized[which]
 
 
 def split_rows(n_rows: int, ratios: tuple[float, float, float], seed: int):

@@ -123,12 +123,14 @@ def _times_act_prime(delta, z, a, kind):
     return delta
 
 
-def reference_gradient(theta, spec, X, y):
+def reference_gradient(theta, spec, X, y, deltas=None):
     """The batch-MSE gradient and the sum of squared residuals per parameter
     row, by backpropagation through ``reference_trace`` with every delta and
     gradient a new array: the textbook chain that the preallocated kernel of
     ``network.gradient`` and ``network.train`` must match bit for bit. ``X``
-    is (n, width), ``y`` (n,) or one row of targets per parameter row."""
+    is (n, width), ``y`` (n,) or one row of targets per parameter row. A
+    list passed as ``deltas`` receives each layer's delta, last layer
+    first."""
     zs, acts = reference_trace(theta, spec, X)
     grad = np.empty_like(theta)
     Ws = [W for W, _ in nw._layers(theta, spec)]
@@ -138,6 +140,8 @@ def reference_gradient(theta, spec, X, y):
     delta = _times_act_prime((2.0 / X.shape[0]) * resid, zs[-1], acts[-1],
                              spec.activations[-1])
     for l in range(len(Ws) - 1, -1, -1):
+        if deltas is not None:
+            deltas.append(delta)
         start, w_end, b_end, _, _ = spec.layer_slices[l]
         dW = np.matmul(np.swapaxes(acts[l], -1, -2), delta)
         grad[..., start:w_end] = dW.reshape(*dW.shape[:-2], -1)

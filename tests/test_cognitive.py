@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import multiprocessing
+import os
 import re
 import warnings
 
@@ -817,6 +819,8 @@ class TestStackedStep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cg, "train", counting)
+        # on one CPU the fine-tunes run in this process, where calls counts them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
         Y, U = six_channel_stream(200, 2)
         twin.retrain(cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX))
@@ -933,3 +937,78 @@ class TestStackedStep:
                 assert np.array_equal(getattr(a, field), getattr(b, field))
             assert (a.step, a.trigger) == (b.step, b.trigger)
         assert twin_snapshot(twin) == twin_snapshot(clean)
+
+
+class TestForkedRetrain:
+    """``retrain`` fine-tunes the channels in forked workers, one per CPU and
+    at most one per channel, and in this process on one CPU. Six channels of
+    uneven member counts, on data that widens every normalization."""
+
+    MEMBERS = (5, 3, 5, 2, 5, 4)
+
+    def _twin(self):
+        return cg.CognitiveTwin(
+            six_channel_artifacts(members=self.MEMBERS),
+            cg.CognitiveConfig(mh=20, ct=20, retrain_epochs=3, retrain_lr_factor=10.0),
+        )
+
+    def _data(self):
+        Y, U = six_channel_stream(200, 2)
+        return cg.RetrainData(Y=3.0 * Y, U=3.0 * U, hold=None, channels=SIX)
+
+    @staticmethod
+    def _state(twin):
+        """The weights and normalization of every channel, as bytes, and
+        what a step may change."""
+        models = [twin.models[c] for c in SIX]
+        return (
+            [m.weights.tobytes() for m in models],
+            [tuple(np.asarray(getattr(m.norm, f)).tobytes()
+                   for f in ("y_min", "y_max", "u_min", "u_max")) for m in models],
+            twin_snapshot(twin),
+        )
+
+    def test_forked_and_in_process_retrains_are_bit_identical(self, monkeypatch):
+        data = self._data()
+        # three workers for six channels, whatever the host's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forked = self._twin()
+        forked_records = forked.retrain(data, seed=3)
+        assert multiprocessing.active_children() == []
+
+        def no_fork():
+            raise AssertionError("a one-CPU retrain started a child process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        serial = self._twin()
+        serial_records = serial.retrain(data, seed=3)
+        assert forked_records == serial_records
+        assert [r.channel for r in serial_records] == list(SIX)
+        assert all(r.norm_widened for r in serial_records)
+        assert self._state(forked) == self._state(serial)
+
+    def test_worker_error_reaches_the_caller_and_changes_nothing(self, monkeypatch):
+        twin = self._twin()
+        Y, U = six_channel_stream(40, 5)
+        for t in range(20):
+            twin.step(U[t], Y[t])
+        twin.begin_buffering()
+        for t in range(20, 40):
+            twin.step(U[t], Y[t])
+        before = self._state(twin)
+        parent, real = os.getpid(), cg._retrained
+
+        def broken_in_a_worker(model, data, **kwargs):
+            if os.getpid() != parent:
+                raise InsufficientSamples(f"{model.channel} failed in a worker")
+            return real(model, data, **kwargs)
+
+        # the fork carries the patched module into every worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cg, "_retrained", broken_in_a_worker)
+        with pytest.raises(InsufficientSamples, match="failed in a worker"):
+            twin.retrain(self._data())
+        assert multiprocessing.active_children() == []
+        assert self._state(twin) == before
+        assert twin.buffer_size == 20

@@ -193,13 +193,6 @@ class TestForkedBrackets:
         if space == "failing":
             assert not all(np.isfinite(t.val_loss) for t in got.trials)
 
-    def test_one_worker_gives_the_same_result(self, hyperband_reference, monkeypatch):
-        ds = tiny_dataset(3)
-        cfg = hb.HyperbandConfig(max_resource=9, eta=3, seed=3)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert hb.hyperband(ds, self.SPACES["failing"], cfg) == \
-            hyperband_reference(ds, self.SPACES["failing"], cfg)
-
     def test_one_cpu_searches_in_this_process(self, hyperband_reference, monkeypatch):
         ds = tiny_dataset(4)
         cfg = hb.HyperbandConfig(max_resource=9, eta=3, seed=4)

@@ -580,6 +580,34 @@ class TestGradientKernel:
             assert not np.isfinite(got).all()
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("net", REFERENCE_NETS[1:])
+    def test_signed_zero_products_below_the_output_keep_their_bits(
+            self, gradient_reference, trace_reference, net):
+        # a stack's output weights of both signs, +0.0 and -0.0 among them: on
+        # a zero residual every product carried below the output layer is a
+        # zero of either sign. The sums that read a delta start from +0.0,
+        # so the deltas themselves are compared too
+        spec = nw.NetworkSpec(*net)
+        rng = np.random.Generator(np.random.PCG64(6))
+        theta = rng.normal(scale=0.8, size=(4, spec.n_params))
+        start, w_end, *_ = spec.layer_slices[-1]
+        theta[:, start:w_end:3] = 0.0
+        theta[:, start + 1:w_end:3] = -0.0
+        X = rng.normal(size=(5, spec.n_inputs))
+        exact = trace_reference(theta, spec, X)[1][-1][..., 0]
+        for y in (exact, rng.normal(size=(4, 5))):
+            want_deltas = []
+            want, sse = gradient_reference(theta, spec, X, y, deltas=want_deltas)
+            plan = nw._GradientPlan(theta, spec, len(X))
+            got = plan.run(X, y)[0]
+            assert got.tobytes() == want.tobytes()
+            got_deltas = [delta for _, delta, *_ in plan.backward]
+            assert [d.tobytes() for d in got_deltas] == \
+                [d.tobytes() for d in want_deltas]
+            assert nw.gradient(theta, spec, X, y).tobytes() == want.tobytes()
+            if y is exact:
+                assert (sse == 0).all() and not want_deltas[1].any()
+
     @pytest.mark.parametrize("net", REFERENCE_NETS)
     # 120 rows in full batches only, and in one batch; ``TestTrainMatchesReference``
     # has a short last batch

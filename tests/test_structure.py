@@ -464,6 +464,22 @@ class TestAssembleNarxDataset:
             assert Xn.min() >= 0.0 and Xn.max() <= 1.0
             assert yn.min() >= 0.0 and yn.max() <= 1.0
 
+    @pytest.mark.parametrize("which", ["train", "val", "test"])
+    def test_each_split_is_normalized_once_and_read_only(self, which):
+        Y, U = self._corpus(seed=8)
+        ds = assemble_narx_dataset(Y, U, hold=20, layout=NarxLayout(2, 2), seed=4)
+        d = ds["well1_mg"]
+        X, y = d.normalized_split(which)
+        again = d.normalized_split(which)
+        assert again[0] is X and again[1] is y
+        idx = d.split(which)
+        fresh = d.norm.normalize_regressors(d.regressors[idx], d.layout)
+        assert X.tobytes() == fresh.tobytes()
+        assert y.tobytes() == d.norm.normalize_target(d.targets[idx]).tobytes()
+        for a in (X, y):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
     def test_normalization_round_trip_on_train(self):
         Y, U = self._corpus(seed=5)
         ds = assemble_narx_dataset(Y, U, hold=20, layout=NarxLayout(2, 2), seed=2)
