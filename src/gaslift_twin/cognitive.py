@@ -754,9 +754,11 @@ class CognitiveTwin:
 
         All or nothing: every channel is fine-tuned into new weights and
         normalization first, and only when all have succeeded does the twin
-        take them and rebuild its stacks. If any channel raises, the error
-        reaches the caller with its type, and the weights, normalizations,
-        monitors and buffer stay as they were. No worker outlives the call.
+        take them and rebuild its stacks. If any channel raises, the error of
+        the first such channel, in channel order, reaches the caller with its
+        type; if a worker dies, ``WorkerDied`` does. Either way the weights,
+        normalizations, monitors and buffer stay as they were, and every
+        worker has been reaped.
 
         Called between steps, so the updated ensemble takes over at the next
         step boundary; measurement history is kept, predictions continue

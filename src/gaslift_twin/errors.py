@@ -109,6 +109,13 @@ class UsageError(GasLiftError):
     """The command line names an unknown stage or an invalid option value."""
 
 
+# --- worker processes ---
+
+class WorkerDied(GasLiftError):
+    """A forked worker exited without sending its results; the message names
+    its exit status or signal."""
+
+
 # --- warnings ---
 
 class GasLiftWarning(UserWarning):

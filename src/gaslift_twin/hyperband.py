@@ -174,7 +174,9 @@ def hyperband(dataset, space: SearchSpace, config: HyperbandConfig) -> Hyperband
     out of later rungs instead of aborting the search; any other exception
     reaches the caller with its type. Returns the lowest-validation-loss
     trial over every bracket, ties resolved toward the earlier trial. The
-    brackets run through ``parallel.forked_map``, so every worker has exited
+    brackets run through ``parallel.forked_map``: an error reaches the
+    caller from the first bracket, in bracket order, that raised it, a
+    worker that dies raises ``WorkerDied``, and every worker has been reaped
     when this returns or raises.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))

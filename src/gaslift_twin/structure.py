@@ -22,6 +22,7 @@ from .errors import (
     NoPlateau,
     TooShortPlateau,
 )
+from .parallel import forked_map
 from .plant import CHANNEL_NAMES, INPUT_NAMES
 
 N_INPUTS = len(INPUT_NAMES)
@@ -131,12 +132,13 @@ def lipschitz_coefficients(
         raise InsufficientPairs("need at least two samples")
 
     if n <= _ALL_PAIRS_LIMIT:
+        # each pair i < j only, by the float operations the full n x n
+        # matrices would take at (i, j)
+        i, j, flat = _upper_pairs(n)
         sq = np.sum(X * X, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+        d2 = sq.take(i) + sq.take(j) - 2.0 * (X @ X.T).take(flat)
         np.clip(d2, 0.0, None, out=d2)
-        dy = np.abs(y[:, None] - y[None, :])
-        iu = _upper_pairs(n)
-        d2, dy = d2[iu], dy[iu]
+        dy = np.abs(y.take(i) - y.take(j))
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         total = _PAIRS_PER_POINT * n
@@ -161,10 +163,12 @@ def lipschitz_coefficients(
 
 
 @lru_cache(maxsize=1)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k=1)``, read-only. Every level of an embedding
-    sweep has the same row count, so the last ``n`` is the one kept."""
-    pairs = np.triu_indices(n, k=1)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)`` and the pairs' flat indices into an
+    n x n matrix, read-only. Every level of an embedding sweep has the same
+    row count, so the last ``n`` is the one kept."""
+    i, j = np.triu_indices(n, k=1)
+    pairs = (i, j, i * n + j)
     for a in pairs:
         a.flags.writeable = False
     return pairs
@@ -328,20 +332,30 @@ def select_embedding(
 ) -> tuple[dict[str, LipschitzAnalysis], tuple[int, int]]:
     """Per-channel embedding analysis of the plant's channels, one column of
     ``Y`` each in ``CHANNEL_NAMES`` order, plus a combined (n_a, n_b) that
-    covers every channel (elementwise maximum)."""
+    covers every channel (elementwise maximum).
+
+    The channels run through ``parallel.forked_map``, in forked workers, one
+    per CPU this process may use (in this process when that is one). A
+    channel's analysis reads only its own column, ``U`` and its seed
+    ``seed + c``, and the analyses come back in channel order, so they are
+    the same, bit for bit, for any number of workers; the first channel that
+    raises, in channel order, raises here with its type.
+    """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    results: dict[str, LipschitzAnalysis] = {}
-    for c, name in enumerate(CHANNEL_NAMES):
-        results[name] = select_embedding_channel(
+    analyses = forked_map(
+        lambda c: select_embedding_channel(
             Y[:, c],
             U,
             hold,
-            channel=name,
+            channel=CHANNEL_NAMES[c],
             n_max=n_max,
             plateau_rel_tol=plateau_rel_tol,
             max_rows=max_rows,
             seed=seed + c,
-        )
+        ),
+        range(len(CHANNEL_NAMES)),
+    )
+    results = dict(zip(CHANNEL_NAMES, analyses))
     n_a = max(r.n_a for r in results.values())
     n_b = max(r.n_b for r in results.values())
     return results, (n_a, n_b)

@@ -18,6 +18,7 @@ from gaslift_twin import bayes  # noqa: E402
 from gaslift_twin import hyperband as hb  # noqa: E402
 from gaslift_twin import network as nw  # noqa: E402
 from gaslift_twin import plant  # noqa: E402
+from gaslift_twin import structure  # noqa: E402
 from gaslift_twin.errors import (  # noqa: E402
     DegenerateHoldup,
     DivergedLoss,
@@ -431,6 +432,31 @@ def reference_hyperband(dataset, space, config):
     return hb.HyperbandResult(best_spec=best_spec, best_loss=best[0], trials=tuple(trials))
 
 
+def reference_lipschitz(X, y):
+    """``structure.lipschitz_coefficients`` on its all-pairs path as it ran
+    before it took the pairs alone: full n x n squared-distance and |dy|
+    matrices, gathered at their upper triangle. The reference the pairwise
+    kernel must match byte for byte."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.clip(d2, 0.0, None, out=d2)
+    dy = np.abs(y[:, None] - y[None, :])
+    iu = np.triu_indices(len(y), k=1)
+    d2, dy = d2[iu], dy[iu]
+    keep = d2 > structure._ZERO_DIST_SQ
+    return dy[keep] / np.sqrt(d2[keep])
+
+
+def assert_no_children():
+    """This process has no child left, running or unreaped: ``waitpid``
+    finds none to wait for. ``multiprocessing.active_children`` would see
+    only the children that ``multiprocessing`` started."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def reference_chain(m_g, m_l, w_g, v_o, pp_pa, params):
     """Pressures, densities and flows of all wells from the plant's numpy
     chain, elementwise over arrays of any matching shape (one state or a
@@ -619,6 +645,17 @@ def gradient_reference():
 @pytest.fixture
 def trace_reference():
     return reference_trace
+
+
+@pytest.fixture(scope="session")
+def lipschitz_reference():
+    return reference_lipschitz
+
+
+@pytest.fixture(scope="session")
+def no_children():
+    """``assert_no_children``: call it after a fan-out."""
+    return assert_no_children
 
 
 @pytest.fixture

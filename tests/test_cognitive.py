@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import multiprocessing
 import os
 import re
 import warnings
@@ -968,13 +967,13 @@ class TestForkedRetrain:
             twin_snapshot(twin),
         )
 
-    def test_forked_and_in_process_retrains_are_bit_identical(self, monkeypatch):
+    def test_forked_and_in_process_retrains_are_bit_identical(self, monkeypatch, no_children):
         data = self._data()
         # three workers for six channels, whatever the host's CPU count
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         forked = self._twin()
         forked_records = forked.retrain(data, seed=3)
-        assert multiprocessing.active_children() == []
+        no_children()
 
         def no_fork():
             raise AssertionError("a one-CPU retrain started a child process")
@@ -988,7 +987,7 @@ class TestForkedRetrain:
         assert all(r.norm_widened for r in serial_records)
         assert self._state(forked) == self._state(serial)
 
-    def test_worker_error_reaches_the_caller_and_changes_nothing(self, monkeypatch):
+    def test_worker_error_reaches_the_caller_and_changes_nothing(self, monkeypatch, no_children):
         twin = self._twin()
         Y, U = six_channel_stream(40, 5)
         for t in range(20):
@@ -1009,6 +1008,6 @@ class TestForkedRetrain:
         monkeypatch.setattr(cg, "_retrained", broken_in_a_worker)
         with pytest.raises(InsufficientSamples, match="failed in a worker"):
             twin.retrain(self._data())
-        assert multiprocessing.active_children() == []
+        no_children()
         assert self._state(twin) == before
         assert twin.buffer_size == 20

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 from types import SimpleNamespace
 
@@ -193,7 +192,7 @@ class TestForkedBrackets:
         if space == "failing":
             assert not all(np.isfinite(t.val_loss) for t in got.trials)
 
-    def test_one_cpu_searches_in_this_process(self, hyperband_reference, monkeypatch):
+    def test_one_cpu_searches_in_this_process(self, hyperband_reference, monkeypatch, no_children):
         ds = tiny_dataset(4)
         cfg = hb.HyperbandConfig(max_resource=9, eta=3, seed=4)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -203,7 +202,7 @@ class TestForkedBrackets:
 
         monkeypatch.setattr(os, "fork", no_fork)
         got = hb.hyperband(ds, self.SPACES["failing"], cfg)
-        assert multiprocessing.active_children() == []
+        no_children()
         assert got == hyperband_reference(ds, self.SPACES["failing"], cfg)
 
     def test_ties_go_to_the_earliest_trial(self, monkeypatch):
@@ -216,19 +215,19 @@ class TestForkedBrackets:
         assert res.trials[0].trial_id == 0
         assert (res.best_spec, res.best_loss) == (res.trials[0].spec, 0.5)
 
-    def test_no_worker_outlives_a_search(self):
+    def test_no_worker_outlives_a_search(self, no_children):
         hb.hyperband(tiny_dataset(), self.SPACES["small"],
                      hb.HyperbandConfig(max_resource=9, eta=3, seed=0))
-        assert multiprocessing.active_children() == []
+        no_children()
 
-    def test_no_worker_outlives_a_failed_search(self):
+    def test_no_worker_outlives_a_failed_search(self, no_children):
         space = hb.SearchSpace(learning_rates=(1e200,), dense_counts=(1,), widths=(4,))
         with pytest.raises(GasLiftError, match="every trial failed"):
             hb.hyperband(tiny_dataset(), space,
                          hb.HyperbandConfig(max_resource=9, eta=3, seed=0))
-        assert multiprocessing.active_children() == []
+        no_children()
 
-    def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch):
+    def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch, no_children):
         # the fork carries the patched module into every worker
         def broken(*args, **kwargs):
             raise ValueError("broken trial")
@@ -237,4 +236,4 @@ class TestForkedBrackets:
         with pytest.raises(ValueError, match="broken trial"):
             hb.hyperband(tiny_dataset(), self.SPACES["small"],
                          hb.HyperbandConfig(max_resource=9, eta=3, seed=0))
-        assert multiprocessing.active_children() == []
+        no_children()

@@ -17,6 +17,7 @@ import pytest
 from gaslift_twin import bayes, cli, pipeline, sil
 from gaslift_twin.cognitive import CognitiveConfig
 from gaslift_twin.config import default_config, parse_config
+from gaslift_twin.parallel import forked_map
 
 STAGES = ("gen-data", "rank-inputs", "select-structure", "tune", "fit",
           "mcmc", "reduce", "sil", "report")
@@ -237,6 +238,23 @@ class TestFailures:
         assert out == ""
         assert "Traceback" not in err
         assert error_of(err) == {"error": "RuntimeError", "message": "disk on fire"}
+
+    def test_a_dead_worker_becomes_a_json_error(self, tmp_path, monkeypatch, no_children):
+        parent = os.getpid()
+
+        def dies_in_a_worker(k):
+            if os.getpid() != parent:
+                os._exit(3)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setitem(pipeline.STAGES, "gen-data",
+                            lambda cfg: forked_map(dies_in_a_worker, range(2)))
+        rc, out, err = run_cli("--config", write_config(tmp_path), "gen-data")
+        assert rc == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert error_of(err)["error"] == "WorkerDied"
+        no_children()
 
     @pytest.mark.parametrize("argv", [("bogus",), ("sil", "--scenario", "7"), ()])
     def test_bad_command_line_becomes_a_json_error(self, argv):

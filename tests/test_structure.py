@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from gaslift_twin.structure import (
     lipschitz_coefficients,
     lipschitz_index,
     plateau_order,
+    select_embedding,
     select_embedding_channel,
     split_rows,
     valid_target_rows,
@@ -116,6 +119,42 @@ class TestLipschitzCoefficients:
         assert (lipschitz_coefficients(X, k * y) == k * lipschitz_coefficients(X, y)).all()
 
 
+class TestLipschitzPairs:
+    """The all-pairs path computes each pair i < j alone; the full n x n
+    matrices it replaced, kept as the reference, must match byte for byte."""
+
+    @staticmethod
+    def _assert_same(reference, X, y):
+        want = reference(X, y)
+        if len(want) == 0:
+            with pytest.raises(AllPairsDegenerate):
+                lipschitz_coefficients(X, y)
+            return
+        got = lipschitz_coefficients(X, y)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(2, 60), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_duplicate_rows_and_tied_targets(self, lipschitz_reference, n_rows, n_cols,
+                                             seed):
+        # few distinct values, then copied rows: zero distances and tied
+        # targets are common
+        rng = np.random.Generator(np.random.PCG64(seed))
+        X = rng.integers(-1, 2, size=(n_rows, n_cols)).astype(float)
+        X[rng.integers(0, n_rows, n_rows // 3)] = X[rng.integers(0, n_rows, n_rows // 3)]
+        y = rng.integers(0, 3, size=n_rows).astype(float)
+        self._assert_same(lipschitz_reference, X, y)
+
+    def test_an_embedding_level(self, lipschitz_reference):
+        # a 200-row level of held-input lags, as select-structure computes it
+        rng = np.random.Generator(np.random.PCG64(8))
+        u = held_input(400, 25, rng)
+        y = simulate_known_order(u, "nonlinear")
+        X, t, _ = build_lag_matrix(y, u[:, None], NarxLayout(3, 3, 1), hold=25)
+        self._assert_same(lipschitz_reference, X[:200], t[:200])
+
+
 class TestLipschitzIndex:
     def test_p_one_is_scaled_maximum(self):
         q = np.array([0.3, 2.0, 1.1, 0.7])
@@ -203,6 +242,25 @@ class TestSelectEmbeddingLevels:
                   | {(a.n_b, na) for na in range(1, j + 1)})
         assert len(calls) == len(levels)
         assert len(calls) < len(a.n_values) + 2 * j
+
+
+class TestSelectEmbeddingFanOut:
+    def test_forked_and_in_process_analyses_are_equal(self, monkeypatch, no_children):
+        rng = np.random.Generator(np.random.PCG64(5))
+        U = np.column_stack([held_input(500, 25, rng) for _ in range(2)])
+        Y = np.column_stack([simulate_known_order(U[:, c % 2], kind) for c, kind
+                             in enumerate(("first", "oscillatory", "nonlinear") * 2)])
+        # three workers for six channels, whatever the host's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forked = select_embedding(Y, U, 25, n_max=5, seed=3)
+        no_children()
+
+        def no_fork():
+            raise AssertionError("a one-CPU selection started a child process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert select_embedding(Y, U, 25, n_max=5, seed=3) == forked
 
 
 class TestPlateauOrder:
