@@ -43,7 +43,7 @@ float operations and order as the allocating textbook chain, so the bits
 are those of that chain; a single vector takes its matrix products with
 ``np.dot``, which makes the same BLAS calls as ``np.matmul`` for less
 overhead, and a stack carries the delta below its one-unit output layer
-down with a broadcast product, bit for bit ``np.matmul``'s loop.
+down with one ``np.dot`` per row, bit for bit ``np.matmul``'s loop.
 ``gradient`` builds a plan for its one call, as ``forward`` does.
 
 An epoch does only the work its result needs. Its training loss is the
@@ -293,16 +293,6 @@ def _times_act_prime(delta: np.ndarray, kind: str, a: np.ndarray,
         np.multiply(delta, scratch, out=delta)
 
 
-def _outer_product(delta: np.ndarray, W_t: np.ndarray, out: np.ndarray) -> None:
-    """``delta @ W_t`` into ``out`` for a one-column ``delta`` and a one-row
-    ``W_t``, bit for bit as ``np.matmul`` computes it on a stack: numpy's
-    non-BLAS loop sums each entry from zero, ``0.0 + d * w``, so the add puts
-    back its ``+0.0`` where ``d * w`` is ``-0.0``. The broadcast product and
-    the add cost less than that loop."""
-    np.multiply(delta, W_t, out=out)
-    np.add(out, 0.0, out=out)
-
-
 class _GradientPlan:
     """A weight stack set up for the batch-MSE gradient on ``n_rows``
     regressor rows.
@@ -318,7 +308,8 @@ class _GradientPlan:
     ``np.matmul``: every operand is then a BLAS-ready matrix or its
     transpose, on which both make the same BLAS call. Anything else, a stack
     or strided rows, keeps ``np.matmul``, but for a stack's product below its
-    one-unit output layer, which ``_outer_product`` takes as a broadcast one.
+    one-unit output layer, which each stack row takes with ``np.dot`` on
+    views planned here, as a single vector does.
     """
 
     def __init__(self, theta: np.ndarray, spec: NetworkSpec, n_rows: int):
@@ -337,17 +328,20 @@ class _GradientPlan:
         self.last_prime = (spec.activations[-1], acts[-1], scratch[-1])
         # per layer, last first: its transposed input activation (None for
         # layer 0, whose input is the rows of the call), its delta, its W and
-        # b gradient views and, but for layer 0, the product that carries its
-        # delta down (None for the call's matmul) with its transposed W, and
-        # the delta and activation derivative of the layer below
+        # b gradient views and, but for layer 0, the (delta, W_t, out) views
+        # of each stack row for the product that carries its delta down (None
+        # for the call's matmul) with its transposed W, and the delta and
+        # activation derivative of the layer below
         self.backward = []
         for l in range(len(deltas) - 1, -1, -1):
             start, w_end, b_end, fan_in, fan_out = spec.layer_slices[l]
             below = None
             if l > 0:
-                W = self.forward.layers[l][0]
-                product = _outer_product if lead and l == len(deltas) - 1 else None
-                below = (product, np.swapaxes(W, -1, -2), deltas[l - 1],
+                W_t = np.swapaxes(self.forward.layers[l][0], -1, -2)
+                stack_output = lead and l == len(deltas) - 1
+                row_products = [(deltas[l][i], W_t[i], deltas[l - 1][i])
+                                for i in np.ndindex(lead)] if stack_output else None
+                below = (row_products, W_t, deltas[l - 1],
                          (spec.activations[l - 1], acts[l - 1], scratch[l - 1]))
             self.backward.append((
                 np.swapaxes(acts[l - 1], -1, -2) if l > 0 else None, deltas[l],
@@ -372,8 +366,12 @@ class _GradientPlan:
             matmul(rows.T if a_t is None else a_t, delta, out=dW)
             np.add.reduce(delta, axis=-2, out=db)
             if below is not None:
-                product, W_t, delta_below, prime = below
-                (product or matmul)(delta, W_t, out=delta_below)
+                row_products, W_t, delta_below, prime = below
+                if row_products is None:
+                    matmul(delta, W_t, out=delta_below)
+                else:
+                    for d, w, out in row_products:
+                        np.dot(d, w, out=out)
                 _times_act_prime(delta_below, *prime)
         return self.grad, sse
 

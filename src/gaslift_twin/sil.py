@@ -2,7 +2,8 @@
 
 Binds the virtual plant to the cognitive twin: replays scripted disturbance
 scenarios at 1 Hz, applies valve degradations, routes measurements through the
-twin, and records everything alongside a frozen static model for contrast.
+twin, and logs what the script cannot rebuild (not the seconds, inputs or valve
+openings) alongside a frozen static model for contrast.
 
 ``run_scenario`` decides each drift episode by its cause, retrains the twin
 and records the episode as one ``DriftEvent``; the log keeps the events in
@@ -12,7 +13,7 @@ and records the episode as one ``DriftEvent``; the log keeps the events in
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,10 @@ class ScenarioScript:
             if d.magnitude * self.baseline.v_o[d.valve] > 1.0:
                 raise ValueError("disturbance pushes an opening above 1")
 
+    def input_row(self) -> np.ndarray:
+        """The exogenous inputs (Q_g, P_pump) the twin sees at every step."""
+        return np.concatenate([self.baseline.Q_g, [self.baseline.P_pump]])
+
     def valve_openings(self, t: float) -> np.ndarray:
         v = self.baseline.v_o.copy()
         for d in self.disturbances:
@@ -145,15 +150,13 @@ def scenario_library() -> dict[str, ScenarioScript]:
 
 @dataclass(frozen=True)
 class SilLog:
-    """Complete per-step record of one scenario replay."""
+    """Complete per-step record of one scenario replay: the arrays below are
+    stored, and ``t``, ``U`` and ``v_o`` are derived from ``script``."""
 
     script: ScenarioScript
     config: CognitiveConfig
     seed: int
     channels: tuple[str, ...]
-    t: np.ndarray               # (n,) scenario seconds, strictly increasing
-    v_o: np.ndarray             # (n, 3) applied valve openings
-    U: np.ndarray               # (n, 4) exogenous inputs
     truth: np.ndarray           # (n, C) plant measurements
     predicted: np.ndarray       # (n, C) twin point predictions (nan in warmup)
     lower: np.ndarray
@@ -166,14 +169,24 @@ class SilLog:
     # what each retrain did, one record per channel, in retrain order
     retrain_records: tuple[tuple[RetrainRecord, ...], ...] = ()
 
-    def __post_init__(self):
-        dt = np.diff(self.t)
-        if len(self.t) and not (dt == 1.0).all():
-            raise ValueError("log cadence must be a fixed 1 s")
-
     @property
     def n_steps(self) -> int:
-        return len(self.t)
+        return len(self.truth)
+
+    @property
+    def t(self) -> np.ndarray:
+        """(n,) scenario seconds, 1 to n."""
+        return np.arange(1.0, self.n_steps + 1.0)
+
+    @property
+    def U(self) -> np.ndarray:
+        """(n, 4) exogenous inputs, a read-only view of the script's row."""
+        return np.broadcast_to(self.script.input_row(), (self.n_steps, 4))
+
+    @property
+    def v_o(self) -> np.ndarray:
+        """(n, 3) valve openings applied at each second."""
+        return np.array([self.script.valve_openings(t) for t in self.t]).reshape(-1, 3)
 
     def retrain_steps(self) -> tuple[int, ...]:
         return tuple(
@@ -227,9 +240,6 @@ def run_scenario(
 
     n = script.duration_s
     n_c = len(channels)
-    log_t = np.arange(1.0, n + 1.0)
-    log_vo = np.empty((n, 3))
-    log_u = np.empty((n, 4))
     truth = np.empty((n, n_c))
     predicted = np.full((n, n_c), np.nan)
     lower = np.full((n, n_c), np.nan)
@@ -244,20 +254,14 @@ def run_scenario(
     episodes: list[tuple[int, int | None]] = []
     records: list[tuple[RetrainRecord, ...]] = []
     detected: int | None = None     # detection step of the episode waiting
-    u_row = np.concatenate([script.baseline.Q_g, [script.baseline.P_pump]])
+    u_row = script.input_row()
 
     for i in range(n):
         t = float(i + 1)
-        v_now = script.valve_openings(t)
-        inputs = PlantInputs(
-            Q_g=script.baseline.Q_g, v_o=v_now, P_pump=script.baseline.P_pump
-        )
+        inputs = replace(script.baseline, v_o=script.valve_openings(t))
         for _ in range(SUBSTEPS):
             state = plant_step(state, inputs, params, INTERNAL_DT)
         y_now = channel_values(state.m_g, state.m_l)[cols]
-
-        log_vo[i] = v_now
-        log_u[i] = u_row
         truth[i] = y_now
 
         r = twin.step(u_row, y_now)
@@ -305,16 +309,17 @@ def run_scenario(
     static_pred = np.full((n, n_c), np.nan)
     rows = np.arange(max(artifacts[c].layout.max_lag for c in channels), n)
     if len(rows):
+        U = np.broadcast_to(u_row, (n, len(u_row)))
         for j, c in enumerate(channels):
             art = artifacts[c]
-            X, _, _ = build_lag_matrix(truth[:, j], log_u, art.layout, None, rows)
+            X, _, _ = build_lag_matrix(truth[:, j], U, art.layout, None, rows)
             xn = art.norm.normalize_regressors(X, art.layout)
             pn = forward(art.map_theta, art.spec, xn[:, None, :])[:, 0]
             static_pred[rows, j] = art.norm.denormalize_target(pn)
 
     return SilLog(
         script=script, config=config, seed=seed, channels=channels,
-        t=log_t, v_o=log_vo, U=log_u, truth=truth, predicted=predicted,
+        truth=truth, predicted=predicted,
         lower=lower, upper=upper, static_pred=static_pred,
         indicator=indicator, Z=z_log, monitored=monitored,
         events=events, retrain_records=tuple(records),
@@ -368,13 +373,8 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
 
     rows_ok = log.monitored & np.isfinite(log.static_pred).all(axis=1)
     idx = np.arange(log.n_steps)
-    step_of_row = log.t.astype(int)
-    if onset is None:
-        pre_rows = idx[rows_ok]
-        post_rows = idx[:0]
-    else:
-        pre_rows = idx[rows_ok & (step_of_row < onset)]
-        post_rows = idx[rows_ok & (step_of_row >= onset)]
+    pre = idx + 1 < (np.inf if onset is None else onset)   # row i is second i + 1
+    pre_rows, post_rows = idx[rows_ok & pre], idx[rows_ok & ~pre]
     if retrain is None:
         pre_w = post_w = idx[:0]
     else:
@@ -470,8 +470,8 @@ def emit_report(
 
 
 # the SilLog fields stored one .npy each; the rest goes to meta.json
-LOG_ARRAYS = ("t", "v_o", "U", "truth", "predicted", "lower", "upper",
-              "static_pred", "indicator", "Z", "monitored")
+LOG_ARRAYS = ("truth", "predicted", "lower", "upper", "static_pred",
+              "indicator", "Z", "monitored")
 
 
 def write_log(log: SilLog, out_dir: str | Path) -> list[Path]:
@@ -499,7 +499,7 @@ def read_log(in_dir: str | Path) -> SilLog:
     """The log that :func:`write_log` stored in ``in_dir``. A ``meta.json``
     without retrain records reads back with none; one that still carries a
     script's ``wait_buffer`` or an event's ``post_retrain_z`` reads back
-    without them."""
+    without them. Older logs' ``t``, ``v_o`` and ``U`` files are not read."""
     src = Path(in_dir)
     meta = read_json(src / "meta.json")
     s = _without(meta["script"], "wait_buffer")

@@ -8,10 +8,11 @@ import pytest
 from gaslift_twin import cognitive as cg
 from gaslift_twin import network as nw
 from gaslift_twin import sil
-from gaslift_twin.artifacts import jsonable
+from gaslift_twin.artifacts import jsonable, write_array
 from gaslift_twin.doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from gaslift_twin.plant import (
     CHANNEL_NAMES,
+    SUBSTEPS,
     PlantInputs,
     PlantParams,
     default_initial_state,
@@ -204,7 +205,8 @@ class TestRunScenario:
         log = sil.run_scenario(quiet_script(120), mini_artifacts, mini_config(),
                                seed=0)
         assert log.n_steps == 120
-        assert log.t[0] == 1.0 and log.t[-1] == 120.0
+        assert log.t.tolist() == list(range(1, 121))
+        assert (log.U == [3.0, 3.0, 3.0, 2.65]).all()
         assert log.truth.shape == (120, len(MINI_CHANNELS))
         assert log.monitored[:2].tolist() == [False, False]
         assert log.monitored[2:].all()
@@ -269,13 +271,27 @@ class TestRunScenario:
         assert ev.retrain_step == ev.detection_step + 10
         assert log.config.wait_buffer == 10
 
-    def test_disturbance_applied_exactly(self, mini_artifacts):
+    def test_disturbance_applied_exactly(self, mini_artifacts, monkeypatch):
+        # the openings the plant received, substep by substep
+        applied = []
+        plant_step = sil.plant_step
+
+        def recording_step(state, inputs, params, dt):
+            applied.append(inputs.v_o.copy())
+            return plant_step(state, inputs, params, dt)
+
+        monkeypatch.setattr(sil, "plant_step", recording_step)
         log = sil.run_scenario(step_script(), mini_artifacts, mini_config(),
                                seed=6)
-        assert (log.v_o[:99] == 1.0).all()
+        v_o = np.array(applied).reshape(log.n_steps, SUBSTEPS, 3)
+        assert (v_o == v_o[:, :1]).all()    # held over each second
+        v_o = v_o[:, 0]
+        assert (v_o[:99] == 1.0).all()
         # row 99 is t=100 s, the first logged second at which the step holds
-        assert (log.v_o[99:, 0] == 0.25).all()
-        assert (log.v_o[99:, 1:] == 1.0).all()
+        assert (v_o[99:, 0] == 0.25).all()
+        assert (v_o[99:, 1:] == 1.0).all()
+        # the log derives the same openings from its script
+        assert log.v_o.tobytes() == v_o.tobytes()
 
     def test_deterministic_replay(self, mini_artifacts):
         kwargs = dict(seed=7, retrain_experiments=4, retrain_hold=40)
@@ -318,6 +334,14 @@ class TestCompare:
             assert m.pre_mse_static == m.pre_mse_twin
 
 
+def assert_arrays_equal(got, want):
+    """Every stored and derived array of two logs, bit for bit."""
+    for k in (*sil.LOG_ARRAYS, "t", "v_o", "U"):
+        a, b = getattr(want, k), getattr(got, k)
+        assert (b.dtype, b.shape) == (a.dtype, a.shape), k
+        assert b.tobytes() == a.tobytes(), k
+
+
 def empty_log():
     script = quiet_script(1)
     cfg = mini_config()
@@ -325,7 +349,6 @@ def empty_log():
     shape = (0, n_c)
     return sil.SilLog(
         script=script, config=cfg, seed=0, channels=("well1_mg", "well1_ml"),
-        t=np.empty(0), v_o=np.empty((0, 3)), U=np.empty((0, 4)),
         truth=np.empty(shape), predicted=np.empty(shape),
         lower=np.empty(shape), upper=np.empty(shape),
         static_pred=np.empty(shape), indicator=np.empty(shape, dtype=int),
@@ -387,14 +410,6 @@ class TestEmitReport:
         assert np.isfinite(measured)
 
 
-class TestSilLogValidation:
-    def test_cadence_enforced(self, mini_artifacts):
-        log = sil.run_scenario(quiet_script(10), mini_artifacts, mini_config(),
-                               seed=0)
-        with pytest.raises(ValueError):
-            dataclasses.replace(log, t=np.array([1.0, 3.0] + list(log.t[2:])))
-
-
 class TestLogCodec:
     @pytest.mark.parametrize("replay", [True, False])
     def test_round_trip_is_exact(self, mini_artifacts, tmp_path, replay):
@@ -410,17 +425,16 @@ class TestLogCodec:
         else:
             log = empty_log()
         written = sil.write_log(log, tmp_path)
-        assert sorted(p.name for p in written) == sorted(
-            [f"{k}.npy" for k in sil.LOG_ARRAYS] + ["meta.json"])
+        assert sorted(p.name for p in written) == sorted([
+            "truth.npy", "predicted.npy", "lower.npy", "upper.npy",
+            "static_pred.npy", "indicator.npy", "Z.npy", "monitored.npy",
+            "meta.json"])
         # strict JSON: no bare NaN or Infinity tokens
         json.loads((tmp_path / "meta.json").read_text(),
                    parse_constant=lambda c: pytest.fail(f"{c} in meta.json"))
 
         back = sil.read_log(tmp_path)
-        for k in sil.LOG_ARRAYS:
-            a, b = getattr(log, k), getattr(back, k)
-            assert (b.dtype, b.shape) == (a.dtype, a.shape), k
-            assert b.tobytes() == a.tobytes(), k
+        assert_arrays_equal(back, log)
         assert back.indicator.dtype.kind == back.Z.dtype.kind == "i"
         assert back.monitored.dtype == bool
         assert back.script.drift_source_identified is True
@@ -428,6 +442,19 @@ class TestLogCodec:
         assert (back.config, back.seed, back.channels, back.events) == \
             (log.config, log.seed, log.channels, log.events)
         assert back.retrain_records == log.retrain_records
+
+    def test_log_with_derived_arrays_stored_reads_back(self, mini_artifacts,
+                                                       tmp_path):
+        # logs written before the harness derived them also store t, v_o
+        # and U, one .npy each
+        log = sil.run_scenario(step_script(), mini_artifacts, mini_config(),
+                               seed=3, retrain_experiments=4, retrain_hold=40)
+        sil.write_log(log, tmp_path)
+        for k in ("t", "v_o", "U"):
+            write_array(tmp_path / f"{k}.npy", np.array(getattr(log, k)))
+        back = sil.read_log(tmp_path)
+        assert_arrays_equal(back, log)
+        assert (back.events, back.retrain_records) == (log.events, log.retrain_records)
 
     def test_meta_without_retrain_records_reads_back_empty(self, tmp_path):
         sil.write_log(empty_log(), tmp_path)
