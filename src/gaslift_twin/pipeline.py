@@ -13,7 +13,8 @@ as JSON, tables as CSV) plus a manifest:
     reduce            ensemble reduction with the 25% safety factor
     sil-scenario<k>   software-in-the-loop scenario replay logs, drift
                       events in the log's meta.json
-    report            plot-ready CSVs, the events.jsonl drift-event log and
+    report            plot-ready CSVs, their static-model column recomputed
+                      from reduce, the events.jsonl drift-event log and
                       metric summaries per scenario
 
 Stages are deterministic functions of the configuration, so re-running any
@@ -654,10 +655,14 @@ def stage_sil(cfg: RunConfig, scenario: int | None = None) -> list[dict]:
 
 
 def load_sil_log(cfg: RunConfig, sid: int) -> tuple[sil_mod.SilLog, str]:
+    """A scenario's log, its static predictions recomputed from the offline
+    artifacts that the scenario replayed against."""
+    artifacts, fp_reduce = load_offline_artifacts(cfg)
     store = _art_store(cfg)
     stage = f"sil-scenario{sid}"
-    _, fp = store.require(stage, config_hash=cfg.stage_hash(stage))
-    return sil_mod.read_log(store.stage_dir(stage) / "log"), fp
+    _, fp = store.require(stage, config_hash=cfg.stage_hash(stage),
+                          inputs={"reduce": fp_reduce})
+    return sil_mod.read_log(store.stage_dir(stage) / "log", artifacts), fp
 
 
 # ----------------------------------------------------------------- report

@@ -2,8 +2,12 @@
 
 Binds the virtual plant to the cognitive twin: replays scripted disturbance
 scenarios at 1 Hz, applies valve degradations, routes measurements through the
-twin, and logs what the script cannot rebuild (not the seconds, inputs or valve
-openings) alongside a frozen static model for contrast.
+twin, and logs the measurements and the twin's outputs alongside a frozen
+static model for contrast. A stored log keeps only what cannot be recomputed:
+the measurements, the twin's bands and which steps it monitored, plus
+``meta.json``. The seconds, inputs and valve openings come from the script,
+the violation indicator and counts from the stored arrays and the retrain
+steps, and the static model's predictions from the offline artifacts.
 
 ``run_scenario`` decides each drift episode by its cause, retrains the twin
 and records the episode as one ``DriftEvent``; the log keeps the events in
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,7 @@ from .cognitive import (
     DriftEvent,
     OfflineArtifact,
     RetrainRecord,
+    ViolationWindow,
     handle_drift,
 )
 from .network import forward
@@ -150,8 +156,16 @@ def scenario_library() -> dict[str, ScenarioScript]:
 
 @dataclass(frozen=True)
 class SilLog:
-    """Complete per-step record of one scenario replay: the arrays below are
-    stored, and ``t``, ``U`` and ``v_o`` are derived from ``script``."""
+    """Complete per-step record of one scenario replay.
+
+    ``write_log`` stores ``truth``, ``predicted``, ``lower``, ``upper`` and
+    ``monitored``, and ``meta.json`` the fields before and after them.
+    ``static_pred`` is not stored: ``read_log`` recomputes it from ``truth``
+    and the offline artifacts with ``static_predictions``. The rest is
+    derived: ``t``, ``U`` and ``v_o`` from ``script``, ``indicator`` from
+    ``truth``, the band and ``monitored``, and ``Z`` from ``indicator``,
+    ``config`` and the retrain steps of ``events``.
+    """
 
     script: ScenarioScript
     config: CognitiveConfig
@@ -162,8 +176,6 @@ class SilLog:
     lower: np.ndarray
     upper: np.ndarray
     static_pred: np.ndarray     # (n, C) frozen offline model predictions
-    indicator: np.ndarray       # (n, C) int8 0/1
-    Z: np.ndarray               # (n, C) smallest signed int type holding MH
     monitored: np.ndarray       # (n,) bool
     events: tuple[DriftEvent, ...]
     # what each retrain did, one record per channel, in retrain order
@@ -172,6 +184,32 @@ class SilLog:
     @property
     def n_steps(self) -> int:
         return len(self.truth)
+
+    @property
+    def indicator(self) -> np.ndarray:
+        """(n, C) int8: 1 where a monitored measurement lies outside [lower,
+        upper], boundary inclusive and a NaN counting as outside, as the
+        twin checks it; 0 on the rows it did not monitor."""
+        inside = (self.lower <= self.truth) & (self.truth <= self.upper)
+        return (~inside & self.monitored[:, None]).astype(np.int8)
+
+    @cached_property
+    def Z(self) -> np.ndarray:
+        """(n, C) violation counts after each step: the twin's
+        ``ViolationWindow`` replayed over the monitored rows of
+        ``indicator``, and reset after each retrain step, as the twin's
+        window is."""
+        window = ViolationWindow(self.config, len(self.channels))
+        retrains = set(self.retrain_steps())
+        z = np.zeros(self.truth.shape, dtype=window.Z.dtype)
+        for i, (violated, monitored) in enumerate(
+                zip(self.indicator.astype(bool), self.monitored)):
+            if monitored:
+                window.push(violated)
+            z[i] = window.Z
+            if i + 1 in retrains:       # row i is second i + 1
+                window.reset()
+        return z
 
     @property
     def t(self) -> np.ndarray:
@@ -199,6 +237,27 @@ def _slope_rows(script: ScenarioScript, t_now: float) -> np.ndarray:
     now = script.valve_openings(t_now)
     end = script.valve_openings(script.duration_s)
     return np.linspace(now, end, 8)
+
+
+def static_predictions(script: ScenarioScript, artifacts: dict[str, OfflineArtifact],
+                       channels: tuple[str, ...], truth: np.ndarray) -> np.ndarray:
+    """(n, C) predictions of each channel's frozen offline model on the
+    measured history ``truth``, NaN before the deepest lag of any channel.
+    One matmul per regressor row, as in the twin's stacked step, keeps them
+    bit-identical to the twin's until it retrains."""
+    n = len(truth)
+    static_pred = np.full(truth.shape, np.nan)
+    rows = np.arange(max(artifacts[c].layout.max_lag for c in channels), n)
+    if len(rows):
+        u_row = script.input_row()
+        U = np.broadcast_to(u_row, (n, len(u_row)))
+        for j, c in enumerate(channels):
+            art = artifacts[c]
+            X, _, _ = build_lag_matrix(truth[:, j], U, art.layout, None, rows)
+            xn = art.norm.normalize_regressors(X, art.layout)
+            pn = forward(art.map_theta, art.spec, xn[:, None, :])[:, 0]
+            static_pred[rows, j] = art.norm.denormalize_target(pn)
+    return static_pred
 
 
 def run_scenario(
@@ -244,10 +303,6 @@ def run_scenario(
     predicted = np.full((n, n_c), np.nan)
     lower = np.full((n, n_c), np.nan)
     upper = np.full((n, n_c), np.nan)
-    indicator = np.zeros((n, n_c), dtype=np.int8)
-    z_type = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                  if np.iinfo(t).max >= config.mh)
-    z_log = np.zeros((n, n_c), dtype=z_type)
     monitored = np.zeros(n, dtype=bool)
 
     # (detection step, retrain step) of every drift episode
@@ -268,8 +323,6 @@ def run_scenario(
         predicted[i] = r.predicted
         lower[i] = r.lower
         upper[i] = r.upper
-        indicator[i] = r.indicator
-        z_log[i] = r.Z
         monitored[i] = r.monitored
 
         data = None
@@ -302,27 +355,11 @@ def run_scenario(
     events = tuple(DriftEvent(detection, cause, action, retrain_step=retrain)
                    for detection, retrain in episodes)
 
-    # the frozen static model sees the same measured history as the twin, from
-    # the deepest lag of any channel on; one matmul per regressor row, as in
-    # the twin's stacked step, keeps the two bit-identical until the twin
-    # retrains
-    static_pred = np.full((n, n_c), np.nan)
-    rows = np.arange(max(artifacts[c].layout.max_lag for c in channels), n)
-    if len(rows):
-        U = np.broadcast_to(u_row, (n, len(u_row)))
-        for j, c in enumerate(channels):
-            art = artifacts[c]
-            X, _, _ = build_lag_matrix(truth[:, j], U, art.layout, None, rows)
-            xn = art.norm.normalize_regressors(X, art.layout)
-            pn = forward(art.map_theta, art.spec, xn[:, None, :])[:, 0]
-            static_pred[rows, j] = art.norm.denormalize_target(pn)
-
     return SilLog(
         script=script, config=config, seed=seed, channels=channels,
-        truth=truth, predicted=predicted,
-        lower=lower, upper=upper, static_pred=static_pred,
-        indicator=indicator, Z=z_log, monitored=monitored,
-        events=events, retrain_records=tuple(records),
+        truth=truth, predicted=predicted, lower=lower, upper=upper,
+        static_pred=static_predictions(script, artifacts, channels, truth),
+        monitored=monitored, events=events, retrain_records=tuple(records),
     )
 
 
@@ -371,6 +408,7 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
     retrain = retrains[0] if retrains else None
     mh = log.config.mh
 
+    indicator = log.indicator
     rows_ok = log.monitored & np.isfinite(log.static_pred).all(axis=1)
     idx = np.arange(log.n_steps)
     pre = idx + 1 < (np.inf if onset is None else onset)   # row i is second i + 1
@@ -396,12 +434,12 @@ def compare_static_vs_dt(log: SilLog) -> SilComparison:
             post_mse_static=mse(post_rows, log.static_pred),
             post_mse_twin=mse(post_rows, log.predicted),
             pre_violation_fraction=_window_fraction(
-                log.indicator[:, j], log.monitored, pre_w),
+                indicator[:, j], log.monitored, pre_w),
             post_violation_fraction=_window_fraction(
-                log.indicator[:, j], log.monitored, post_w),
+                indicator[:, j], log.monitored, post_w),
         )
 
-    joint = log.indicator.mean(axis=1)
+    joint = indicator.mean(axis=1)
     return SilComparison(
         per_channel=per_channel,
         onset_step=onset,
@@ -443,13 +481,14 @@ def emit_report(
     summary holds (None for a log with no steps).
     """
     out = Path(out_dir)
+    indicator = log.indicator
     written = [
         write_csv(
             out / "channels" / f"{c}.csv",
             ("t", "measured", "predicted", "lower", "upper", "static",
              "indicator", "Z"),
             zip(log.t, log.truth[:, j], log.predicted[:, j], log.lower[:, j],
-                log.upper[:, j], log.static_pred[:, j], log.indicator[:, j],
+                log.upper[:, j], log.static_pred[:, j], indicator[:, j],
                 log.Z[:, j]),
         )
         for j, c in enumerate(log.channels)
@@ -469,13 +508,13 @@ def emit_report(
     return written, comparison
 
 
-# the SilLog fields stored one .npy each; the rest goes to meta.json
-LOG_ARRAYS = ("truth", "predicted", "lower", "upper", "static_pred",
-              "indicator", "Z", "monitored")
+# the SilLog fields stored one .npy each; meta.json holds the rest but
+# static_pred, which read_log recomputes
+LOG_ARRAYS = ("truth", "predicted", "lower", "upper", "monitored")
 
 
 def write_log(log: SilLog, out_dir: str | Path) -> list[Path]:
-    """Store a log exactly: one .npy per array field plus ``meta.json``."""
+    """Store a log exactly: one .npy per stored array plus ``meta.json``."""
     out = Path(out_dir)
     return [
         *(write_array(out / f"{k}.npy", getattr(log, k)) for k in LOG_ARRAYS),
@@ -495,11 +534,13 @@ def _without(doc: dict, retired: str) -> dict:
     return {k: v for k, v in doc.items() if k != retired}
 
 
-def read_log(in_dir: str | Path) -> SilLog:
-    """The log that :func:`write_log` stored in ``in_dir``. A ``meta.json``
-    without retrain records reads back with none; one that still carries a
-    script's ``wait_buffer`` or an event's ``post_retrain_z`` reads back
-    without them. Older logs' ``t``, ``v_o`` and ``U`` files are not read."""
+def read_log(in_dir: str | Path, artifacts: dict[str, OfflineArtifact]) -> SilLog:
+    """The log that :func:`write_log` stored in ``in_dir``, its static
+    predictions recomputed from the offline ``artifacts`` of its channels.
+    A ``meta.json`` without retrain records reads back with none; one that
+    still carries a script's ``wait_buffer`` or an event's
+    ``post_retrain_z`` reads back without them. Older logs' ``t``, ``v_o``,
+    ``U``, ``indicator``, ``Z`` and ``static_pred`` files are not read."""
     src = Path(in_dir)
     meta = read_json(src / "meta.json")
     s = _without(meta["script"], "wait_buffer")
@@ -508,11 +549,13 @@ def read_log(in_dir: str | Path) -> SilLog:
         "baseline": PlantInputs(**s["baseline"]),
         "disturbances": tuple(Disturbance(**e) for e in s["disturbances"]),
     })
+    channels = tuple(meta["channels"])
+    arrays = {k: read_array(src / f"{k}.npy") for k in LOG_ARRAYS}
     return SilLog(
         script=script,
         config=CognitiveConfig(**meta["config"]),
         seed=meta["seed"],
-        channels=tuple(meta["channels"]),
+        channels=channels,
         events=tuple(DriftEvent(**_without(e, "post_retrain_z"))
                      for e in meta["events"]),
         retrain_records=tuple(
@@ -520,5 +563,7 @@ def read_log(in_dir: str | Path) -> SilLog:
                                    for k, v in r.items()}) for r in rs)
             for rs in meta.get("retrain_records", ())
         ),
-        **{k: read_array(src / f"{k}.npy") for k in LOG_ARRAYS},
+        static_pred=static_predictions(script, artifacts, channels,
+                                       arrays["truth"]),
+        **arrays,
     )

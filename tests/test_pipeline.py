@@ -172,11 +172,14 @@ class TestEndToEnd:
             assert len(list((report / f"scenario{sid}" / "channels").glob("*.csv"))) == 6
 
     def test_events_are_stored_once_and_rendered_by_report(self, run):
-        root, _, _ = run
+        root, cfg, _ = run
+        artifacts, _ = pipeline.load_offline_artifacts(parse_config(cfg))
         for sid in (1, 2, 3):
             sil_dir = root / "artifacts" / f"sil-scenario{sid}"
             assert not (sil_dir / "events.jsonl").exists()
-            log = sil.read_log(sil_dir / "log")
+            assert sorted(p.name for p in (sil_dir / "log").iterdir()) == sorted(
+                [*(f"{k}.npy" for k in sil.LOG_ARRAYS), "meta.json"])
+            log = sil.read_log(sil_dir / "log", artifacts)
             rendered = root / "reports" / "report" / f"scenario{sid}" / "events.jsonl"
             assert rendered.read_text() == sil.events_jsonl(log.events)
 
@@ -203,6 +206,18 @@ class TestFailures:
         assert rc == 1
         assert out == ""
         assert error_of(err)["error"] == "FingerprintMismatch"
+
+    def test_report_without_the_offline_artifacts_is_refused(self, run, tmp_path):
+        # report recomputes the static predictions from the reduce stage
+        root, _, _ = run
+        shutil.copytree(root / "artifacts", tmp_path / "artifacts")
+        cfg = write_config(tmp_path)
+        (tmp_path / "artifacts" / "reduce" / "manifest.json").unlink()
+        rc, out, err = run_cli("--config", cfg, "report", "--scenario", 1)
+        assert rc == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert error_of(err)["error"] == "MissingArtifact"
 
     @pytest.mark.parametrize("key, value, sid", [
         ("cognitive.wait_buffer", 10, 2),           # an unknown cause waits

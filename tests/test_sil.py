@@ -334,12 +334,102 @@ class TestCompare:
             assert m.pre_mse_static == m.pre_mse_twin
 
 
+def recorded_run(monkeypatch, script, artifacts, config, **kwargs):
+    """A replay and the ``StepResult`` of every twin step it took."""
+    results = []
+    step = cg.CognitiveTwin.step
+
+    def recording_step(twin, u_now, y_now):
+        results.append(step(twin, u_now, y_now))
+        return results[-1]
+
+    monkeypatch.setattr(cg.CognitiveTwin, "step", recording_step)
+    return sil.run_scenario(script, artifacts, config, **kwargs), results
+
+
+def assert_derived_as_recorded(log, results):
+    """The log's indicator and counts are what the twin gave, row by row."""
+    assert len(results) == log.n_steps
+    assert log.indicator.dtype == np.int8
+    assert log.indicator.shape == log.Z.shape == log.truth.shape
+    assert log.Z.dtype.kind == "i"
+    for i, r in enumerate(results):
+        assert log.indicator[i].tolist() == r.indicator.tolist(), i
+        assert log.Z[i].tolist() == r.Z.tolist(), i
+
+
+class TestDerivedArrays:
+    @pytest.mark.parametrize("identified, a_offset", [
+        (True, 1),          # detect and retrain at once
+        (False, 1),         # the unknown cause waits for its buffer
+        (True, 0),
+        (True, 3),          # the two newest flags wait outside the count
+    ])
+    def test_step_scenario(self, mini_artifacts, monkeypatch, identified, a_offset):
+        log, results = recorded_run(
+            monkeypatch, step_script(identified=identified), mini_artifacts,
+            mini_config(a_offset=a_offset), seed=3, retrain_experiments=4,
+            retrain_hold=40,
+        )
+        assert len(log.retrain_steps()) == 1
+        assert log.Z.max() >= log.config.ct
+        assert_derived_as_recorded(log, results)
+
+    def test_tight_band_with_many_retrains(self, mini_artifacts, monkeypatch):
+        # members pulled in towards the point weights give a band that the
+        # plant leaves at almost every step, so the twin retrains every ct
+        # steps; each retrain resets the window mid-run
+        tight = {c: cg.make_artifact(c, a.spec, a.layout, a.norm, a.map_theta,
+                                     a.map_theta + 0.05 * (a.members - a.map_theta))
+                 for c, a in mini_artifacts.items()}
+        log, results = recorded_run(
+            monkeypatch, step_script(duration=150), tight, mini_config(),
+            seed=3, retrain_experiments=4, retrain_hold=40,
+        )
+        assert len(log.retrain_steps()) >= 10
+        assert_derived_as_recorded(log, results)
+
+    def test_empty_log(self):
+        assert_derived_as_recorded(empty_log(), [])
+
+    def test_nan_and_boundaries(self):
+        # boundary inclusive, a NaN measurement or bound counts as outside,
+        # and an unmonitored row never does
+        nan = np.nan
+        log = dataclasses.replace(
+            empty_log(),
+            truth=np.array([[1.0, nan], [1.0, 2.0], [3.0, 2.0], [1.0, 9.0]]),
+            lower=np.array([[nan, nan], [1.0, nan], [1.0, 1.0], [1.0, 1.0]]),
+            upper=np.array([[nan, nan], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]]),
+            predicted=np.full((4, 2), nan), static_pred=np.full((4, 2), nan),
+            monitored=np.array([False, True, True, True]),
+        )
+        assert log.indicator.tolist() == [[0, 0], [0, 1], [1, 0], [0, 1]]
+        assert log.Z.tolist() == [[0, 0], [0, 1], [1, 1], [1, 2]]
+
+
 def assert_arrays_equal(got, want):
-    """Every stored and derived array of two logs, bit for bit."""
-    for k in (*sil.LOG_ARRAYS, "t", "v_o", "U"):
+    """Every stored, recomputed and derived array of two logs, bit for bit."""
+    for k in (*sil.LOG_ARRAYS, "static_pred", "indicator", "Z", "t", "v_o", "U"):
         a, b = getattr(want, k), getattr(got, k)
         assert (b.dtype, b.shape) == (a.dtype, a.shape), k
         assert b.tobytes() == a.tobytes(), k
+
+
+def write_older_log(log, out_dir, extra=()):
+    """``log`` as the harness stored it while it kept eight arrays: the
+    stored ones, the static predictions, the int8 indicator and the counts
+    in the smallest signed integer type holding MH; plus the ``extra``
+    derived arrays, one .npy each."""
+    sil.write_log(log, out_dir)
+    z_type = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                  if np.iinfo(t).max >= log.config.mh)
+    older = {"static_pred": log.static_pred, "indicator": log.indicator,
+             "Z": log.Z.astype(z_type)}
+    for k in extra:
+        older[k] = np.array(getattr(log, k))
+    for k, a in older.items():
+        write_array(out_dir / f"{k}.npy", a)
 
 
 def empty_log():
@@ -351,8 +441,7 @@ def empty_log():
         script=script, config=cfg, seed=0, channels=("well1_mg", "well1_ml"),
         truth=np.empty(shape), predicted=np.empty(shape),
         lower=np.empty(shape), upper=np.empty(shape),
-        static_pred=np.empty(shape), indicator=np.empty(shape, dtype=int),
-        Z=np.empty(shape, dtype=int), monitored=np.empty(0, dtype=bool),
+        static_pred=np.empty(shape), monitored=np.empty(0, dtype=bool),
         events=(),
     )
 
@@ -427,13 +516,12 @@ class TestLogCodec:
         written = sil.write_log(log, tmp_path)
         assert sorted(p.name for p in written) == sorted([
             "truth.npy", "predicted.npy", "lower.npy", "upper.npy",
-            "static_pred.npy", "indicator.npy", "Z.npy", "monitored.npy",
-            "meta.json"])
+            "monitored.npy", "meta.json"])
         # strict JSON: no bare NaN or Infinity tokens
         json.loads((tmp_path / "meta.json").read_text(),
                    parse_constant=lambda c: pytest.fail(f"{c} in meta.json"))
 
-        back = sil.read_log(tmp_path)
+        back = sil.read_log(tmp_path, mini_artifacts)
         assert_arrays_equal(back, log)
         assert back.indicator.dtype.kind == back.Z.dtype.kind == "i"
         assert back.monitored.dtype == bool
@@ -445,26 +533,45 @@ class TestLogCodec:
 
     def test_log_with_derived_arrays_stored_reads_back(self, mini_artifacts,
                                                        tmp_path):
-        # logs written before the harness derived them also store t, v_o
-        # and U, one .npy each
+        # the oldest logs store eleven arrays: those of the eight-array
+        # layout plus t, v_o and U, one .npy each
         log = sil.run_scenario(step_script(), mini_artifacts, mini_config(),
                                seed=3, retrain_experiments=4, retrain_hold=40)
-        sil.write_log(log, tmp_path)
-        for k in ("t", "v_o", "U"):
-            write_array(tmp_path / f"{k}.npy", np.array(getattr(log, k)))
-        back = sil.read_log(tmp_path)
+        write_older_log(log, tmp_path, ("t", "v_o", "U"))
+        back = sil.read_log(tmp_path, mini_artifacts)
         assert_arrays_equal(back, log)
         assert (back.events, back.retrain_records) == (log.events, log.retrain_records)
 
-    def test_meta_without_retrain_records_reads_back_empty(self, tmp_path):
+    def test_log_in_the_eight_array_layout_reads_back(self, mini_artifacts,
+                                                      tmp_path, monkeypatch):
+        # logs of the eight-array layout also store the static predictions,
+        # the indicator and the counts; read_log reads none of them
+        log = sil.run_scenario(step_script(), mini_artifacts, mini_config(),
+                               seed=3, retrain_experiments=4, retrain_hold=40)
+        write_older_log(log, tmp_path)
+        read = []
+        read_array = sil.read_array
+
+        def recording_read(path):
+            read.append(path.name)
+            return read_array(path)
+
+        monkeypatch.setattr(sil, "read_array", recording_read)
+        back = sil.read_log(tmp_path, mini_artifacts)
+        assert sorted(read) == sorted(f"{k}.npy" for k in sil.LOG_ARRAYS)
+        assert_arrays_equal(back, log)
+        assert (back.events, back.retrain_records) == (log.events, log.retrain_records)
+
+    def test_meta_without_retrain_records_reads_back_empty(self, mini_artifacts,
+                                                           tmp_path):
         sil.write_log(empty_log(), tmp_path)
         meta_path = tmp_path / "meta.json"
         meta = json.loads(meta_path.read_text())
         del meta["retrain_records"]
         meta_path.write_text(json.dumps(meta))
-        assert sil.read_log(tmp_path).retrain_records == ()
+        assert sil.read_log(tmp_path, mini_artifacts).retrain_records == ()
 
-    def test_meta_with_retired_keys_reads_back(self, tmp_path):
+    def test_meta_with_retired_keys_reads_back(self, mini_artifacts, tmp_path):
         # logs written before the harness stopped storing them carry the
         # script's wait_buffer and each event's post_retrain_z
         log = dataclasses.replace(empty_log(), events=(
@@ -478,15 +585,6 @@ class TestLogCodec:
         for e in meta["events"]:
             e["post_retrain_z"] = 0 if e["retrain_step"] is not None else None
         meta_path.write_text(json.dumps(meta))
-        back = sil.read_log(tmp_path)
+        back = sil.read_log(tmp_path, mini_artifacts)
         assert back.events == log.events
         assert jsonable(asdict(back.script)) == jsonable(asdict(log.script))
-
-    def test_narrow_integer_columns(self, mini_artifacts):
-        log = sil.run_scenario(quiet_script(10), mini_artifacts, mini_config(),
-                               seed=0)
-        assert log.indicator.dtype == np.int8
-        assert log.Z.dtype == np.int8       # mini_config's MH fits in int8
-        wide = sil.run_scenario(quiet_script(10), mini_artifacts,
-                                dataclasses.replace(mini_config(), mh=128), seed=0)
-        assert wide.Z.dtype == np.int16
