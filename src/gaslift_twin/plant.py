@@ -9,11 +9,13 @@ hydraulically independent.
 
 The plant's physics is one per-well kernel over plain Python floats:
 ``_well_derivatives`` gives a well's mass-balance derivatives and
-``_advance`` runs RK4 steps with it, one well after the other. ``step`` and
-the 1 Hz loop behind ``simulate_experiment`` and ``simulate_schedule`` both
-integrate with it, and what they log is the six measured holdups. The tests
-keep the same chain written over numpy arrays as the kernel's reference
-(``tests/conftest.py``); the kernel must equal it bit for bit.
+``_advance`` runs RK4 steps with it, one well after the other. The 1 Hz loop
+behind ``simulate_experiment`` and ``simulate_schedule`` (the SIL replay
+included) integrates with it and logs the six measured holdups. ``step``
+does too, but nothing in the package calls it any more: it stays only as a
+wrap point of ``perfbench/layers.py``. The tests keep the same chain written
+over numpy arrays as the kernel's reference (``tests/conftest.py``); the
+kernel must equal it bit for bit.
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ the measurements, the twin's bands and which steps it monitored, plus
 the violation indicator and counts from the stored arrays and the retrain
 steps, and the static model's predictions from the offline artifacts.
 
-``run_scenario`` decides each drift episode by its cause, retrains the twin
-and records the episode as one ``DriftEvent``; the log keeps the events in
-``meta.json``, and ``emit_report`` renders them as ``events.jsonl``.
+``run_scenario`` integrates the open-loop plant over a whole scenario once,
+then steps the twin through it. It decides each drift episode by its cause,
+retrains the twin (``handle_drift`` starting from the logged state at the
+trigger second) and records the episode as one ``DriftEvent``; the log keeps
+the events in ``meta.json``, and ``emit_report`` renders them as ``events.jsonl``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -42,14 +44,14 @@ from .network import forward
 from .plant import (
     BASELINE_INPUTS,
     CHANNEL_NAMES,
-    INTERNAL_DT,
-    SUBSTEPS,
     PlantInputs,
     PlantParams,
-    channel_values,
+    PlantState,
     default_initial_state,
     simulate_experiment,
-    step as plant_step,
+    simulate_schedule,
+    # only perfbench/layers.py uses it, wrapping ``sil.plant_step`` by name
+    step as plant_step,  # noqa: F401
 )
 from .structure import build_lag_matrix
 
@@ -119,6 +121,10 @@ class ScenarioScript:
         for d in self.disturbances:
             v[d.valve] = v[d.valve] * d.factor(t)
         return v
+
+    def opening_rows(self, n: int) -> np.ndarray:
+        """(n, 3) valve openings applied at seconds 1 to n."""
+        return np.reshape([self.valve_openings(t) for t in np.arange(1.0, n + 1.0)], (-1, 3))
 
     def onset(self) -> int | None:
         times = [d.time_s for d in self.disturbances]
@@ -224,19 +230,12 @@ class SilLog:
     @property
     def v_o(self) -> np.ndarray:
         """(n, 3) valve openings applied at each second."""
-        return np.array([self.script.valve_openings(t) for t in self.t]).reshape(-1, 3)
+        return self.script.opening_rows(self.n_steps)
 
     def retrain_steps(self) -> tuple[int, ...]:
         return tuple(
             e.retrain_step for e in self.events if e.retrain_step is not None
         )
-
-
-def _slope_rows(script: ScenarioScript, t_now: float) -> np.ndarray:
-    """Eight valve-opening rows spanning the remaining scripted drift."""
-    now = script.valve_openings(t_now)
-    end = script.valve_openings(script.duration_s)
-    return np.linspace(now, end, 8)
 
 
 def static_predictions(script: ScenarioScript, artifacts: dict[str, OfflineArtifact],
@@ -274,9 +273,11 @@ def run_scenario(
     """Replay one scenario at 1 Hz and return the full log.
 
     The plant settles for ``warmup_s`` unlogged seconds at the baseline before
-    scenario time starts. Each drift episode is decided here, by the script's
-    cause: an identified drift retrains at its detection step on data that
-    ``handle_drift`` generates from the live plant state; an unknown one
+    scenario time starts. It is open loop, so the whole scenario is
+    integrated once before the twin's first step. Each drift episode is
+    decided here, by the script's cause: an identified drift retrains at its
+    detection step on data that ``handle_drift`` generates from the logged
+    plant state at that second (its ``t`` a whole second); an unknown one
     buffers live samples from the next step on and retrains on them at the
     first step after detection at which the buffer holds
     ``config.wait_buffer`` rows. Each retrain completes one ``DriftEvent``;
@@ -288,7 +289,6 @@ def run_scenario(
     settle = simulate_experiment(
         script.baseline, warmup_s, params, default_initial_state(params)
     )
-    state = settle.final_state
 
     twin = CognitiveTwin(artifacts, config)
     channels = twin.channels
@@ -298,11 +298,14 @@ def run_scenario(
     cols = [CHANNEL_NAMES.index(c) for c in channels]
 
     n = script.duration_s
-    n_c = len(channels)
-    truth = np.empty((n, n_c))
-    predicted = np.full((n, n_c), np.nan)
-    lower = np.full((n, n_c), np.nan)
-    upper = np.full((n, n_c), np.nan)
+    traj = simulate_schedule(
+        np.broadcast_to(script.baseline.Q_g, (n, 3)), script.opening_rows(n),
+        np.full(n, script.baseline.P_pump), 1, params, settle.final_state,
+    )
+    truth = np.ascontiguousarray(traj.states_matrix()[:, cols])  # np.save keeps the order
+    predicted = np.full(truth.shape, np.nan)
+    lower = np.full(truth.shape, np.nan)
+    upper = np.full(truth.shape, np.nan)
     monitored = np.zeros(n, dtype=bool)
 
     # (detection step, retrain step) of every drift episode
@@ -311,15 +314,8 @@ def run_scenario(
     detected: int | None = None     # detection step of the episode waiting
     u_row = script.input_row()
 
-    for i in range(n):
-        t = float(i + 1)
-        inputs = replace(script.baseline, v_o=script.valve_openings(t))
-        for _ in range(SUBSTEPS):
-            state = plant_step(state, inputs, params, INTERNAL_DT)
-        y_now = channel_values(state.m_g, state.m_l)[cols]
-        truth[i] = y_now
-
-        r = twin.step(u_row, y_now)
+    for i in range(n):      # row i is second i + 1
+        r = twin.step(u_row, truth[i])
         predicted[i] = r.predicted
         lower[i] = r.lower
         upper[i] = r.upper
@@ -327,11 +323,12 @@ def run_scenario(
 
         data = None
         if r.trigger and detected is None:
-            detected = int(t)
+            detected = i + 1
             if script.drift_source_identified:
                 condition = DriftCondition(
-                    params=params, initial=state,
-                    v_o_rows=_slope_rows(script, t),
+                    params=params,
+                    initial=PlantState(traj.m_g[i], traj.m_l[i], traj.t[i]),
+                    v_o_rows=np.linspace(traj.v_o[i], traj.v_o[-1], 8),
                 )
                 data = handle_drift(
                     condition, n_experiments=retrain_experiments,
@@ -343,7 +340,7 @@ def run_scenario(
             data = twin.buffer_data()
         if data is not None:
             records.append(twin.retrain(data, seed=seed + len(episodes) + 1))
-            episodes.append((detected, int(t)))
+            episodes.append((detected, i + 1))
             detected = None
 
     if detected is not None:

@@ -6,6 +6,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses  # noqa: E402
 import math  # noqa: E402
 import warnings  # noqa: E402
 from collections import deque  # noqa: E402
@@ -548,6 +549,26 @@ def reference_log(m_g, m_l, Q_g, v_o, P_pump, params):
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
+def reference_replay(script, params, warmup_s):
+    """The plant's holdups at each second of a SIL replay, stepped the way
+    ``sil.run_scenario`` stepped them before it integrated a scenario in one
+    simulation: settle for ``warmup_s`` seconds at the baseline, then hold
+    ``script.valve_openings(t)`` over ``plant.SUBSTEPS`` calls of
+    ``plant.step`` for each logged second t. The reference for the replay's
+    ``truth`` and for the state ``handle_drift`` starts from. Returns (m_g,
+    m_l) as (n, 3) arrays."""
+    state = plant.simulate_experiment(script.baseline, warmup_s, params,
+                                      plant.default_initial_state(params)).final_state
+    m_g, m_l = [], []
+    for t in range(1, script.duration_s + 1):
+        inputs = dataclasses.replace(script.baseline, v_o=script.valve_openings(float(t)))
+        for _ in range(plant.SUBSTEPS):
+            state = plant.step(state, inputs, params, plant.INTERNAL_DT)
+        m_g.append(state.m_g)
+        m_l.append(state.m_l)
+    return np.array(m_g), np.array(m_l)
+
+
 def propagate_uncertainty(members, spec, layout, y_window, U, *, confidence=0.95):
     """Free-run every member and summarize the trajectories per step as the
     band's lower and upper bound; ``U`` carries the input history first, as
@@ -690,6 +711,12 @@ def window_reference():
     """The scalar per-channel window: ``state(config)`` and ``update(state,
     indicator) -> (state, Z, trigger)``."""
     return SimpleNamespace(state=CognitiveState, update=cognitive_update)
+
+
+@pytest.fixture(scope="session")
+def replay_reference():
+    """``reference_replay(script, params, warmup_s) -> (m_g, m_l)``."""
+    return reference_replay
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,9 @@ from gaslift_twin.artifacts import jsonable, write_array
 from gaslift_twin.doe import TABLE_BOUNDS, build_input_sequence, lhs_sample
 from gaslift_twin.plant import (
     CHANNEL_NAMES,
-    SUBSTEPS,
     PlantInputs,
     PlantParams,
+    channel_values,
     default_initial_state,
     simulate_experiment,
     simulate_schedule,
@@ -272,20 +272,21 @@ class TestRunScenario:
         assert log.config.wait_buffer == 10
 
     def test_disturbance_applied_exactly(self, mini_artifacts, monkeypatch):
-        # the openings the plant received, substep by substep
+        # the openings the plant received: the replay integrates the whole
+        # scenario in one simulation, holding each row for one second
         applied = []
-        plant_step = sil.plant_step
+        simulate = sil.simulate_schedule
 
-        def recording_step(state, inputs, params, dt):
-            applied.append(inputs.v_o.copy())
-            return plant_step(state, inputs, params, dt)
+        def recording_simulate(Q_g, v_o, P_pump, hold, params, initial):
+            applied.append((np.array(v_o, dtype=float), hold))
+            return simulate(Q_g, v_o, P_pump, hold, params, initial)
 
-        monkeypatch.setattr(sil, "plant_step", recording_step)
+        monkeypatch.setattr(sil, "simulate_schedule", recording_simulate)
         log = sil.run_scenario(step_script(), mini_artifacts, mini_config(),
                                seed=6)
-        v_o = np.array(applied).reshape(log.n_steps, SUBSTEPS, 3)
-        assert (v_o == v_o[:, :1]).all()    # held over each second
-        v_o = v_o[:, 0]
+        ((v_o, hold),) = applied
+        assert hold == 1
+        assert v_o.shape == (log.n_steps, 3)
         assert (v_o[:99] == 1.0).all()
         # row 99 is t=100 s, the first logged second at which the step holds
         assert (v_o[99:, 0] == 0.25).all()
@@ -309,6 +310,59 @@ class TestRunScenario:
                                       art.map_theta, art.members)}
         with pytest.raises(ValueError):
             sil.run_scenario(quiet_script(10), bad, mini_config(), seed=0)
+
+
+def ramp_script():
+    """CV101 ramped from fully open down to 0.25 from t = 100 s on,
+    reaching it at t = 175 s, cause identified."""
+    return sil.ScenarioScript(
+        id="mini-ramp", duration_s=400, baseline=BASELINE,
+        disturbances=(sil.Disturbance(100, 0, sil.KIND_RAMP, 0.25, slope=0.01),),
+        drift_source_identified=True,
+    )
+
+
+class TestOpenLoopReplay:
+    """The replay integrates a scenario in one simulation; the plant it
+    logs, and the state each identified drift's data starts from, are the
+    per-second ``plant.step`` loop's bit for bit."""
+
+    @pytest.mark.parametrize("script", [
+        step_script(identified=True), step_script(identified=False), ramp_script(),
+    ], ids=["identified-step", "unknown-wait", "ramp"])
+    def test_equals_the_stepped_plant(self, mini_artifacts, monkeypatch,
+                                      replay_reference, script):
+        conditions = []
+        handle = sil.handle_drift
+
+        def recording_handle(condition, **kwargs):
+            conditions.append(condition)
+            return handle(condition, **kwargs)
+
+        monkeypatch.setattr(sil, "handle_drift", recording_handle)
+        log = sil.run_scenario(script, mini_artifacts, mini_config(), seed=3,
+                               retrain_experiments=4, retrain_hold=40)
+        params = PlantParams()
+        m_g, m_l = replay_reference(script, params, 200.0)
+        cols = [CHANNEL_NAMES.index(c) for c in log.channels]
+        truth = channel_values(m_g, m_l)[:, cols]
+        assert log.truth.dtype == truth.dtype
+        assert log.truth.tobytes() == truth.tobytes()
+        # the stored log's bytes follow the array's memory order too
+        assert log.truth.flags.c_contiguous
+
+        assert log.retrain_steps(), "the scenario must retrain"
+        detections = [e.detection_step for e in log.events]
+        assert len(conditions) == (len(detections) if script.drift_source_identified
+                                   else 0)
+        end = script.valve_openings(float(script.duration_s))
+        for condition, step in zip(conditions, detections):
+            assert condition.params == params
+            assert condition.initial.m_g.tobytes() == m_g[step - 1].tobytes()
+            assert condition.initial.m_l.tobytes() == m_l[step - 1].tobytes()
+            assert condition.initial.t == 200.0 + step
+            rows = np.linspace(script.valve_openings(float(step)), end, 8)
+            assert condition.v_o_rows.tobytes() == rows.tobytes()
 
 
 class TestCompare:
