@@ -20,7 +20,7 @@ from . import bayes, cognitive as cg
 from .cognitive import CognitiveConfig
 from .errors import ConfigError, IoFailure, RangeViolation, TypeMismatch, UnknownKey
 from .hyperband import HyperbandConfig
-from .plant import PlantParams
+from .plant import CHANNEL_NAMES, PlantParams
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -78,7 +78,9 @@ REGISTRY: dict[str, tuple[str, _Key]] = {
     "hyperband.batch_size": ("hyperband", _Key("batch_size", "int", 64,
                                                lambda v: v >= 1, ">= 1")),
     "hyperband.seed": ("hyperband", _Key("seed", "int", 7)),
-    "hyperband.channel": ("hyperband", _Key("channel", "str", "well1_ml")),
+    "hyperband.channel": ("hyperband", _Key("channel", "str", "well1_ml",
+                                            lambda v: v in CHANNEL_NAMES,
+                                            "one of " + ", ".join(CHANNEL_NAMES))),
 
     "mcmc.samples": ("mcmc", _Key("samples", "int", 50000,
                                   lambda v: v >= 2, ">= 2")),

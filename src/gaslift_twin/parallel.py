@@ -4,8 +4,8 @@
 processes: one per CPU this process may use and at most one per item. With
 one worker it runs in this process and forks nothing. The results come back
 in item order, so they are the same, bit for bit, for any number of
-workers. Tune runs its Hyperband brackets through it, select-structure and
-fit their channels, and the online twin its channels' fine-tunes.
+workers. It has two callers: tune runs its Hyperband brackets through it,
+and the online twin its channels' fine-tunes.
 
 A worker is a bare ``os.fork`` of this process, so it starts with numpy,
 this package, ``fn`` and ``items`` already in memory: nothing is pickled on
@@ -40,7 +40,15 @@ operations it would make in this process.
 mcmc and reduce stay serial. Each channel's chain or free runs take a few
 milliseconds on the identify workload, and forked they were slower (16 to
 24 ms and 8.5 to 17 ms): the fork, the pages it copies on write and the
-chains sent back cost more than the second CPU saves.
+chains sent back cost more than the second CPU saves. select-structure and
+fit loop over their channels in this process as well. Forked, they saved a
+few tens of milliseconds of a pipeline run of about a second, and not in
+every session: on a shared 2-vCPU host, four sessions of 15 alternating
+pairs read select-structure at 75 to 103 ms in-process against 49 to 113 ms
+forked and fit at 71 to 90 against 46 to 84 ms, while 12 alternating runs of
+the whole pipeline read 963.6 ms in-process against 958.6 ms with the two
+forked (medians), each side the faster in 6. Forked, they also took a fifth
+more CPU time, and a tracer in this process did not see their work.
 """
 
 from __future__ import annotations

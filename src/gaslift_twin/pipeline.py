@@ -24,7 +24,6 @@ of them with the same config reproduces its artifacts byte for byte.
 from __future__ import annotations
 
 from dataclasses import asdict, replace
-from functools import partial
 
 import numpy as np
 
@@ -54,7 +53,6 @@ from .doe import (
 from .errors import FingerprintMismatch, MissingArtifact, RangeViolation
 from .hyperband import SearchSpace, hyperband
 from .network import NetworkSpec, evaluate, train_channel
-from .parallel import forked_map
 from .plant import (
     BASELINE_INPUTS,
     CHANNEL_NAMES,
@@ -285,10 +283,6 @@ def stage_tune(cfg: RunConfig) -> dict:
     out = store.stage_dir("tune")
 
     datasets = _build_datasets(cfg, Y, U, layout)
-    if cfg.hyperband.channel not in datasets:
-        raise RangeViolation(
-            f"hyperband.channel: {cfg.hyperband.channel!r} is not a plant channel"
-        )
     result = hyperband(
         datasets[cfg.hyperband.channel], SearchSpace(), cfg.hyperband_config()
     )
@@ -332,26 +326,8 @@ def _load_spec(cfg: RunConfig) -> tuple[NetworkSpec, str]:
 
 # -------------------------------------------------------------------- fit
 
-def _fit_channel(ds, spec: NetworkSpec, epochs: int):
-    """One channel's trained weights, best epoch, validation MSE and test
-    metrics."""
-    res = train_channel(ds, spec, epochs=epochs)
-    X_te, y_te = ds.normalized_split("test")
-    test = evaluate(res.weights, spec, X_te, y_te)
-    val = min(res.val_loss) if res.val_loss else float("nan")
-    return res.weights.theta, res.best_epoch, val, test
-
-
 def stage_fit(cfg: RunConfig) -> dict:
-    """Train the tuned architecture on every output channel.
-
-    The channels train through ``parallel.forked_map``, in forked workers,
-    one per CPU this process may use (in this process when that is one). A
-    channel's training reads only its own dataset, the spec and the epoch
-    budget, and the results come back in channel order, so the artifacts,
-    which this process writes, are the same byte for byte for any number of
-    workers.
-    """
+    """Train the tuned architecture on every output channel."""
     Y, U, fp_data = _load_series(cfg)
     layout, fp_structure = _load_layout(cfg)
     spec, fp_tune = _load_spec(cfg)
@@ -359,17 +335,20 @@ def stage_fit(cfg: RunConfig) -> dict:
     out = store.stage_dir("fit")
 
     datasets = _build_datasets(cfg, Y, U, layout)
-    fits = forked_map(partial(_fit_channel, spec=spec, epochs=cfg.training.epochs),
-                      [datasets[name] for name in CHANNEL_NAMES])
     paths = []
     summary = {}
-    for name, (theta, best_epoch, val, test) in zip(CHANNEL_NAMES, fits):
-        paths.append(write_array(out / "weights" / f"{name}.npy", theta))
+    for name in CHANNEL_NAMES:
+        ds = datasets[name]
+        res = train_channel(ds, spec, epochs=cfg.training.epochs)
+        X_te, y_te = ds.normalized_split("test")
+        test = evaluate(res.weights, spec, X_te, y_te)
+        val = min(res.val_loss) if res.val_loss else float("nan")
+        paths.append(write_array(out / "weights" / f"{name}.npy", res.weights.theta))
         paths.append(write_json(out / "weights" / f"{name}.json", {
             "channel": name,
             **_encode_spec(spec),
-            "norm": asdict(datasets[name].norm),
-            "best_epoch": best_epoch,
+            "norm": asdict(ds.norm),
+            "best_epoch": res.best_epoch,
             "val_mse": val,
             "test_mse": test.mse,
             "test_mae": test.mae,

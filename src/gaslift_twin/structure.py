@@ -22,7 +22,6 @@ from .errors import (
     NoPlateau,
     TooShortPlateau,
 )
-from .parallel import forked_map
 from .plant import CHANNEL_NAMES, INPUT_NAMES
 
 N_INPUTS = len(INPUT_NAMES)
@@ -332,30 +331,20 @@ def select_embedding(
 ) -> tuple[dict[str, LipschitzAnalysis], tuple[int, int]]:
     """Per-channel embedding analysis of the plant's channels, one column of
     ``Y`` each in ``CHANNEL_NAMES`` order, plus a combined (n_a, n_b) that
-    covers every channel (elementwise maximum).
-
-    The channels run through ``parallel.forked_map``, in forked workers, one
-    per CPU this process may use (in this process when that is one). A
-    channel's analysis reads only its own column, ``U`` and its seed
-    ``seed + c``, and the analyses come back in channel order, so they are
-    the same, bit for bit, for any number of workers; the first channel that
-    raises, in channel order, raises here with its type.
-    """
+    covers every channel (elementwise maximum)."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    analyses = forked_map(
-        lambda c: select_embedding_channel(
+    results: dict[str, LipschitzAnalysis] = {}
+    for c, name in enumerate(CHANNEL_NAMES):
+        results[name] = select_embedding_channel(
             Y[:, c],
             U,
             hold,
-            channel=CHANNEL_NAMES[c],
+            channel=name,
             n_max=n_max,
             plateau_rel_tol=plateau_rel_tol,
             max_rows=max_rows,
             seed=seed + c,
-        ),
-        range(len(CHANNEL_NAMES)),
-    )
-    results = dict(zip(CHANNEL_NAMES, analyses))
+        )
     n_a = max(r.n_a for r in results.values())
     n_b = max(r.n_b for r in results.values())
     return results, (n_a, n_b)

@@ -1,10 +1,14 @@
 """Strict parsing of the flat key=value configuration and its stage hashes."""
 
+import contextlib
+import io
+import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from gaslift_twin import cli
 from gaslift_twin.config import REGISTRY, default_config, describe_keys, parse_config
 from gaslift_twin.errors import ConfigError, IoFailure, RangeViolation, TypeMismatch
 
@@ -56,11 +60,27 @@ class TestParse:
         ("structure.n_max", "21", "1..20"),
         ("cognitive.confidence", "1.0", "in (0, 1)"),
         ("mcmc.proposal", "0", "> 0"),
+        ("hyperband.channel", "nope",
+         "one of well1_mg, well1_ml, well2_mg, well2_ml, well3_mg, well3_ml"),
     ])
     def test_out_of_range_names_key_and_range(self, tmp_path, key, raw, legal):
         message = raises_exactly(RangeViolation, tmp_path, f"{key} = {raw}\n")
         assert message.startswith(f"{key}:")
         assert message.endswith(f"legal range {legal}")
+
+    def test_unknown_tune_channel_stops_gen_data(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"paths.data_dir = {tmp_path / 'data'}\nhyperband.channel = nope\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(err):
+            rc = cli.main(["--config", str(path), "gen-data"])
+        assert (rc, out.getvalue()) == (1, "")
+        [line] = err.getvalue().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "RangeViolation"
+        assert error["message"].startswith("hyperband.channel:")
+        assert not (tmp_path / "data").exists()
 
     def test_duplicate_key_is_a_config_error(self, tmp_path):
         message = raises_exactly(ConfigError, tmp_path, "doe.n = 12\ndoe.n = 13\n")

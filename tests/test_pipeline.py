@@ -183,6 +183,26 @@ class TestEndToEnd:
             rendered = root / "reports" / "report" / f"scenario{sid}" / "events.jsonl"
             assert rendered.read_text() == sil.events_jsonl(log.events)
 
+    def test_select_structure_and_fit_fork_nothing(self, run, tmp_path, monkeypatch):
+        root, _, _ = run
+        for tree in ("data", "artifacts"):
+            shutil.copytree(root / tree, tmp_path / tree)
+        cfg = write_config(tmp_path)
+
+        def no_fork():
+            raise AssertionError("select-structure or fit started a child process")
+
+        # three CPUs free, so only a loop can keep these stages from forking
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", no_fork)
+        for stage in ("select-structure", "fit"):
+            rc, _, err = run_cli("--config", cfg, stage)
+            assert rc == 0, f"{stage}: {err}"
+        assert snapshot(tmp_path / "artifacts") == snapshot(root / "artifacts")
+        weights = sorted((tmp_path / "artifacts" / "fit" / "weights").glob("*.npy"))
+        assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in weights} == FIT_WEIGHTS_SHA256
+
     def test_rerun_reproduces_bytes(self, run):
         root, cfg, _ = run
         before = snapshot(root)

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,6 @@ from gaslift_twin.structure import (
     lipschitz_coefficients,
     lipschitz_index,
     plateau_order,
-    select_embedding,
     select_embedding_channel,
     split_rows,
     valid_target_rows,
@@ -242,25 +239,6 @@ class TestSelectEmbeddingLevels:
                   | {(a.n_b, na) for na in range(1, j + 1)})
         assert len(calls) == len(levels)
         assert len(calls) < len(a.n_values) + 2 * j
-
-
-class TestSelectEmbeddingFanOut:
-    def test_forked_and_in_process_analyses_are_equal(self, monkeypatch, no_children):
-        rng = np.random.Generator(np.random.PCG64(5))
-        U = np.column_stack([held_input(500, 25, rng) for _ in range(2)])
-        Y = np.column_stack([simulate_known_order(U[:, c % 2], kind) for c, kind
-                             in enumerate(("first", "oscillatory", "nonlinear") * 2)])
-        # three workers for six channels, whatever the host's CPU count
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        forked = select_embedding(Y, U, 25, n_max=5, seed=3)
-        no_children()
-
-        def no_fork():
-            raise AssertionError("a one-CPU selection started a child process")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert select_embedding(Y, U, 25, n_max=5, seed=3) == forked
 
 
 class TestPlateauOrder:
