@@ -25,11 +25,13 @@ flags as vectors, all updated in place once per step. Besides the live
 buffer's copies, a monitored step allocates only the arrays of its
 ``StepResult``: the bands, the indicator and the counts.
 
-A retrain fine-tunes each channel on its own, from its model, the data and
-the seed, so the channels fan out over forked workers, one per CPU
-(``parallel.forked_map``), and come back in channel order with the bits of a
-fine-tune in this process. The twin takes the new weights only once every
-channel has returned.
+A retrain refits each channel's output layer in closed form on its frozen
+hidden features (Kirichenko et al., ICLR 2023), a few milliseconds a
+channel, one channel after another in this process. It also calibrates the
+band: from then on it is the union of the member quantiles and point ± h,
+h the split-conformal half-width on held-out rows (Lei et al., JASA 2018).
+The twin takes the new weights, normalizations and h only once every
+channel has been refit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -51,8 +52,9 @@ from .errors import (
     MemberDroppedWarning,
     ShapeMismatch,
 )
-from .network import ForwardPlan, NetworkSpec, forward, train
-from .parallel import forked_map
+from .network import ForwardPlan, NetworkSpec, forward, output_layer_jacobian
+# only perfbench/layers.py uses it, wrapping ``cognitive.train`` by name
+from .network import train  # noqa: F401
 from .plant import CHANNEL_NAMES, PlantParams, PlantState, simulate_schedule
 from .structure import NarxLayout, NormalizationSpec, build_lag_matrix, split_rows
 
@@ -77,6 +79,11 @@ class CognitiveConfig:
     ``a_offset`` shifts the violation window: with the default 1 the window
     ends at the newest sample; larger values leave the most recent
     ``a_offset - 1`` indicators outside the count.
+
+    ``retrain_epochs`` and ``retrain_lr_factor`` (keys
+    ``cognitive.retrain_*``) change nothing: the closed-form retrain reads
+    neither. They stay, validated, because callers such as
+    ``perfbench/workloads.py`` pass them.
     """
 
     mh: int = DEFAULT_MH
@@ -185,6 +192,9 @@ class OnlineChannelModel:
     rows and cannot be assigned. Inside a ``CognitiveTwin`` it is a view into the
     twin's stack for the channel's group, so a write into it is a write
     into that stack.
+
+    ``h`` is the band's half-width about the point, in normalized units,
+    from the last retrain; None before the first.
     """
 
     def __init__(self, artifact: OfflineArtifact):
@@ -193,6 +203,7 @@ class OnlineChannelModel:
         self.layout = artifact.layout
         self.norm = artifact.norm
         self.weights = np.vstack([artifact.map_theta, artifact.members])
+        self.h: float | None = None
 
     @property
     def theta(self) -> np.ndarray:
@@ -270,8 +281,11 @@ class _ChannelGroup:
     ``offset`` and ``scale`` stack each channel's ``regressor_scaling``, so
     one subtraction and one division normalize every row in place;
     ``y_offset`` and ``y_scale`` stack each channel's ``target_scaling`` to
-    denormalize the bands. Every buffer is written in full before it is
-    read, so none carries anything from one step to the next.
+    denormalize the bands. ``calibrated`` holds the channels that have
+    retrained, with their ``h``, or is None when none has: the band of such
+    a channel is widened, in normalized units, to cover point ± h. Every
+    buffer is written in full before it is read, so none carries anything
+    from one step to the next.
     """
 
     def __init__(self, models: list[OnlineChannelModel], weights: np.ndarray,
@@ -298,6 +312,9 @@ class _ChannelGroup:
         self.offset = np.stack([offset for offset, _ in scaling])[:, None, None]
         self.scale = np.stack([scale for _, scale in scaling])[:, None, None]
         self.y_offset, self.y_scale = np.array([m.norm.target_scaling() for m in models]).T
+        retrained = [i for i, m in enumerate(models) if m.h is not None]
+        self.calibrated = (_indexer(retrained), np.array([models[i].h for i in retrained])
+                           ) if retrained else None
         self.out = np.empty((3, len(models)))
 
     def band(self, history: np.ndarray) -> np.ndarray:
@@ -325,6 +342,11 @@ class _ChannelGroup:
             for c in np.flatnonzero(~np.isfinite(preds).all(axis=1)):
                 n = self.n_members[c]
                 out[1:, c] = self._finite_quantile(c, preds[c, 0], preds[c, 1 : 1 + n])
+        if self.calibrated is not None:
+            which, h = self.calibrated
+            point = out[0, which]
+            out[1, which] = np.minimum(out[1, which], point - h)
+            out[2, which] = np.maximum(out[2, which], point + h)
         out *= self.y_scale
         out += self.y_offset
         return out
@@ -444,7 +466,7 @@ class DriftCondition:
 
 @dataclass(frozen=True)
 class RetrainData:
-    """Rows of plant output/input samples to fine-tune on. ``hold`` is the
+    """Rows of plant output/input samples to retrain on. ``hold`` is the
     plateau length for generated schedules and None for live streams."""
 
     Y: np.ndarray                # (rows, n_channels)
@@ -486,12 +508,15 @@ def handle_drift(
 
 @dataclass(frozen=True)
 class RetrainRecord:
-    """What one channel's fine-tune did.
+    """What one channel's refit did.
 
-    Every fallback is listed: a diverged point fine-tune keeps the weights
-    from before the retrain, and a diverged member, or one whose prediction
-    offset from the point weights is non-finite and so was not fine-tuned,
-    takes the fine-tuned point weights. Members are numbered from 0.
+    Every fallback is listed: a point solve that is not finite for any
+    penalty keeps the weights from before the retrain, and a member whose
+    solve is not finite ("diverged"), or whose prediction offset from the
+    point weights is non-finite and so was not refit, takes the new point
+    weights. Members are numbered from 0. ``h`` is the calibrated
+    half-width in engineering units; a log written before the retrain
+    calibrated its band reads back with None.
     """
 
     channel: str
@@ -499,39 +524,53 @@ class RetrainRecord:
     members_diverged: tuple[int, ...]
     members_skipped: tuple[int, ...]
     norm_widened: bool
+    h: float | None = None
+
+
+# the ridge penalties a channel's point row is refit with, per training row;
+# the one with the lowest validation loss refits every row of the channel
+RIDGE_PENALTIES = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+
+
+def _ridge_step(jac: np.ndarray, resid: np.ndarray, penalty: float) -> np.ndarray | None:
+    """The output-layer update that fits ``resid`` on the features ``jac``,
+    shrunk toward no update: the solution of (JᵀJ + penalty I) d = Jᵀr, or
+    None when it is not finite."""
+    try:
+        step = np.linalg.solve(jac.T @ jac + penalty * np.eye(jac.shape[1]), jac.T @ resid)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.isfinite(step).all() else None
 
 
 def _retrained(
-    model: OnlineChannelModel, data: RetrainData, *, epochs: int,
-    lr_factor: float, seed: int,
-) -> tuple[NormalizationSpec, np.ndarray, RetrainRecord]:
-    """New normalization and weights for one channel fine-tuned on new
-    data, and what the fine-tune did, leaving the model as it is.
+    model: OnlineChannelModel, data: RetrainData, *, confidence: float, seed: int,
+) -> tuple[NormalizationSpec, np.ndarray, float, RetrainRecord]:
+    """New normalization, weights and half-width h for one channel refit on
+    new data, and what the refit did, leaving the model as it is.
 
-    Each member is warm-started from its current parameters and trained
-    toward the new targets shifted by its own prediction offset from the
-    point weights. Training every member toward the raw targets would drive
-    them all into the same optimum and collapse the coverage interval to
-    zero width; the shifted targets make each member re-learn the new
-    dynamics while keeping its role as a distinct posterior draw, so the
-    ensemble spread survives retraining. A diverged point fine-tune keeps
-    the weights from before, and a member whose fine-tune diverges, or
-    whose offset is non-finite, takes the fine-tuned point weights.
-    Normalization widens only when the new data falls outside the fitted
-    ranges.
+    The hidden layers stay frozen: each weight row's output layer is refit
+    on the row's own hidden features by ridge regression shrunk toward its
+    current output weights, one row at a time. Row 0 fits the new targets,
+    with the penalty of ``RIDGE_PENALTIES`` (times the training rows) of
+    least validation loss; each member, with that penalty, fits them
+    shifted by its prediction offset from the point weights, so the
+    members stay distinct draws instead of collapsing onto one fit.
+    Normalization widens only when the new data falls outside its ranges.
 
-    The point weights and every member with a finite offset are fine-tuned
-    in one ``train`` call on a stack: row 0 is the point weights, the other
-    rows are those members.
+    h is the ⌈(n + 1) · confidence⌉-th smallest |target − point| over the
+    n validation rows (the largest, past n), in normalized units.
     """
     if model.channel not in data.channels:
         raise ShapeMismatch(f"data carries no channel {model.channel!r}")
     col = data.channels.index(model.channel)
     y = data.Y[:, col]
     X_raw, t_raw, _ = build_lag_matrix(y, data.U, model.layout, data.hold)
-    if len(t_raw) < 2 * model.spec.batch_size:
+    tr, va, _ = split_rows(len(t_raw), (0.85, 0.15, 0.0), seed)
+    # the offline fit's batch size sets the least data a retrain accepts
+    if len(t_raw) < 2 * model.spec.batch_size or not len(va):
         raise InsufficientSamples(
-            f"{len(t_raw)} usable rows is too few to fine-tune on"
+            f"{len(t_raw)} usable rows is too few to refit on"
         )
     norm = model.norm
     widened = not norm.covers(y, data.U)
@@ -539,33 +578,46 @@ def _retrained(
         norm = norm.expanded(y, data.U)
     Xn = norm.normalize_regressors(X_raw, model.layout)
     tn = norm.normalize_target(t_raw)
-    tr, va, _ = split_rows(len(tn), (0.85, 0.15, 0.0), seed)
+    spec = model.spec
+    start, _, end, _, _ = spec.layer_slices[-1]
 
-    theta_before = model.theta
     with np.errstate(over="ignore", invalid="ignore"):
-        base_pred = np.asarray(forward(theta_before, model.spec, Xn)).ravel()
-        offsets = np.asarray(forward(model.members, model.spec, Xn)) - base_pred
-    finite = np.isfinite(offsets).all(axis=-1)
-    tuned_members = np.flatnonzero(finite)
-    targets = np.concatenate([tn[None], tn + offsets[tuned_members]])
-    res = train(
-        model.spec, Xn[tr], targets[:, tr], Xn[va], targets[:, va],
-        initial=np.concatenate([theta_before[None], model.members[tuned_members]]),
-        epochs=epochs, learning_rate=model.spec.learning_rate * lr_factor,
-    )
-    tuned, diverged = res.weights.theta, res.diverged
-    weights = np.empty_like(model.weights)
-    weights[:] = theta_before if diverged[0] else tuned[0]
-    kept = ~diverged[1:]
-    weights[1 + tuned_members[kept]] = tuned[1:][kept]
+        base, jac = output_layer_jacobian(model.theta, spec, Xn)
+        resid = tn - base
+        steps = [_ridge_step(jac[tr], resid[tr], p * len(tr)) for p in RIDGE_PENALTIES]
+        losses = np.array([np.inf if d is None else np.mean((resid[va] - jac[va] @ d) ** 2)
+                           for d in steps])
+        best = int(np.argmin(np.where(np.isfinite(losses), losses, np.inf)))
+        point = model.theta.copy()
+        point_failed = not np.isfinite(losses[best])
+        if not point_failed:
+            point[start:end] += steps[best]
+        weights = np.tile(point, (len(model.weights), 1))
+        skipped, failed = [], []
+        for i, member in enumerate(model.members):
+            pred, jac = output_layer_jacobian(member, spec, Xn)
+            if not np.isfinite(pred - base).all():
+                skipped.append(i)
+                continue
+            # the targets shifted by the offset pred - base leave the member
+            # the point's residuals to fit
+            step = _ridge_step(jac[tr], resid[tr], RIDGE_PENALTIES[best] * len(tr))
+            if step is None:
+                failed.append(i)
+                continue
+            weights[1 + i] = member
+            weights[1 + i, start:end] += step
+        errors = np.sort(np.abs(tn[va] - forward(point, spec, Xn[va])))
+    h = float(errors[min(math.ceil((len(va) + 1) * confidence), len(va)) - 1])
     record = RetrainRecord(
         channel=model.channel,
-        point_diverged=bool(diverged[0]),
-        members_diverged=tuple(tuned_members[~kept].tolist()),
-        members_skipped=tuple(np.flatnonzero(~finite).tolist()),
+        point_diverged=point_failed,
+        members_diverged=tuple(failed),
+        members_skipped=tuple(skipped),
         norm_widened=widened,
+        h=h * norm.target_scaling()[1],
     )
-    return norm, weights, record
+    return norm, weights, h, record
 
 
 @dataclass(frozen=True)
@@ -740,40 +792,31 @@ class CognitiveTwin:
             self._groups.append((_indexer(cols), group))
 
     def retrain(self, data: RetrainData, *, seed: int = 0) -> tuple[RetrainRecord, ...]:
-        """Fine-tune every channel, then reset monitors and the live buffer.
+        """Refit every channel (see ``_retrained``), then reset monitors and
+        the live buffer.
 
         Returns one record per channel, in channel order, naming the rows
-        whose fine-tune fell back and whether the normalization widened.
+        whose refit fell back, whether the normalization widened, and the
+        calibrated half-width h.
 
-        The channels are fine-tuned through ``parallel.forked_map``, in
-        forked workers, one per CPU this process may use and at most one
-        per channel (in this process when that is one). A channel's
-        fine-tune reads only its own model, the data and the seed, and the
-        results come back in channel order, so the weights, normalizations
-        and records are the same, bit for bit, for any number of workers.
-
-        All or nothing: every channel is fine-tuned into new weights and
-        normalization first, and only when all have succeeded does the twin
-        take them and rebuild its stacks. If any channel raises, the error of
-        the first such channel, in channel order, reaches the caller with its
-        type; if a worker dies, ``WorkerDied`` does. Either way the weights,
-        normalizations, monitors and buffer stay as they were, and every
-        worker has been reaped.
+        All or nothing: every channel is refit into new weights,
+        normalization and h first, in channel order in this process, and
+        only when all have succeeded does the twin take them and rebuild its
+        stacks. If any channel raises, its error reaches the caller and the
+        weights, normalizations, h, monitors and buffer stay as they were.
 
         Called between steps, so the updated ensemble takes over at the next
         step boundary; measurement history is kept, predictions continue
         seamlessly.
         """
-        tuned = forked_map(
-            partial(_retrained, data=data, epochs=self.config.retrain_epochs,
-                    lr_factor=self.config.retrain_lr_factor, seed=seed),
-            [self.models[c] for c in self.channels],
-        )
-        for c, (norm, weights, _) in zip(self.channels, tuned):
-            self.models[c].norm, self.models[c].weights = norm, weights
+        refits = [_retrained(self.models[c], data, confidence=self.config.confidence,
+                             seed=seed) for c in self.channels]
+        for c, (norm, weights, h, _) in zip(self.channels, refits):
+            model = self.models[c]
+            model.norm, model.weights, model.h = norm, weights, h
         self._stack_groups()
         self.window.reset()
         self._buffering = False
         self._buffer_y.clear()
         self._buffer_u.clear()
-        return tuple(record for _, _, record in tuned)
+        return tuple(record for *_, record in refits)

@@ -113,6 +113,7 @@ REGISTRY: dict[str, tuple[str, _Key]] = {
                                                lambda v: 0 < v < 1, "in (0, 1)")),
     "cognitive.wait_buffer": ("cognitive", _Key("wait_buffer", "int", cg.DEFAULT_WAIT_BUFFER,
                                                 lambda v: v >= 0, ">= 0")),
+    # the closed-form retrain reads neither of these two (see CognitiveConfig)
     "cognitive.retrain_epochs": ("cognitive", _Key(
         "retrain_epochs", "int", cg.DEFAULT_RETRAIN_EPOCHS, lambda v: v >= 1, ">= 1")),
     "cognitive.retrain_lr_factor": ("cognitive", _Key(

@@ -4,13 +4,13 @@ Parameters live in one flat vector per network: each layer contributes
 its weight matrix (row-major) followed by its bias vector, (in+1)*out
 entries in total. Forward, gradient and closed-loop simulation all accept
 either a single parameter vector or a stack of them (leading member
-axis), so ensemble operations run vectorized. Regressor rows are always a
-matrix, (rows, width), one prediction per row, even for a single row. The
-leading axes may be more than one: the online twin evaluates a (channels,
-1 + members, n_params) stack on rows shaped (channels, 1, 1, width), one
-regressor row per channel, in one call. Each matmul then takes a single
-row, the same float operations as a single parameter vector on a (1,
-width) matrix.
+axis), so ensemble operations run vectorized; ``train`` takes a single
+vector. Regressor rows are always a matrix, (rows, width), one prediction
+per row, even for a single row. The leading axes may be more than one: the
+online twin evaluates a (channels, 1 + members, n_params) stack on rows
+shaped (channels, 1, 1, width), one regressor row per channel, in one
+call. Each matmul then takes a single row, the same float operations as a
+single parameter vector on a (1, width) matrix.
 
 A caller that evaluates the same stack on rows of the same shape again and
 again builds a ``ForwardPlan`` once: each layer's weights and bias as views
@@ -20,15 +20,6 @@ next call overwrites, so the caller copies what it keeps. ``forward`` on
 plain weights builds a plan for the one call, so both run one kernel. The
 online twin keeps one plan per channel group and ``simulate_closed_loop``
 one per free run.
-
-Training takes a stack too. ``train`` fine-tunes R parameter rows, shaped
-(..., n_params), on one shared regressor matrix with one target row per
-parameter row, in one Adam loop: the rows draw the same mini-batches, and
-each keeps its own moments, warm-start baseline, best weights, best epoch and
-patience. A row that stops early or diverges is frozen while the others go
-on, so every row that does not diverge ends bit-equal to its own
-single-vector run. A single vector is never lifted to a stack of one: its
-loop keeps its own shapes, and only a single vector raises DivergedLoss.
 
 ``train`` plans its work once per call, as the twin plans its forward: one
 gradient plan for the mini-batch size and one for a short last batch, each
@@ -42,9 +33,7 @@ whole loop. Every mini-batch step writes into those buffers, in the same
 float operations and order as the allocating textbook chain, so the bits
 are those of that chain; a single vector takes its matrix products with
 ``np.dot``, which makes the same BLAS calls as ``np.matmul`` for less
-overhead, and a stack carries the delta below its one-unit output layer
-down with one ``np.dot`` per row, bit for bit ``np.matmul``'s loop.
-``gradient`` builds a plan for its one call, as ``forward`` does.
+overhead. ``gradient`` builds a plan for its one call, as ``forward`` does.
 
 An epoch does only the work its result needs. Its training loss is the
 sample-weighted mean of the squared residuals of its mini-batches, each
@@ -173,19 +162,12 @@ class TrainResult:
     residuals of its mini-batches, each taken at the weights that batch's
     gradient used; its validation loss is the MSE on the whole validation
     split at the weights the epoch ended with.
-
-    A single net has tuples of floats for histories and an int best epoch.
-    A stack with leading axes ``lead`` has histories shaped
-    (epochs_run, *lead), NaN once a row has stopped or diverged, and
-    ``best_epoch`` and ``diverged`` shaped ``lead``. A diverged row keeps the
-    best weights it reached before diverging.
     """
 
     weights: NetworkWeights
-    train_loss: tuple[float, ...] | np.ndarray
-    val_loss: tuple[float, ...] | np.ndarray
-    best_epoch: int | np.ndarray    # -1 when no epoch ran or none beat the warm start
-    diverged: bool | np.ndarray = False     # a single net raises instead
+    train_loss: tuple[float, ...]
+    val_loss: tuple[float, ...]
+    best_epoch: int     # -1 when no epoch ran or none beat the warm start
 
 
 def initialize(spec: NetworkSpec) -> NetworkWeights:
@@ -293,6 +275,27 @@ def _times_act_prime(delta: np.ndarray, kind: str, a: np.ndarray,
         np.multiply(delta, scratch, out=delta)
 
 
+def output_layer_jacobian(theta: np.ndarray, spec: NetworkSpec,
+                          rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One vector's predictions on ``rows`` (n,) and their derivatives in
+    its output layer's weights and bias, (n, fan_in + 1): the last hidden
+    layer's activations (the rows, for a net with none) and a column of
+    ones, times the output activation's derivative. For the linear output
+    every identified net has, these are the features of an exact
+    least-squares fit of that layer."""
+    plan = ForwardPlan(theta, spec, rows.shape)
+    _forward_into(plan, rows)
+    out = plan.layers[-1][3]
+    hidden = plan.layers[-2][3] if len(plan.layers) > 1 else rows
+    jac = np.empty((len(rows), hidden.shape[1] + 1))
+    jac[:, :-1] = hidden
+    jac[:, -1] = 1.0
+    kind = spec.activations[-1]
+    if kind != "linear":
+        _times_act_prime(jac, kind, out, np.empty(out.shape, bool if kind == "relu" else float))
+    return plan.out, jac
+
+
 class _GradientPlan:
     """A weight stack set up for the batch-MSE gradient on ``n_rows``
     regressor rows.
@@ -307,9 +310,7 @@ class _GradientPlan:
     matrix products with ``np.dot``, which costs less per call than
     ``np.matmul``: every operand is then a BLAS-ready matrix or its
     transpose, on which both make the same BLAS call. Anything else, a stack
-    or strided rows, keeps ``np.matmul``, but for a stack's product below its
-    one-unit output layer, which each stack row takes with ``np.dot`` on
-    views planned here, as a single vector does.
+    or strided rows, keeps ``np.matmul``.
     """
 
     def __init__(self, theta: np.ndarray, spec: NetworkSpec, n_rows: int):
@@ -328,20 +329,14 @@ class _GradientPlan:
         self.last_prime = (spec.activations[-1], acts[-1], scratch[-1])
         # per layer, last first: its transposed input activation (None for
         # layer 0, whose input is the rows of the call), its delta, its W and
-        # b gradient views and, but for layer 0, the (delta, W_t, out) views
-        # of each stack row for the product that carries its delta down (None
-        # for the call's matmul) with its transposed W, and the delta and
-        # activation derivative of the layer below
+        # b gradient views and, but for layer 0, its transposed W and the
+        # delta and activation derivative of the layer below
         self.backward = []
         for l in range(len(deltas) - 1, -1, -1):
             start, w_end, b_end, fan_in, fan_out = spec.layer_slices[l]
             below = None
             if l > 0:
-                W_t = np.swapaxes(self.forward.layers[l][0], -1, -2)
-                stack_output = lead and l == len(deltas) - 1
-                row_products = [(deltas[l][i], W_t[i], deltas[l - 1][i])
-                                for i in np.ndindex(lead)] if stack_output else None
-                below = (row_products, W_t, deltas[l - 1],
+                below = (np.swapaxes(self.forward.layers[l][0], -1, -2), deltas[l - 1],
                          (spec.activations[l - 1], acts[l - 1], scratch[l - 1]))
             self.backward.append((
                 np.swapaxes(acts[l - 1], -1, -2) if l > 0 else None, deltas[l],
@@ -352,8 +347,7 @@ class _GradientPlan:
     def run(self, rows: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradient (``grad`` itself, overwritten by the next call) and
         the sum of squared residuals per parameter row, at the current
-        weights, on ``rows`` (n_rows, width) and ``targets``, (n_rows,) or
-        one row per parameter row."""
+        weights, on ``rows`` (n_rows, width) and ``targets`` (n_rows,)."""
         matmul = self.contiguous_matmul if rows.flags.c_contiguous else np.matmul
         _forward_into(self.forward, rows, matmul)
         resid = self.resid
@@ -366,12 +360,8 @@ class _GradientPlan:
             matmul(rows.T if a_t is None else a_t, delta, out=dW)
             np.add.reduce(delta, axis=-2, out=db)
             if below is not None:
-                row_products, W_t, delta_below, prime = below
-                if row_products is None:
-                    matmul(delta, W_t, out=delta_below)
-                else:
-                    for d, w, out in row_products:
-                        np.dot(d, w, out=out)
+                W_t, delta_below, prime = below
+                matmul(delta, W_t, out=delta_below)
                 _times_act_prime(delta_below, *prime)
         return self.grad, sse
 
@@ -388,17 +378,12 @@ def _regressor_matrix(X, spec: NetworkSpec, name: str) -> np.ndarray:
 
 
 def gradient(weights, spec: NetworkSpec, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the batch MSE with respect to every parameter.
-
-    A parameter stack takes either targets shared by every row, (n,), or
-    one target row per parameter row, (..., n).
-    """
+    """Analytic gradient of the batch MSE with respect to every parameter;
+    a parameter stack shares the targets, (n,)."""
     theta = _theta_of(weights)
     X = _regressor_matrix(X, spec, "batch")
-    y = np.asarray(y, dtype=float)
-    if theta.ndim == 1 or y.ndim == 0:
-        y = y.ravel()
-    n = y.shape[-1]
+    y = np.asarray(y, dtype=float).ravel()
+    n = len(y)
     if n == 0 or X.shape[0] != n:
         raise ShapeMismatch("batch rows and targets must align and be non-empty")
 
@@ -437,35 +422,21 @@ def train(
 
     Returns the best-on-validation weights and per-epoch loss histories
     (see ``TrainResult``). Either split being empty raises ShapeMismatch
-    before any epoch. A single net raises DivergedLoss when its weights or
-    either loss turn non-finite.
-
-    ``initial`` may be a stack with leading axes, shaped (..., n_params).
-    Each row is then a net of its own: the targets are (..., n), one row per
-    parameter row, on the shared (n, width) ``X``. Every row draws the same
-    mini-batches and keeps its own Adam moments, warm-start baseline, best
-    weights, best epoch and patience count. A row whose patience runs out,
-    or that diverges (non-finite weights after a batch, or a non-finite
-    epoch loss), is frozen and keeps its last finite weights, and the loop
-    ends once no row is left running. A diverged row is reported in the
-    result's ``diverged`` instead of raising. Each row that does not diverge
-    ends bit-equal to its own single-vector run.
+    before any epoch, and so does an ``initial`` that is not one parameter
+    vector. Raises DivergedLoss when the weights or either loss turn
+    non-finite.
     """
     X_train = _regressor_matrix(X_train, spec, "training")
     X_val = _regressor_matrix(X_val, spec, "validation")
     theta = _theta_of(initialize(spec) if initial is None else initial).copy()
-    if theta.shape[-1:] != (spec.n_params,):
+    if theta.shape != (spec.n_params,):
         raise ShapeMismatch(f"initial weights {theta.shape}, network needs {spec.n_params}")
-    lead = theta.shape[:-1]
-    y_train = np.asarray(y_train, dtype=float)
-    y_val = np.asarray(y_val, dtype=float)
-    if not lead:
-        y_train, y_val = y_train.ravel(), y_val.ravel()
+    y_train = np.asarray(y_train, dtype=float).ravel()
+    y_val = np.asarray(y_val, dtype=float).ravel()
     for split, X, y in (("training", X_train, y_train), ("validation", X_val, y_val)):
-        if y.shape != (*lead, X.shape[0]):
+        if y.shape != (X.shape[0],):
             raise ShapeMismatch(
-                f"{split} targets {y.shape}, weights {theta.shape} on "
-                f"{X.shape[0]} regressor rows need {(*lead, X.shape[0])}"
+                f"{split} targets {y.shape} on {X.shape[0]} regressor rows"
             )
         if X.shape[0] == 0:
             raise ShapeMismatch(f"the {split} split is empty")
@@ -474,14 +445,9 @@ def train(
     n_epochs = spec.epochs if epochs is None else epochs
     lr = spec.learning_rate if learning_rate is None else learning_rate
 
-    best_theta = theta.copy()
-    best_val = np.full(lead, np.inf)
-    best_epoch = np.full(lead, -1)
-    since_best = np.zeros(lead, dtype=int)
-    active = np.ones(lead, dtype=bool)
-    diverged = np.zeros(lead, dtype=bool)
-    train_hist: list[np.ndarray] = []
-    val_hist: list[np.ndarray] = []
+    best_theta, best_val, best_epoch, since_best = theta.copy(), np.inf, -1, 0
+    train_hist: list[float] = []
+    val_hist: list[float] = []
 
     n = X_train.shape[0]
     batch = min(spec.batch_size, n)
@@ -495,9 +461,6 @@ def train(
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     m_new, v_new, tmp = (np.empty_like(theta) for _ in range(3))
-    # a single vector raises once its new weights are non-finite, so it steps
-    # in place; a stack keeps a frozen row's weights
-    theta_new = np.empty_like(theta) if lead else theta
     step = 0
 
     # overflow and invalid operations are divergence, which training detects
@@ -506,16 +469,17 @@ def train(
             # warm starts compete as the baseline candidate: fine-tuning data the
             # weights already fit must not push them off the optimum
             va0 = mse_loss(val_plan, spec, X_val, y_val)
-            best_val = np.where(np.isfinite(va0), va0, np.inf)
+            if np.isfinite(va0):
+                best_val = va0
 
         for epoch in range(n_epochs):
             perm = rng.permutation(n)
             X_train.take(perm, axis=0, out=X_perm, mode="clip")
-            y_train.take(perm, axis=-1, out=y_perm, mode="clip")
-            sse = np.zeros(lead)
+            y_train.take(perm, out=y_perm, mode="clip")
+            sse = 0.0
             for start in range(0, n, batch):
                 rows = X_perm[start : start + batch]
-                g, batch_sse = plans[len(rows)].run(rows, y_perm[..., start : start + batch])
+                g, batch_sse = plans[len(rows)].run(rows, y_perm[start : start + batch])
                 sse += batch_sse
                 step += 1
                 # m_new = b1 * m + (1 - b1) * g; v_new = b2 * v + (1 - b2) * g * g
@@ -524,58 +488,35 @@ def train(
                 np.multiply(ADAM_BETA2, v, out=v_new)
                 np.multiply(np.multiply(1 - ADAM_BETA2, g, out=tmp), g, out=tmp)
                 np.add(v_new, tmp, out=v_new)
-                # theta_new = theta - lr * m_hat / (sqrt(v_hat) + eps), g as m_hat
+                # theta -= lr * m_hat / (sqrt(v_hat) + eps), g as m_hat
                 np.divide(m_new, 1 - ADAM_BETA1**step, out=g)
                 np.divide(v_new, 1 - ADAM_BETA2**step, out=tmp)
                 np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
                 np.divide(np.multiply(lr, g, out=g), tmp, out=g)
-                np.subtract(theta, g, out=theta_new)
-                ok = np.isfinite(theta_new).all(axis=-1)
-                if lead:
-                    diverged |= active & ~ok
-                    active &= ok
-                    keep = active[..., None]
-                    np.copyto(theta, theta_new, where=keep)
-                    np.copyto(m, m_new, where=keep)
-                    np.copyto(v, v_new, where=keep)
-                elif ok:
-                    m, m_new = m_new, m
-                    v, v_new = v_new, v
-                else:
+                np.subtract(theta, g, out=theta)
+                if not np.isfinite(theta).all():
                     raise DivergedLoss(f"parameters diverged at epoch {epoch}")
+                m, m_new = m_new, m
+                v, v_new = v_new, v
 
             tr = sse / n
             va = mse_loss(val_plan, spec, X_val, y_val)
-            ok = np.isfinite(tr) & np.isfinite(va)
-            if not (lead or ok):
+            if not (np.isfinite(tr) and np.isfinite(va)):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-            diverged |= active & ~ok
-            active &= ok
-            train_hist.append(np.where(active, tr, np.nan))
-            val_hist.append(np.where(active, va, np.nan))
-            improved = active & (va < best_val)
-            best_val = np.where(improved, va, best_val)
-            best_theta = np.where(improved[..., None], theta, best_theta)
-            best_epoch = np.where(improved, epoch, best_epoch)
-            since_best = np.where(improved, 0, since_best + 1)
-            active &= improved | (since_best < patience)
-            if not active.any():
-                break
+            train_hist.append(float(tr))
+            val_hist.append(float(va))
+            if va < best_val:
+                best_theta, best_val, best_epoch, since_best = theta.copy(), va, epoch, 0
+            else:
+                since_best += 1
+                if since_best >= patience:
+                    break
 
-    w = NetworkWeights(theta=best_theta, layer_sizes=spec.layer_sizes)
-    if lead:
-        return TrainResult(
-            weights=w,
-            train_loss=np.array(train_hist).reshape(-1, *lead),
-            val_loss=np.array(val_hist).reshape(-1, *lead),
-            best_epoch=best_epoch,
-            diverged=diverged,
-        )
     return TrainResult(
-        weights=w,
-        train_loss=tuple(float(x) for x in train_hist),
-        val_loss=tuple(float(x) for x in val_hist),
-        best_epoch=int(best_epoch),
+        weights=NetworkWeights(theta=best_theta, layer_sizes=spec.layer_sizes),
+        train_loss=tuple(train_hist),
+        val_loss=tuple(val_hist),
+        best_epoch=best_epoch,
     )
 
 

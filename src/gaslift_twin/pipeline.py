@@ -567,8 +567,8 @@ def _selected_scenarios(cfg: RunConfig, scenario: int | None) -> tuple[int, ...]
 def _check_retrain_rows(cfg: RunConfig, artifacts: dict[str, OfflineArtifact],
                         scripts: list[sil_mod.ScenarioScript]) -> None:
     """Raise RangeViolation, before any replay, when a scenario's retrain
-    data would hold too few rows for some channel's fine-tune, which needs 2
-    × batch_size rows with a full lag window: an identified drift's
+    data would hold too few rows for some channel's refit, which needs 2 ×
+    batch_size rows with a full lag window: an identified drift's
     experiments give sil.retrain_experiments × (sil.retrain_hold − max lag)
     of them, the live buffer of an unknown one cognitive.wait_buffer − max
     lag."""

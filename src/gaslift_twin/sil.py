@@ -500,6 +500,8 @@ def emit_report(
         "config": asdict(log.config),
         "n_events": len(log.events),
         "n_retrains": len(log.retrain_steps()),
+        # each retrain's calibrated half-width per channel, engineering units
+        "calibration": [{r.channel: r.h for r in rs} for rs in log.retrain_records],
         "metrics": None if comparison is None else asdict(comparison),
     }))
     return written, comparison
@@ -534,9 +536,10 @@ def _without(doc: dict, retired: str) -> dict:
 def read_log(in_dir: str | Path, artifacts: dict[str, OfflineArtifact]) -> SilLog:
     """The log that :func:`write_log` stored in ``in_dir``, its static
     predictions recomputed from the offline ``artifacts`` of its channels.
-    A ``meta.json`` without retrain records reads back with none; one that
-    still carries a script's ``wait_buffer`` or an event's
-    ``post_retrain_z`` reads back without them. Older logs' ``t``, ``v_o``,
+    A ``meta.json`` without retrain records reads back with none, and
+    records without an ``h`` read back with None; one that still carries a
+    script's ``wait_buffer`` or an event's ``post_retrain_z`` reads back
+    without them. Older logs' ``t``, ``v_o``,
     ``U``, ``indicator``, ``Z`` and ``static_pred`` files are not read."""
     src = Path(in_dir)
     meta = read_json(src / "meta.json")

@@ -31,17 +31,26 @@ from gaslift_twin.errors import (  # noqa: E402
 from gaslift_twin.structure import build_lag_matrix, split_rows  # noqa: E402
 
 
+def calibrated(model, point, lo, hi):
+    """The member band ``lo``, ``hi`` of a model that has retrained widened
+    to cover ``point`` ± its h, in normalized units; as it is otherwise."""
+    if model.h is None:
+        return lo, hi
+    return np.minimum(lo, point - model.h), np.maximum(hi, point + model.h)
+
+
 def loop_predict(model, y_window, u_window, confidence):
     """One channel's band computed on its own, one forward for the point and
-    one for the members, as the twin did before channels were stacked; the
-    reference the stacked step must match bit for bit."""
+    one for the members, as the twin did before channels were stacked, and
+    widened by h once the model has retrained; the reference the stacked
+    step must match bit for bit."""
     x = model.layout.regressors(np.asarray(y_window, dtype=float)[None, ::-1],
                                 np.asarray(u_window, dtype=float)[::-1])
     xn = model.norm.normalize_regressors(x, model.layout)
     point_n = float(nw.forward(model.theta, model.spec, xn)[0])
     preds_n = np.asarray(nw.forward(model.members, model.spec, xn)).ravel()
     alpha = (1.0 - confidence) / 2.0
-    lo_n, hi_n = np.quantile(preds_n, [alpha, 1.0 - alpha])
+    lo_n, hi_n = calibrated(model, point_n, *np.quantile(preds_n, [alpha, 1.0 - alpha]))
     return model.norm.denormalize_target(np.array([point_n, lo_n, hi_n]))
 
 
@@ -160,7 +169,8 @@ class ReferenceTwin:
     and nothing of its step: each channel's regressor row built from its own
     lag lists, normalized column by column, ``reference_trace`` for the
     point weights and the members, ``np.quantile`` (linear) for the
-    bounds, ``violation_indicator`` and one scalar ``CognitiveState`` window
+    bounds, widened by h once a channel has retrained (``calibrated``),
+    ``violation_indicator`` and one scalar ``CognitiveState`` window
     per channel. ``bands`` reads the bounds of the coming step, so a test
     can place measurements against them; ``reset_windows`` does what
     ``retrain`` does to the windows. Finite predictions only."""
@@ -190,7 +200,7 @@ class ReferenceTwin:
         point = reference_trace(model.theta, model.spec, x)[1][-1][0, 0]
         preds = reference_trace(model.members, model.spec, x)[1][-1][:, 0, 0]
         alpha = (1.0 - confidence) / 2.0
-        lo, hi = np.quantile(preds, [alpha, 1.0 - alpha])
+        lo, hi = calibrated(model, point, *np.quantile(preds, [alpha, 1.0 - alpha]))
         return model.norm.denormalize_target(np.array([point, lo, hi]))
 
     def _monitored(self):
@@ -229,11 +239,18 @@ class ReferenceTwin:
         return (self.k, monitored, bands[0], bands[1], bands[2], indicator, z, trigger)
 
 
-def loop_retrained(model, data, *, epochs, lr_factor, seed):
-    """One channel's retrain with one single-vector ``train`` call for the
-    point weights and one per member, as the twin did before the fine-tunes
-    were stacked; the reference the stacked retrain must match bit for bit.
-    Returns the new normalization and weights."""
+def reference_refit(model, data, *, confidence, seed):
+    """One channel's retrain written from its definition: per weight row,
+    the last hidden layer's activations from ``reference_trace`` with a
+    column of ones, and the ridge step toward the row's output weights as
+    the least-squares solution of those features stacked on sqrt(penalty)
+    times the identity; the point row's penalty the one of
+    ``RIDGE_PENALTIES`` with the lowest validation MSE, every member's
+    targets shifted by its offset from the point, and h the conformal order
+    statistic of the validation errors. Linear output layers and finite
+    solutions only. Returns the new normalization, weights and h."""
+    from gaslift_twin.cognitive import RIDGE_PENALTIES
+
     y = data.Y[:, data.channels.index(model.channel)]
     X_raw, t_raw, _ = build_lag_matrix(y, data.U, model.layout, data.hold)
     norm = model.norm
@@ -242,30 +259,34 @@ def loop_retrained(model, data, *, epochs, lr_factor, seed):
     Xn = norm.normalize_regressors(X_raw, model.layout)
     tn = norm.normalize_target(t_raw)
     tr, va, _ = split_rows(len(tn), (0.85, 0.15, 0.0), seed)
+    start, _, end, fan_in, _ = model.spec.layer_slices[-1]
 
-    def fine_tune(theta0, targets):
-        try:
-            res = nw.train(
-                model.spec, Xn[tr], targets[tr], Xn[va], targets[va],
-                initial=nw.NetworkWeights(theta0.copy(), model.spec.layer_sizes),
-                epochs=epochs, learning_rate=model.spec.learning_rate * lr_factor,
-            )
-        except DivergedLoss:
-            return None
-        return res.weights.theta
+    def features(theta):
+        acts = reference_trace(theta, model.spec, Xn)[1]
+        return np.column_stack([acts[-2], np.ones(len(Xn))]), acts[-1][:, 0]
 
-    point = fine_tune(model.theta, tn)
-    if point is None:
-        point = model.theta.copy()
-    base_pred = nw.forward(model.theta, model.spec, Xn)
-    member_pred = nw.forward(model.members, model.spec, Xn)
-    weights = np.tile(point, (1 + model.n_members, 1))
-    for i, member in enumerate(model.members):
-        offset = member_pred[i] - base_pred
-        tuned = fine_tune(member, tn + offset) if np.isfinite(offset).all() else None
-        if tuned is not None:
-            weights[1 + i] = tuned
-    return norm, weights
+    def refit(theta, targets, penalty):
+        feats, pred = features(theta)
+        stacked = np.vstack([feats[tr], np.sqrt(penalty) * np.eye(fan_in + 1)])
+        rhs = np.concatenate([(targets - pred)[tr], np.zeros(fan_in + 1)])
+        new = theta.copy()
+        new[start:end] += np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+        return new
+
+    def val_mse(theta):
+        return np.mean((tn[va] - features(theta)[1][va]) ** 2)
+
+    candidates = [refit(model.theta, tn, p * len(tr)) for p in RIDGE_PENALTIES]
+    best = int(np.argmin([val_mse(c) for c in candidates]))
+    penalty = RIDGE_PENALTIES[best] * len(tr)
+    base = features(model.theta)[1]
+    weights = [candidates[best]]
+    for member in model.members:
+        offset = features(member)[1] - base
+        weights.append(refit(member, tn + offset, penalty))
+    errors = sorted(np.abs(tn[va] - features(weights[0])[1][va]))
+    k = math.ceil((len(va) + 1) * confidence)
+    return norm, np.array(weights), errors[min(k, len(va)) - 1]
 
 
 def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epochs=None,
@@ -273,35 +294,28 @@ def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epoch
     """``network.train`` as a plain loop: ``reference_gradient`` on each
     mini-batch, the loss over the whole training split after every epoch and
     an out-of-place Adam update. The reference the training loop's weights,
-    validation losses, best epochs and divergence masks must match bit for
-    bit; its ``train_loss`` is the full-split MSE at the end of each epoch.
-    A list passed as ``batch_weights`` receives a copy of the weights each
+    validation losses and best epochs must match bit for bit; its
+    ``train_loss`` is the full-split MSE at the end of each epoch. A list
+    passed as ``batch_weights`` receives a copy of the weights each
     mini-batch's gradient is taken at."""
     X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
     X_val = np.atleast_2d(np.asarray(X_val, dtype=float))
     theta = nw._theta_of(nw.initialize(spec) if initial is None else initial).copy()
-    lead = theta.shape[:-1]
-    y_train = np.asarray(y_train, dtype=float)
-    y_val = np.asarray(y_val, dtype=float)
-    if not lead:
-        y_train, y_val = y_train.ravel(), y_val.ravel()
+    y_train = np.asarray(y_train, dtype=float).ravel()
+    y_val = np.asarray(y_val, dtype=float).ravel()
 
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     n_epochs = spec.epochs if epochs is None else epochs
     lr = spec.learning_rate if learning_rate is None else learning_rate
 
-    best_theta = theta.copy()
-    best_val = np.full(lead, np.inf)
-    best_epoch = np.full(lead, -1)
-    since_best = np.zeros(lead, dtype=int)
-    active = np.ones(lead, dtype=bool)
-    diverged = np.zeros(lead, dtype=bool)
+    best_theta, best_val, best_epoch, since_best = theta.copy(), np.inf, -1, 0
     train_hist, val_hist = [], []
 
     if initial is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             va0 = nw.mse_loss(theta, spec, X_val, y_val)
-        best_val = np.where(np.isfinite(va0), va0, np.inf)
+        if np.isfinite(va0):
+            best_val = va0
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -316,59 +330,35 @@ def reference_train(spec, X_train, y_train, X_val, y_val, *, initial=None, epoch
             with np.errstate(over="ignore", invalid="ignore"):
                 if batch_weights is not None:
                     batch_weights.append(theta.copy())
-                g = reference_gradient(theta, spec, X_train[idx],
-                                       y_train.take(idx, axis=-1))[0]
+                g = reference_gradient(theta, spec, X_train[idx], y_train[idx])[0]
                 step += 1
-                m_new = nw.ADAM_BETA1 * m + (1 - nw.ADAM_BETA1) * g
-                v_new = nw.ADAM_BETA2 * v + (1 - nw.ADAM_BETA2) * g * g
-                m_hat = m_new / (1 - nw.ADAM_BETA1**step)
-                v_hat = v_new / (1 - nw.ADAM_BETA2**step)
-                theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + nw.ADAM_EPS)
-            ok = np.isfinite(theta_new).all(axis=-1)
-            if lead:
-                diverged |= active & ~ok
-                active &= ok
-                keep = active[..., None]
-                theta_new = np.where(keep, theta_new, theta)
-                m_new = np.where(keep, m_new, m)
-                v_new = np.where(keep, v_new, v)
-            elif not ok:
+                m = nw.ADAM_BETA1 * m + (1 - nw.ADAM_BETA1) * g
+                v = nw.ADAM_BETA2 * v + (1 - nw.ADAM_BETA2) * g * g
+                m_hat = m / (1 - nw.ADAM_BETA1**step)
+                v_hat = v / (1 - nw.ADAM_BETA2**step)
+                theta = theta - lr * m_hat / (np.sqrt(v_hat) + nw.ADAM_EPS)
+            if not np.isfinite(theta).all():
                 raise DivergedLoss(f"parameters diverged at epoch {epoch}")
-            theta, m, v = theta_new, m_new, v_new
 
         with np.errstate(over="ignore", invalid="ignore"):
             tr = nw.mse_loss(theta, spec, X_train, y_train)
             va = nw.mse_loss(theta, spec, X_val, y_val)
-            ok = np.isfinite(tr) & np.isfinite(va)
-            if not (lead or ok):
-                raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-            diverged |= active & ~ok
-            active &= ok
-            train_hist.append(np.where(active, tr, np.nan))
-            val_hist.append(np.where(active, va, np.nan))
-            improved = active & (va < best_val)
-        best_val = np.where(improved, va, best_val)
-        best_theta = np.where(improved[..., None], theta, best_theta)
-        best_epoch = np.where(improved, epoch, best_epoch)
-        since_best = np.where(improved, 0, since_best + 1)
-        active &= improved | (since_best < patience)
-        if not active.any():
-            break
+        if not (np.isfinite(tr) and np.isfinite(va)):
+            raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+        train_hist.append(float(tr))
+        val_hist.append(float(va))
+        if va < best_val:
+            best_theta, best_val, best_epoch, since_best = theta, va, epoch, 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
 
-    w = nw.NetworkWeights(theta=best_theta, layer_sizes=spec.layer_sizes)
-    if lead:
-        return nw.TrainResult(
-            weights=w,
-            train_loss=np.array(train_hist).reshape(-1, *lead),
-            val_loss=np.array(val_hist).reshape(-1, *lead),
-            best_epoch=best_epoch,
-            diverged=diverged,
-        )
     return nw.TrainResult(
-        weights=w,
-        train_loss=tuple(float(x) for x in train_hist),
-        val_loss=tuple(float(x) for x in val_hist),
-        best_epoch=int(best_epoch),
+        weights=nw.NetworkWeights(theta=best_theta, layer_sizes=spec.layer_sizes),
+        train_loss=tuple(train_hist),
+        val_loss=tuple(val_hist),
+        best_epoch=best_epoch,
     )
 
 
@@ -649,8 +639,10 @@ def step_matches_predict():
 
 
 @pytest.fixture
-def retrain_reference():
-    return loop_retrained
+def refit_reference():
+    """``reference_refit(model, data, *, confidence, seed) -> (norm,
+    weights, h)``."""
+    return reference_refit
 
 
 @pytest.fixture

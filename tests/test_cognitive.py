@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import os
 import re
 import warnings
@@ -19,7 +20,12 @@ from gaslift_twin.errors import (
     ShapeMismatch,
 )
 from gaslift_twin.plant import PlantParams, default_initial_state
-from gaslift_twin.structure import NarxLayout, NormalizationSpec, build_lag_matrix
+from gaslift_twin.structure import (
+    NarxLayout,
+    NormalizationSpec,
+    build_lag_matrix,
+    split_rows,
+)
 
 
 def identity_norm(n_u: int) -> NormalizationSpec:
@@ -434,27 +440,27 @@ class TestOnlineRetrain:
         return cg.RetrainData(Y=y[:, None], U=U, hold=None, channels=("c0",))
 
     def test_fixed_point_on_already_fit_data(self):
-        twin = self._twin(retrain_epochs=5)
+        twin = self._twin()
         model = twin.models["c0"]
         before = model.theta.copy()
         twin.retrain(self._data())
-        # zero residuals mean zero gradients: nothing moves at all
+        # zero residuals make every ridge step zero: nothing moves at all
         assert np.array_equal(model.theta, before)
         assert (model.members == before).all()
 
     def test_ensemble_size_preserved(self):
-        twin = self._twin(retrain_epochs=2)
+        twin = self._twin()
         twin.retrain(self._data(seed=4))
         assert twin.models["c0"].n_members == 3
 
     def test_norm_untouched_when_covered(self):
-        twin = self._twin(retrain_epochs=1)
+        twin = self._twin()
         norm_before = twin.models["c0"].norm
         twin.retrain(self._data())
         assert twin.models["c0"].norm is norm_before
 
     def test_norm_expanded_when_exceeded(self):
-        twin = self._twin(retrain_epochs=1)
+        twin = self._twin()
         data = self._data(scale=3.0)
         twin.retrain(data)
         norm = twin.models["c0"].norm
@@ -471,7 +477,7 @@ class TestOnlineRetrain:
             "c0", art.spec, art.layout, art.norm, art.map_theta,
             art.members + offsets[:, None] * np.eye(art.spec.n_params)[-1],
         )
-        twin = self._twin(art, retrain_epochs=400, retrain_lr_factor=1.0)
+        twin = self._twin(art)
         y, U = narx_series(self.W, self.B + 0.2, 400, seed=7)
         twin.retrain(cg.RetrainData(Y=y[:, None], U=U, hold=None, channels=("c0",)),
                      seed=1)
@@ -487,26 +493,46 @@ class TestOnlineRetrain:
         assert got.max() - got.min() > 0.06
 
     def test_diverged_members_reset_to_map(self):
-        twin = self._twin(retrain_epochs=3, retrain_lr_factor=1e180)
+        # a relu layer of 4 units; member 1's hidden weights are so large that
+        # its features overflow their normal equations, while its zero output
+        # weights keep its predictions, and so its offset, finite
+        layout = NarxLayout(2, 1, 1)
+        spec = nw.NetworkSpec((layout.width, 4, 1), ("relu", "linear"), batch_size=16)
+        rng = np.random.Generator(np.random.PCG64(2))
+        theta = rng.normal(scale=0.5, size=spec.n_params)
+        members = theta + rng.normal(scale=0.05, size=(3, spec.n_params))
+        start, w_end, *_ = spec.layer_slices[-1]
+        members[1, :start] = np.abs(members[1, :start]) * 1e200
+        members[1, start:w_end] = 0.0
+        art = cg.make_artifact("c0", spec, layout, identity_norm(1), theta, members)
+        twin = self._twin(art)
+        (record,) = twin.retrain(self._data(seed=5))
+        assert (record.point_diverged, record.members_diverged,
+                record.members_skipped) == (False, (1,), ())
         model = twin.models["c0"]
-        model.weights[1:] += np.array([[0.01], [0.02], [0.03]])
-        before = model.theta.copy()
-        twin.retrain(self._data(seed=5))
-        # everything diverges at this rate; the point weights fall back and
-        # every member is reset to them
-        assert np.array_equal(twin.models["c0"].theta, before)
-        assert (twin.models["c0"].members == before).all()
+        assert not np.array_equal(model.theta, theta)
+        assert np.array_equal(model.members[1], model.theta)
+        for i in (0, 2):
+            assert not np.array_equal(model.members[i], model.theta)
+            # only the output layer moved
+            assert np.array_equal(model.members[i, :start], members[i, :start])
 
     def test_retrain_reports_every_fallback(self):
+        # predictions near 1e307 overflow every row's normal equations, so no
+        # penalty gives a finite point solution and no member's solves: the
+        # point keeps its weights and every member is reset to them
         art = self._artifact()
-        twin = self._twin(art, retrain_epochs=3, retrain_lr_factor=1e180)
+        huge = np.array([1e307, 0.0, 0.0, 0.0])
+        art = cg.make_artifact("c0", art.spec, art.layout, art.norm, huge,
+                               np.tile(huge, (3, 1)))
+        twin = self._twin(art)
         (record,) = twin.retrain(self._data(seed=5))
-        assert record == cg.RetrainRecord(
+        assert dataclasses.replace(record, h=None) == cg.RetrainRecord(
             channel="c0", point_diverged=True, members_diverged=(0, 1, 2),
             members_skipped=(), norm_widened=False,
         )
-        assert np.array_equal(twin.models["c0"].theta, art.map_theta)
-        assert (twin.models["c0"].members == art.map_theta).all()
+        assert np.array_equal(twin.models["c0"].theta, huge)
+        assert (twin.models["c0"].members == huge).all()
 
     def test_retrain_reports_skipped_members_and_widening(self):
         art = self._artifact()
@@ -514,24 +540,45 @@ class TestOnlineRetrain:
         members[1, :3] = 1e308        # its predictions, and so its offset, overflow
         art = cg.make_artifact("c0", art.spec, art.layout, art.norm, art.map_theta,
                                members)
-        twin = self._twin(art, retrain_epochs=2)
+        twin = self._twin(art)
         (record,) = twin.retrain(self._data(scale=3.0, seed=4))
-        assert record == cg.RetrainRecord(
+        assert dataclasses.replace(record, h=None) == cg.RetrainRecord(
             channel="c0", point_diverged=False, members_diverged=(),
             members_skipped=(1,), norm_widened=True,
         )
         model = twin.models["c0"]
+        assert record.h == model.h * (model.norm.y_max - model.norm.y_min)
         assert np.array_equal(model.members[1], model.theta)
         assert not np.array_equal(model.members[0], model.theta)
         assert not np.array_equal(model.members[2], model.theta)
 
+    @pytest.mark.parametrize("confidence, k", [
+        (0.9, 42),      # 45 validation rows: the ceil(46 * 0.9) = 42nd smallest error
+        (0.99, 45),     # ceil(46 * 0.99) = 46 exceeds the 45 rows: the largest
+    ])
+    def test_h_is_the_conformal_order_statistic(self, confidence, k):
+        twin = self._twin(confidence=confidence)
+        y, U = narx_series(self.W, self.B, 300, seed=6)
+        y += np.random.Generator(np.random.PCG64(6)).normal(scale=0.01, size=len(y))
+        (record,) = twin.retrain(
+            cg.RetrainData(Y=y[:, None], U=U, hold=None, channels=("c0",)), seed=2)
+        model = twin.models["c0"]
+        X_raw, t_raw, _ = build_lag_matrix(y, U, model.layout, None)
+        _, va, _ = split_rows(len(t_raw), (0.85, 0.15, 0.0), 2)
+        assert len(va) == 45
+        Xn = model.norm.normalize_regressors(X_raw[va], model.layout)
+        errors = np.sort(np.abs(model.norm.normalize_target(t_raw[va])
+                                - nw.forward(model.theta, model.spec, Xn)))
+        assert model.h == errors[k - 1] > 0
+        assert record.h == model.h * (model.norm.y_max - model.norm.y_min)
+
     def test_too_few_rows(self):
-        twin = self._twin(self._artifact(batch_size=64), retrain_epochs=1)
+        twin = self._twin(self._artifact(batch_size=64))
         with pytest.raises(InsufficientSamples):
             twin.retrain(self._data(T=50))
 
     def test_channel_must_be_present(self):
-        twin = self._twin(retrain_epochs=1)
+        twin = self._twin()
         data = self._data()
         bad = cg.RetrainData(Y=data.Y, U=data.U, hold=None, channels=("other",))
         with pytest.raises(ShapeMismatch):
@@ -544,8 +591,7 @@ class TestCognitiveTwin:
             "c0": const_artifact("c0", member_values=members),
             "c1": const_artifact("c1", member_values=members),
         }
-        cfg = cg.CognitiveConfig(mh=mh, ct=ct, confidence=0.8, wait_buffer=20,
-                                 retrain_epochs=2)
+        cfg = cg.CognitiveConfig(mh=mh, ct=ct, confidence=0.8, wait_buffer=20)
         return cg.CognitiveTwin(arts, cfg)
 
     def test_warmup_then_monitoring(self):
@@ -695,14 +741,31 @@ def six_channel_stream(T, seed):
 
 class TestStackedStep:
     def _twin(self, arts):
-        cfg = cg.CognitiveConfig(mh=20, ct=20, confidence=0.9, retrain_epochs=3,
-                                 retrain_lr_factor=10.0)
-        return cg.CognitiveTwin(arts, cfg)
+        return cg.CognitiveTwin(arts, cg.CognitiveConfig(mh=20, ct=20, confidence=0.9))
 
     def test_homogeneous_twin_equals_predict(self, step_matches_predict):
         twin = self._twin(six_channel_artifacts())
         Y, U = six_channel_stream(60, 1)
         assert step_matches_predict(twin, Y, U) == 57
+
+    def test_a_twin_that_never_retrained_keeps_its_step_bits(self):
+        # the step's bands, indicators and counts, pinned from the twin's step
+        # before the retrain calibrated bands: a twin that has not retrained
+        # has no h, and its step takes the same float operations
+        layouts = (NarxLayout(3, 2, 2), NarxLayout(1, 3, 2)) * 3
+        twin = cg.CognitiveTwin(
+            six_channel_artifacts(members=(5, 3, 5, 2, 5, 4), layouts=layouts, seed=11),
+            cg.CognitiveConfig(mh=20, ct=3, confidence=0.9),
+        )
+        Y, U = six_channel_stream(60, 12)
+        digest = hashlib.sha256()
+        for t in range(60):
+            r = twin.step(U[t], Y[t])
+            for a in (r.predicted, r.lower, r.upper, r.indicator, r.Z):
+                digest.update(a.tobytes())
+        assert all(group.calibrated is None for _, group in twin._groups)
+        assert digest.hexdigest() == \
+            "54e53372212fc05b2aa57859561fd8f77fd0d298a0322ce8d4fce29787f96867"
 
     @given(data=st.data(), mh=st.integers(1, 20), a_offset=st.integers(0, 4))
     @settings(max_examples=30, deadline=None)
@@ -716,8 +779,7 @@ class TestStackedStep:
         layouts = (NarxLayout(3, 2, 2), NarxLayout(1, 3, 2)) * 3
         twin = cg.CognitiveTwin(
             six_channel_artifacts(members=members, layouts=layouts, seed=seed),
-            cg.CognitiveConfig(mh=mh, a_offset=a_offset, ct=ct, confidence=0.9,
-                               retrain_epochs=1),
+            cg.CognitiveConfig(mh=mh, a_offset=a_offset, ct=ct, confidence=0.9),
         )
         reference = step_reference(twin)
         T = 2 * mh + 4
@@ -775,6 +837,9 @@ class TestStackedStep:
         twin.retrain(cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX))
         ((_, group),) = twin._groups
         assert group.plan.theta is group.weights
+        which, h = group.calibrated
+        assert which == slice(0, 6)
+        assert h.tolist() == [twin.models[c].h for c in SIX]
         for c in SIX:
             model = twin.models[c]
             assert not np.array_equal(model.weights, before[c])
@@ -810,43 +875,103 @@ class TestStackedStep:
         assert twin.buffer_size == 180
 
     def test_one_train_call_per_channel(self, monkeypatch):
+        # one refit per channel, in channel order, in this process however
+        # many CPUs it may use, and no gradient training
         calls = []
-        real = cg.train
+        real = cg._retrained
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["initial"].shape)
-            return real(*args, **kwargs)
+        def counting(model, data, **kwargs):
+            calls.append(model.channel)
+            return real(model, data, **kwargs)
 
-        monkeypatch.setattr(cg, "train", counting)
-        # on one CPU the fine-tunes run in this process, where calls counts them
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        def no_fork():
+            raise AssertionError("a retrain started a child process")
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("a retrain called train")
+
+        monkeypatch.setattr(cg, "_retrained", counting)
+        monkeypatch.setattr(cg, "train", no_train)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", no_fork)
         twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
         Y, U = six_channel_stream(200, 2)
-        twin.retrain(cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX))
-        assert calls == [(1 + n, twin.models[c].spec.n_params)
-                         for c, n in zip(SIX, (5, 3, 5, 2, 5, 4))]
+        records = twin.retrain(cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX))
+        assert calls == list(SIX)
+        assert [r.channel for r in records] == list(SIX)
 
-    @pytest.mark.parametrize("epochs", [3, 40])
-    def test_retrain_equals_per_row_train_calls(self, epochs, retrain_reference):
-        # at 40 epochs patience (20) runs out on some rows before others
-        twin = cg.CognitiveTwin(
-            six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)),
-            cg.CognitiveConfig(mh=20, ct=20, retrain_epochs=epochs,
-                               retrain_lr_factor=10.0),
-        )
+    @pytest.mark.parametrize("seed", [3, 40])
+    def test_retrain_equals_per_row_train_calls(self, seed, refit_reference):
+        # the one ridge solve per weight row against the reference's least
+        # squares on the row's own features, on data that widens some
+        # normalizations; equal to rounding, so not bit for bit
+        twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
         Y, U = six_channel_stream(200, 2)
-        data = cg.RetrainData(Y=Y, U=U, hold=None, channels=SIX)
-        expected = {
-            c: retrain_reference(twin.models[c], data, epochs=epochs,
-                                 lr_factor=10.0, seed=3)
-            for c in SIX
-        }
-        twin.retrain(data, seed=3)
-        for c, (norm, weights) in expected.items():
+        data = cg.RetrainData(Y=1.5 * Y, U=U, hold=None, channels=SIX)
+        expected = {c: refit_reference(twin.models[c], data, confidence=0.9, seed=seed)
+                    for c in SIX}
+        records = twin.retrain(data, seed=seed)
+        assert any(r.norm_widened for r in records)
+        for c, (norm, weights, h) in expected.items():
             model = twin.models[c]
-            assert np.array_equal(model.weights, weights)
+            np.testing.assert_allclose(model.weights, weights, rtol=1e-9, atol=1e-12)
+            assert model.h == pytest.approx(h, rel=1e-9, abs=1e-12)
             for field in ("y_min", "y_max", "u_min", "u_max"):
                 assert np.array_equal(getattr(model.norm, field), getattr(norm, field))
+
+    def test_retrained_band_covers_point_plus_minus_h(self):
+        # every monitored band after a retrain holds point ± h, in
+        # engineering units; where h reaches past the member quantiles the
+        # bound is the point's, so the calibration shows in some band
+        twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
+        Y, U = six_channel_stream(260, 4)
+        records = twin.retrain(cg.RetrainData(Y=Y[:200], U=U[:200], hold=None,
+                                              channels=SIX))
+        h = np.array([r.h for r in records])
+        assert (h > 0).all()
+        on_h = 0
+        for t in range(200, 260):
+            r = twin.step(U[t], Y[t])
+            if not r.monitored:
+                continue
+            slack = 1e-12 * np.maximum(1.0, np.abs(r.predicted))
+            assert (r.lower <= r.predicted - h + slack).all()
+            assert (r.upper >= r.predicted + h - slack).all()
+            on_h += np.count_nonzero(np.isclose(r.upper - r.predicted, h, rtol=1e-9))
+        assert on_h > 0
+
+    @pytest.mark.parametrize("failing", ["c0", "c2", "c5"])
+    def test_an_error_in_any_channel_changes_nothing(self, monkeypatch, failing):
+        # after one retrain, so every channel has an h to keep: a second one
+        # that fails on one channel leaves weights, normalizations, h, the
+        # window, the history and the live buffer as they were
+        twin = self._twin(six_channel_artifacts(members=(5, 3, 5, 2, 5, 4)))
+        Y, U = six_channel_stream(260, 5)
+        twin.retrain(cg.RetrainData(Y=Y[:200], U=U[:200], hold=None, channels=SIX))
+        for t in range(200, 230):
+            twin.step(U[t], Y[t])
+        twin.begin_buffering()
+        for t in range(230, 260):
+            twin.step(U[t], Y[t])
+
+        def state():
+            models = [twin.models[c] for c in SIX]
+            return ([m.weights.tobytes() for m in models], [m.norm for m in models],
+                    [m.h for m in models], twin_snapshot(twin))
+
+        before = state()
+        real = cg._retrained
+
+        def broken(model, data, **kwargs):
+            if model.channel == failing:
+                raise InsufficientSamples(f"{model.channel} failed")
+            return real(model, data, **kwargs)
+
+        monkeypatch.setattr(cg, "_retrained", broken)
+        with pytest.raises(InsufficientSamples, match=f"^{failing} failed$"):
+            twin.retrain(cg.RetrainData(Y=3.0 * Y, U=3.0 * U, hold=None, channels=SIX))
+        assert state() == before
+        assert twin.buffer_size == 30
 
     def test_one_forward_per_group(self, monkeypatch):
         calls = []
@@ -936,78 +1061,3 @@ class TestStackedStep:
                 assert np.array_equal(getattr(a, field), getattr(b, field))
             assert (a.step, a.trigger) == (b.step, b.trigger)
         assert twin_snapshot(twin) == twin_snapshot(clean)
-
-
-class TestForkedRetrain:
-    """``retrain`` fine-tunes the channels in forked workers, one per CPU and
-    at most one per channel, and in this process on one CPU. Six channels of
-    uneven member counts, on data that widens every normalization."""
-
-    MEMBERS = (5, 3, 5, 2, 5, 4)
-
-    def _twin(self):
-        return cg.CognitiveTwin(
-            six_channel_artifacts(members=self.MEMBERS),
-            cg.CognitiveConfig(mh=20, ct=20, retrain_epochs=3, retrain_lr_factor=10.0),
-        )
-
-    def _data(self):
-        Y, U = six_channel_stream(200, 2)
-        return cg.RetrainData(Y=3.0 * Y, U=3.0 * U, hold=None, channels=SIX)
-
-    @staticmethod
-    def _state(twin):
-        """The weights and normalization of every channel, as bytes, and
-        what a step may change."""
-        models = [twin.models[c] for c in SIX]
-        return (
-            [m.weights.tobytes() for m in models],
-            [tuple(np.asarray(getattr(m.norm, f)).tobytes()
-                   for f in ("y_min", "y_max", "u_min", "u_max")) for m in models],
-            twin_snapshot(twin),
-        )
-
-    def test_forked_and_in_process_retrains_are_bit_identical(self, monkeypatch, no_children):
-        data = self._data()
-        # three workers for six channels, whatever the host's CPU count
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        forked = self._twin()
-        forked_records = forked.retrain(data, seed=3)
-        no_children()
-
-        def no_fork():
-            raise AssertionError("a one-CPU retrain started a child process")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(os, "fork", no_fork)
-        serial = self._twin()
-        serial_records = serial.retrain(data, seed=3)
-        assert forked_records == serial_records
-        assert [r.channel for r in serial_records] == list(SIX)
-        assert all(r.norm_widened for r in serial_records)
-        assert self._state(forked) == self._state(serial)
-
-    def test_worker_error_reaches_the_caller_and_changes_nothing(self, monkeypatch, no_children):
-        twin = self._twin()
-        Y, U = six_channel_stream(40, 5)
-        for t in range(20):
-            twin.step(U[t], Y[t])
-        twin.begin_buffering()
-        for t in range(20, 40):
-            twin.step(U[t], Y[t])
-        before = self._state(twin)
-        parent, real = os.getpid(), cg._retrained
-
-        def broken_in_a_worker(model, data, **kwargs):
-            if os.getpid() != parent:
-                raise InsufficientSamples(f"{model.channel} failed in a worker")
-            return real(model, data, **kwargs)
-
-        # the fork carries the patched module into every worker
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(cg, "_retrained", broken_in_a_worker)
-        with pytest.raises(InsufficientSamples, match="failed in a worker"):
-            twin.retrain(self._data())
-        no_children()
-        assert self._state(twin) == before
-        assert twin.buffer_size == 20

@@ -527,6 +527,9 @@ class TestEmitReport:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_retrains"] == 1
         assert summary["scenario"] == "mini-step"
+        (records,) = log.retrain_records
+        assert summary["calibration"] == [{r.channel: r.h for r in records}]
+        assert all(r.h > 0 for r in records)
 
     def test_empty_log(self, tmp_path):
         files, comparison = sil.emit_report(empty_log(), tmp_path)
@@ -624,6 +627,23 @@ class TestLogCodec:
         del meta["retrain_records"]
         meta_path.write_text(json.dumps(meta))
         assert sil.read_log(tmp_path, mini_artifacts).retrain_records == ()
+
+    def test_records_without_h_read_back_with_none(self, mini_artifacts, tmp_path):
+        # logs written before the retrain calibrated its band store no h
+        log = sil.run_scenario(step_script(), mini_artifacts, mini_config(),
+                               seed=3, retrain_experiments=4, retrain_hold=40)
+        sil.write_log(log, tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        for records in meta["retrain_records"]:
+            for r in records:
+                del r["h"]
+        meta_path.write_text(json.dumps(meta))
+        back = sil.read_log(tmp_path, mini_artifacts)
+        assert back.retrain_records == tuple(
+            tuple(dataclasses.replace(r, h=None) for r in rs)
+            for rs in log.retrain_records)
+        assert back.retrain_records
 
     def test_meta_with_retired_keys_reads_back(self, mini_artifacts, tmp_path):
         # logs written before the harness stopped storing them carry the
