@@ -13,7 +13,6 @@ JSON keys, full-precision CSV floats, no timestamps. No reader unpickles.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -51,17 +50,19 @@ def jsonable(obj):
     return obj
 
 
-def _write(path: Path, data: bytes) -> Path:
+def _write(path: Path, dump) -> Path:
+    """``dump(fh)`` into ``path``, opened for binary writing."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        with open(path, "wb") as fh:
+            dump(fh)
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e
     return path
 
 
 def write_text(path: Path, text: str) -> Path:
-    return _write(path, text.encode())
+    return _write(path, lambda fh: fh.write(text.encode()))
 
 
 def write_json(path: Path, obj) -> Path:
@@ -69,9 +70,7 @@ def write_json(path: Path, obj) -> Path:
 
 
 def write_array(path: Path, a: np.ndarray) -> Path:
-    buf = io.BytesIO()
-    np.save(buf, a, allow_pickle=False)
-    return _write(path, buf.getvalue())
+    return _write(path, lambda fh: np.save(fh, a, allow_pickle=False))
 
 
 def _read(path: Path, parse):

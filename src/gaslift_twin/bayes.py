@@ -7,7 +7,8 @@ MAP-fit residual spread (floored, since a near-interpolating fit would
 otherwise collapse the posterior). The prior is a flat box around the MAP
 weights. Proposal scale adapts toward a 20-40% acceptance rate during
 burn-in and stays frozen afterwards so the post-burn-in chain is a valid
-Metropolis sampler.
+Metropolis sampler. The sampler keeps only the states past burn-in, the
+draws: nothing reads the burn-in states once the scale is tuned.
 """
 
 from __future__ import annotations
@@ -71,28 +72,28 @@ def log_posterior(
 
 @dataclass(frozen=True)
 class Chain:
-    """One Metropolis run: every post-initialization state with its
-    log-posterior and whether the step's proposal was accepted."""
+    """One Metropolis run of ``length`` steps: the states past its first
+    ``burn_in`` steps, the draws, and whether each step's proposal was
+    accepted."""
 
-    samples: np.ndarray          # (n, n_params)
-    log_posteriors: np.ndarray   # (n,)
-    accepted: np.ndarray         # (n,) bool
+    samples: np.ndarray          # (length - burn_in, n_params), the draws
+    accepted: np.ndarray         # (length,) bool, one flag per step
     proposal_scale: float        # scale in force after burn-in
-    seed: int
     burn_in: int
 
     def __post_init__(self):
-        n = len(self.samples)
-        if len(self.log_posteriors) != n or len(self.accepted) != n:
-            raise GasLiftError("chain fields must align 1:1 with samples")
+        if not 0 <= self.burn_in < self.length:
+            raise BurnInExceedsChain(
+                f"burn-in {self.burn_in} >= length {self.length}")
+        if len(self.samples) != self.length - self.burn_in:
+            raise GasLiftError("chain must hold one sample per step past burn-in")
         if not np.isfinite(self.samples).all():
             raise GasLiftError("chain contains non-finite samples")
-        if not 0 <= self.burn_in < n:
-            raise BurnInExceedsChain(f"burn-in {self.burn_in} >= length {n}")
 
     @property
     def length(self) -> int:
-        return len(self.samples)
+        """Steps run, burn-in included."""
+        return len(self.accepted)
 
     @property
     def acceptance_rate(self) -> float:
@@ -116,7 +117,8 @@ def mcmc_sample(
 
     During burn-in the proposal scale shrinks or grows whenever the recent
     acceptance fraction leaves [accept_low, accept_high]; after burn-in the
-    scale is frozen. The chain replays bitwise for a given seed.
+    scale is frozen and each step's state is kept as a draw. The chain
+    replays bitwise for a given seed.
     """
     init = np.asarray(init, dtype=float).ravel()
     if n_samples < 1:
@@ -130,8 +132,7 @@ def mcmc_sample(
     rng = np.random.Generator(np.random.PCG64(seed))
     theta = init.copy()
     scale = float(proposal_scale)
-    samples = np.empty((n_samples, len(init)))
-    log_posts = np.empty(n_samples)
+    samples = np.empty((n_samples - burn_in, len(init)))
     accepted = np.empty(n_samples, dtype=bool)
     window_accepts = 0
 
@@ -142,8 +143,8 @@ def mcmc_sample(
         take = log_u < lp_prop - lp
         if take:
             theta, lp = prop, lp_prop
-        samples[i] = theta
-        log_posts[i] = lp
+        if i >= burn_in:
+            samples[i - burn_in] = theta
         accepted[i] = take
         window_accepts += int(take)
 
@@ -156,12 +157,7 @@ def mcmc_sample(
             window_accepts = 0
 
     return Chain(
-        samples=samples,
-        log_posteriors=log_posts,
-        accepted=accepted,
-        proposal_scale=scale,
-        seed=seed,
-        burn_in=burn_in,
+        samples=samples, accepted=accepted, proposal_scale=scale, burn_in=burn_in
     )
 
 
@@ -206,15 +202,6 @@ def sample_weight_posterior(
         target, theta0, n_samples, proposal_scale, seed, burn_in=burn_in
     )
     return chain, sigma
-
-
-def burn_in_trim(chain: Chain, n_burn: int) -> np.ndarray:
-    """Post-burn-in samples; n_burn must leave at least one sample."""
-    if n_burn >= chain.length:
-        raise BurnInExceedsChain(f"burn {n_burn} >= chain length {chain.length}")
-    if n_burn < 0:
-        raise ValueError("burn-in must be non-negative")
-    return chain.samples[n_burn:]
 
 
 @lru_cache

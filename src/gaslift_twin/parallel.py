@@ -27,7 +27,10 @@ that leaves without sending anything (``os._exit`` in ``fn``, a signal, the
 kernel's out-of-memory killer) raises ``WorkerDied``, which names its exit
 status or signal. Every worker has been reaped when ``forked_map`` returns
 or raises; when the caller stops early, on an interrupt say, it kills the
-workers still running first.
+workers still running first. A caller killed outright reaps nothing, but
+its workers hold no read end of any result pipe: they run the items still
+queued, fail to send their results to a pipe that nobody reads any more and
+leave.
 
 Fork copies only the calling thread. The package starts no other, so a
 caller that runs threads of its own must not fan out while one of them holds
@@ -85,7 +88,9 @@ def forked_map(fn, items: Sequence) -> list:
                     with open(out_w, "wb", buffering=0):
                         pid = os.fork()
                         if pid == 0:
-                            _work(fn, items, queue_r, queue_w, out_w)
+                            _work(fn, items, queue_r, out_w, (
+                                queue_w, out_r,
+                                *(o.fileno() for o in children.values())))
                     children[pid] = out
             _feed(queue, len(items))
             queue.close()
@@ -110,13 +115,22 @@ def _feed(queue, n: int) -> None:
         pass                # every worker has left; _collect says why
 
 
-def _work(fn, items: Sequence, queue_r: int, queue_w: int, out: int) -> NoReturn:
+def _work(fn, items: Sequence, queue_r: int, out: int,
+          callers: tuple[int, ...]) -> NoReturn:
     """A worker's life: call ``fn`` on each item it pulls from the queue
     until the queue runs dry or a call fails, send its results and the
-    failure to the caller, and leave without returning into it."""
+    failure to the caller, and leave without returning into it.
+
+    It first closes ``callers``, the caller's ends that it inherited: the
+    queue's write end and the read end of every result pipe, its own and
+    the earlier workers'. The caller then holds the only reader of each
+    result pipe, so a caller that dies turns the worker's write into
+    ``BrokenPipeError`` and the worker leaves, where it would otherwise
+    wait forever on a pipe that nobody reads."""
     status = 1
     try:
-        os.close(queue_w)
+        for fd in callers:
+            os.close(fd)
         done, failed = [], None
         while index := os.read(queue_r, 4):
             i = int.from_bytes(index, "little")

@@ -9,7 +9,8 @@ as JSON, tables as CSV) plus a manifest:
     select-structure  embedding-order analysis and the shared regressor layout
     tune              Hyperband architecture/learning-rate search
     fit               final per-channel network training
-    mcmc              weight-posterior chains around each trained network
+    mcmc              weight-posterior draws around each trained network,
+                      the chain's states past burn-in, one array a channel
     reduce            ensemble reduction with the 25% safety factor
     sil-scenario<k>   software-in-the-loop scenario replay logs, drift
                       events in the log's meta.json
@@ -40,7 +41,7 @@ from .artifacts import (
     # ``pipeline.write_text`` by name
     write_text,  # noqa: F401
 )
-from .bayes import Chain, burn_in_trim, reduce_ensemble, sample_weight_posterior
+from .bayes import reduce_ensemble, sample_weight_posterior
 from .cognitive import OfflineArtifact, make_artifact
 from .config import RunConfig
 from .doe import (
@@ -387,11 +388,9 @@ def _load_weights(cfg: RunConfig) -> tuple[dict[str, dict], str]:
 
 # ------------------------------------------------------------------- mcmc
 
-_CHAIN_ARRAYS = ("samples", "log_posteriors", "accepted")
-
-
 def stage_mcmc(cfg: RunConfig) -> dict:
-    """Metropolis chains over each channel's network weights."""
+    """Metropolis chains over each channel's network weights, each stored
+    as its draws."""
     Y, U, fp_data = _load_series(cfg)
     layout, fp_structure = _load_layout(cfg)
     fitted, fp_fit = _load_weights(cfg)
@@ -412,10 +411,7 @@ def stage_mcmc(cfg: RunConfig) -> dict:
             likelihood_rows=cfg.mcmc.likelihood_rows,
             prior_half_width=cfg.mcmc.prior_half_width,
         )
-        paths += [
-            write_array(out / "chains" / name / f"{field}.npy", getattr(chain, field))
-            for field in _CHAIN_ARRAYS
-        ]
+        paths.append(write_array(out / "chains" / name / "draws.npy", chain.samples))
         summary[name] = {
             "sigma": sigma,
             "acceptance_rate": chain.acceptance_rate,
@@ -443,16 +439,8 @@ def stage_mcmc(cfg: RunConfig) -> dict:
 
 
 def _load_chain_samples(cfg: RunConfig, name: str) -> np.ndarray:
-    """One channel's stored chain past its burn-in, as ``burn_in_trim`` cuts it."""
-    mcmc_dir = _art_store(cfg).stage_dir("mcmc")
-    recorded = read_json(mcmc_dir / "mcmc.json")[name]
-    chain = Chain(
-        **{f: read_array(mcmc_dir / "chains" / name / f"{f}.npy") for f in _CHAIN_ARRAYS},
-        proposal_scale=recorded["proposal_scale_final"],
-        seed=cfg.mcmc.seed + CHANNEL_NAMES.index(name),
-        burn_in=recorded["burn_in"],
-    )
-    return burn_in_trim(chain, cfg.mcmc.burn_in)
+    """One channel's stored draws, the chain's states past its burn-in."""
+    return read_array(_art_store(cfg).stage_dir("mcmc") / "chains" / name / "draws.npy")
 
 
 # ----------------------------------------------------------------- reduce

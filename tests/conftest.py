@@ -610,6 +610,38 @@ def reference_reduce(samples, spec, layout, y_window, U, sizes, seed, *,
                                                inflection, chosen)
 
 
+def reference_mcmc(log_target, init, n_samples, proposal_scale, seed, *,
+                   burn_in=0, adapt_interval=100, accept_low=0.25, accept_high=0.35):
+    """``bayes.mcmc_sample`` keeping every state, burn-in included, as it
+    did before it kept only the draws: returns ``(states, accepted,
+    proposal_scale)``, one state and one flag per step. Its states past
+    burn-in are the reference the sampler's draws must match bit for bit."""
+    init = np.asarray(init, dtype=float).ravel()
+    lp = float(log_target(init))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    theta, scale = init.copy(), float(proposal_scale)
+    states = np.empty((n_samples, len(init)))
+    accepted = np.empty(n_samples, dtype=bool)
+    window_accepts = 0
+    for i in range(n_samples):
+        prop = theta + scale * rng.standard_normal(len(init))
+        lp_prop = float(log_target(prop))
+        take = np.log(rng.uniform()) < lp_prop - lp
+        if take:
+            theta, lp = prop, lp_prop
+        states[i] = theta
+        accepted[i] = take
+        window_accepts += int(take)
+        if i < burn_in and (i + 1) % adapt_interval == 0:
+            rate = window_accepts / adapt_interval
+            if rate < accept_low:
+                scale *= 0.8
+            elif rate > accept_high:
+                scale *= 1.25
+            window_accepts = 0
+    return states, accepted, scale
+
+
 def _step_matches_predict(twin, Y, U, steps=None):
     """Step ``twin`` through rows ``steps`` (all by default) of the stream and
     require every monitored step's point, lower and upper bound to equal, bit
@@ -684,6 +716,13 @@ def propagate_reference():
 @pytest.fixture
 def reduce_reference():
     return reference_reduce
+
+
+@pytest.fixture(scope="session")
+def mcmc_reference():
+    """``reference_mcmc(log_target, init, n_samples, proposal_scale, seed,
+    *, burn_in=0, ...) -> (states, accepted, proposal_scale)``."""
+    return reference_mcmc
 
 
 @pytest.fixture(scope="session")

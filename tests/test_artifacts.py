@@ -1,3 +1,4 @@
+import io
 import pickle
 
 import numpy as np
@@ -43,10 +44,17 @@ class TestArrays:
         np.arange(12).reshape(3, 4),
         np.array([True, False, True]),
         np.empty((0, 6)),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(24.0).reshape(4, 6)[::2, 1::2],       # a strided view
+        np.array(2.5),
     ])
     def test_round_trip_is_exact_and_deterministic(self, tmp_path, a):
         path = write_array(tmp_path / "sub" / "a.npy", a)
         first = path.read_bytes()
+        # written straight to the file, the bytes np.save puts in memory
+        buf = io.BytesIO()
+        np.save(buf, a, allow_pickle=False)
+        assert first == buf.getvalue()
         back = read_array(path)
         assert back.dtype == a.dtype and back.shape == a.shape
         assert back.tobytes() == a.tobytes()

@@ -85,7 +85,7 @@ class TestMcmcSample:
         mu, sd = 3.0, 2.0
         target = lambda th: float(-0.5 * ((th[0] - mu) / sd) ** 2)
         ch = bayes.mcmc_sample(target, np.array([mu]), 6000, 1.0, seed=2, burn_in=1000)
-        post = ch.samples[ch.burn_in :, 0]
+        post = ch.samples[:, 0]
         nb = 20
         trimmed = post[: len(post) // nb * nb]
         bm = trimmed.reshape(nb, -1).mean(axis=1)
@@ -115,16 +115,39 @@ class TestMcmcSample:
             bayes.mcmc_sample(lambda th: 0.0, np.zeros(1), 10, 0.1, seed=0, burn_in=10)
 
     def test_chain_field_validation(self):
-        with pytest.raises(GasLiftError):
-            bayes.Chain(
-                samples=np.zeros((5, 2)), log_posteriors=np.zeros(4),
-                accepted=np.ones(5, dtype=bool), proposal_scale=1.0, seed=0, burn_in=0,
-            )
-        with pytest.raises(GasLiftError):
-            bayes.Chain(
-                samples=np.full((5, 2), np.nan), log_posteriors=np.zeros(5),
-                accepted=np.ones(5, dtype=bool), proposal_scale=1.0, seed=0, burn_in=0,
-            )
+        accepted = np.ones(5, dtype=bool)
+        # one sample per step past burn-in: 5 steps with 1 of burn-in are 4
+        assert bayes.Chain(np.zeros((4, 2)), accepted, 1.0, burn_in=1).length == 5
+        for samples, burn_in in ((np.zeros((5, 2)), 1), (np.zeros((3, 2)), 1),
+                                 (np.full((5, 2), np.nan), 0)):
+            with pytest.raises(GasLiftError):
+                bayes.Chain(samples, accepted, 1.0, burn_in=burn_in)
+        with pytest.raises(BurnInExceedsChain):
+            bayes.Chain(np.zeros((0, 2)), accepted, 1.0, burn_in=5)
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 250])
+    @pytest.mark.parametrize("target", ["gaussian", "narrow", "rejects"])
+    def test_draws_are_the_reference_states_past_burn_in(self, mcmc_reference,
+                                                         burn_in, target):
+        init = np.array([0.5, -0.2])
+        log_target = {
+            "gaussian": lambda th: float(-0.5 * (th**2).sum()),
+            # a wide proposal on a narrow target: most steps reject
+            "narrow": lambda th: float(-0.5 * (th**2).sum() / 1e-4),
+            "rejects": lambda th: 0.0 if (th == init).all() else -np.inf,
+        }[target]
+        ch = bayes.mcmc_sample(log_target, init, 400, 0.8, seed=4, burn_in=burn_in)
+        states, accepted, scale = mcmc_reference(log_target, init, 400, 0.8, seed=4,
+                                                 burn_in=burn_in)
+        assert ch.samples.tobytes() == states[burn_in:].tobytes()
+        assert (ch.accepted == accepted).all()
+        assert ch.proposal_scale == scale
+        assert (ch.length, ch.burn_in) == (400, burn_in)
+        assert ch.acceptance_rate == np.mean(accepted[burn_in:])
+        if target == "rejects":
+            assert not accepted.any() and (ch.samples == init).all()
+        # a burn-in of 250 spans two adaptation windows of 100 steps
+        assert (scale == 0.8) == (burn_in < 100)
 
 
 @pytest.fixture(scope="module")
@@ -151,16 +174,16 @@ class TestSampleWeightPosterior:
         ch, sigma = bayes.sample_weight_posterior(
             ds, spec, w, n_samples=600, burn_in=100, proposal_scale=1e-3, seed=0
         )
-        assert ch.samples.shape == (600, spec.n_params)
+        assert ch.samples.shape == (500, spec.n_params)
+        assert (ch.length, len(ch.accepted)) == (600, 600)
         assert sigma >= bayes.DEFAULT_SIGMA_FLOOR
-        assert np.isfinite(ch.log_posteriors).all()
 
     def test_posterior_concentrates_near_map(self, fitted):
         ds, spec, w = fitted
         ch, _ = bayes.sample_weight_posterior(
             ds, spec, w, n_samples=2000, burn_in=500, proposal_scale=1e-3, seed=1
         )
-        mean = ch.samples[ch.burn_in :].mean(axis=0)
+        mean = ch.samples.mean(axis=0)
         # noise-free data and a floored sigma keep the posterior tight
         assert np.abs(mean - w.theta).max() < 0.05
 
@@ -175,31 +198,36 @@ class TestSampleWeightPosterior:
 
 
 class TestBurnInTrim:
-    def _chain(self, n):
-        return bayes.Chain(
-            samples=np.arange(float(n))[:, None],
-            log_posteriors=np.zeros(n),
-            accepted=np.ones(n, dtype=bool),
-            proposal_scale=1.0,
-            seed=0,
-            burn_in=0,
-        )
+    """The sampler cuts its burn-in itself: it keeps the states past it."""
 
-    def test_paper_scale_counts(self):
-        kept = bayes.burn_in_trim(self._chain(50_000), 10_000)
-        assert len(kept) == 40_000
-        assert kept[0, 0] == 10_000.0
+    @staticmethod
+    def _chain(n, burn_in):
+        # a flat target accepts every step, so the draws differ step by step
+        return bayes.mcmc_sample(lambda th: 0.0, np.zeros(1), n, 1.0, seed=0,
+                                 burn_in=burn_in)
 
-    def test_zero_burn_is_identity(self):
-        ch = self._chain(100)
-        assert (bayes.burn_in_trim(ch, 0) == ch.samples).all()
+    def test_paper_scale_counts(self, mcmc_reference):
+        ch = self._chain(50_000, 10_000)
+        states, _, _ = mcmc_reference(lambda th: 0.0, np.zeros(1), 50_000, 1.0,
+                                      seed=0, burn_in=10_000)
+        assert (len(ch.samples), ch.length) == (40_000, 50_000)
+        assert ch.samples[0, 0] == states[10_000, 0]
+
+    def test_zero_burn_is_identity(self, mcmc_reference):
+        ch = self._chain(100, 0)
+        states, _, _ = mcmc_reference(lambda th: 0.0, np.zeros(1), 100, 1.0, seed=0)
+        assert ch.samples.tobytes() == states.tobytes()
 
     def test_single_sample_retained(self):
-        assert len(bayes.burn_in_trim(self._chain(100), 99)) == 1
+        ch = self._chain(100, 99)
+        assert len(ch.samples) == 1
+        assert ch.samples[0, 0] == self._chain(100, 0).samples[99, 0]
 
     def test_burn_exceeding_chain(self):
         with pytest.raises(BurnInExceedsChain):
-            bayes.burn_in_trim(self._chain(10), 10)
+            self._chain(10, 10)
+        with pytest.raises(BurnInExceedsChain):
+            bayes.Chain(np.zeros((0, 1)), np.ones(10, dtype=bool), 1.0, burn_in=10)
 
 
 class TestSortedQuantiles:

@@ -3,13 +3,18 @@ workers, with no child and no thread left behind."""
 
 import os
 import pickle
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaslift_twin import parallel
 from gaslift_twin.errors import InsufficientSamples, WorkerDied
 from gaslift_twin.parallel import forked_map
 
@@ -136,3 +141,72 @@ def test_an_interrupted_caller_kills_and_reaps_its_workers(cpus):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
+
+
+# A caller with two workers, whatever CPUs it may use. Each worker prints its
+# pid, waits for the file named by argv[1], prints "done" and returns a
+# result larger than a 64 KiB pipe buffer, so its write blocks until the
+# caller reads it.
+CALLER = """
+import os, sys, time
+os.sched_getaffinity = lambda pid: {0, 1}
+from gaslift_twin.parallel import forked_map
+
+def item(k):
+    # one write a line, so that the two workers' lines do not interleave
+    os.write(1, b"%d\\n" % os.getpid())
+    while not os.path.exists(sys.argv[1]):
+        time.sleep(0.01)
+    os.write(1, b"done\\n")
+    return bytes(100_000)
+
+forked_map(item, range(2))
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_the_workers_of_a_killed_caller_leave(tmp_path):
+    go = tmp_path / "go"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(parallel.__file__).resolve().parents[1])}
+    caller = subprocess.Popen([sys.executable, "-c", CALLER, str(go)],
+                              stdout=subprocess.PIPE, bufsize=0, env=env)
+
+    def line():
+        assert select.select([caller.stdout], [], [], 30)[0], "no line in 30 s"
+        return caller.stdout.readline()
+
+    workers = []
+    try:
+        for _ in range(2):
+            workers.append(int(line()))
+        assert len(set(workers)) == 2 and caller.pid not in workers
+        # the caller reads no result from here on, and is killed once both
+        # items are done and their workers are sending the results
+        os.kill(caller.pid, signal.SIGSTOP)
+        go.touch()
+        assert [line(), line()] == [b"done\n"] * 2
+        caller.kill()
+        caller.wait()
+        deadline = time.monotonic() + 30
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if running(pid)]
+    finally:
+        go.touch()          # a worker that still waits goes on, then leaves
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()

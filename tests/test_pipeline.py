@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from gaslift_twin import bayes, cli, pipeline, sil
+from gaslift_twin.artifacts import StageStore
 from gaslift_twin.cognitive import CognitiveConfig
 from gaslift_twin.config import default_config, parse_config
 from gaslift_twin.parallel import forked_map
+from gaslift_twin.plant import CHANNEL_NAMES
 
 STAGES = ("gen-data", "rank-inputs", "select-structure", "tune", "fit",
           "mcmc", "reduce", "sil", "report")
@@ -213,7 +215,127 @@ class TestEndToEnd:
         assert snapshot(root) == before
 
 
+@pytest.fixture(scope="module")
+def full_chains(run, mcmc_reference):
+    """Per channel, the mcmc stage's chain rerun in memory: ``(chain,
+    states)``, with ``states`` every state of the reference sampler,
+    burn-in included, as the stage stored them before it kept only the
+    draws."""
+    _, cfg, _ = run
+    cfg = parse_config(cfg)
+    Y, U, _ = pipeline._load_series(cfg)
+    layout, _ = pipeline._load_layout(cfg)
+    fitted, _ = pipeline._load_weights(cfg)
+    datasets = pipeline._build_datasets(cfg, Y, U, layout)
+    sample = bayes.mcmc_sample
+    states = {}
+
+    def recording(log_target, init, n_samples, proposal_scale, seed, *, burn_in):
+        states[seed], _, _ = mcmc_reference(log_target, init, n_samples,
+                                            proposal_scale, seed, burn_in=burn_in)
+        return sample(log_target, init, n_samples, proposal_scale, seed,
+                      burn_in=burn_in)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bayes, "mcmc_sample", recording)
+        for i, name in enumerate(CHANNEL_NAMES):
+            seed = cfg.mcmc.seed + i
+            chain, _ = bayes.sample_weight_posterior(
+                datasets[name], fitted[name]["spec"], fitted[name]["theta"],
+                n_samples=cfg.mcmc.samples, burn_in=cfg.mcmc.burn_in,
+                proposal_scale=cfg.mcmc.proposal, seed=seed,
+                sigma_floor=cfg.mcmc.sigma_floor,
+                likelihood_rows=cfg.mcmc.likelihood_rows,
+                prior_half_width=cfg.mcmc.prior_half_width,
+            )
+            out[name] = chain, states[seed]
+    return out
+
+
+class TestMcmcDraws:
+    def test_each_channel_stores_only_its_draws(self, run, full_chains):
+        root, _, _ = run
+        chains = root / "artifacts" / "mcmc" / "chains"
+        assert sorted(p.name for p in chains.iterdir()) == sorted(CHANNEL_NAMES)
+        recorded = json.loads((root / "artifacts" / "mcmc" / "mcmc.json").read_text())
+        for name, (chain, states) in full_chains.items():
+            assert [p.name for p in (chains / name).iterdir()] == ["draws.npy"]
+            draws = np.load(chains / name / "draws.npy", allow_pickle=False)
+            assert draws.shape == (24 - 8, chain.samples.shape[1])
+            assert draws.tobytes() == states[8:].tobytes() == chain.samples.tobytes()
+            assert recorded[name]["n_samples"] == chain.length == 24
+            assert recorded[name]["burn_in"] == chain.burn_in == 8
+
+    def test_reduce_equals_a_reduction_of_the_rows_past_burn_in(self, run, full_chains):
+        root, cfg, _ = run
+        cfg = parse_config(cfg)
+        Y, U, _ = pipeline._load_series(cfg)
+        layout, _ = pipeline._load_layout(cfg)
+        fitted, _ = pipeline._load_weights(cfg)
+        reduce_dir = root / "artifacts" / "reduce"
+        reduction = json.loads((reduce_dir / "reduction.json").read_text())
+        v = min(cfg.reduction.val_window, len(Y) - layout.max_lag - layout.n_a)
+        start = len(Y) - v
+        for i, name in enumerate(CHANNEL_NAMES):
+            kept = full_chains[name][1][cfg.mcmc.burn_in:]
+            norm = fitted[name]["norm"]
+            members, report = bayes.reduce_ensemble(
+                kept, fitted[name]["spec"], layout,
+                norm.normalize_target(Y[start - layout.n_b:start, i]),
+                norm.normalize_inputs(U)[start - layout.n_a + 1:],
+                cfg.reduction_sizes(len(kept)), cfg.reduction.seed + i,
+                degeneration_tol=cfg.reduction.tol,
+                confidence=cfg.cognitive.confidence,
+            )
+            buf = io.BytesIO()
+            np.save(buf, members, allow_pickle=False)
+            stored = reduce_dir / "ensembles" / name / "members.npy"
+            assert stored.read_bytes() == buf.getvalue()
+            assert reduction[name] == {
+                "n_kept": len(kept),
+                "sizes": list(report.sizes),
+                "width_ratios": list(report.width_ratios),
+                "inflection_size": report.inflection_size,
+                "chosen_size": report.chosen_size,
+            }
+
+
 class TestFailures:
+    def test_mcmc_tree_of_whole_chains_is_refused(self, run, full_chains, tmp_path):
+        # the layout before the draws: every state, burn-in included, with
+        # its log-posterior and acceptance flag, and no draws file. reduce
+        # must not read those states as draws
+        root, _, _ = run
+        for tree in ("data", "artifacts"):
+            shutil.copytree(root / tree, tmp_path / tree)
+        cfg = write_config(tmp_path)
+        store = StageStore(tmp_path / "artifacts")
+        manifest = store.load_manifest("mcmc")
+        outputs = [store.stage_dir("mcmc") / "mcmc.json"]
+        for name, (chain, states) in full_chains.items():
+            chain_dir = store.stage_dir("mcmc") / "chains" / name
+            (chain_dir / "draws.npy").unlink()
+            for field, a in (("samples", states), ("accepted", chain.accepted),
+                             ("log_posteriors", np.zeros(len(states)))):
+                np.save(chain_dir / f"{field}.npy", a, allow_pickle=False)
+                outputs.append(chain_dir / f"{field}.npy")
+        store.write_manifest(
+            "mcmc", config_hash=manifest["config_hash"], outputs=outputs,
+            inputs=manifest["inputs"], seeds=manifest["seeds"],
+            extra=manifest["extra"],
+        )
+        store.verify("mcmc")
+        before = snapshot(tmp_path / "artifacts" / "reduce")
+        rc, out, err = run_cli("--config", cfg, "reduce")
+        assert rc == 1
+        assert out == ""
+        assert "Traceback" not in err
+        error = error_of(err)
+        assert error["error"] == "MissingArtifact"
+        assert "draws.npy" in error["message"]
+        assert snapshot(tmp_path / "artifacts" / "reduce") == before
+
     def test_tampered_ensemble_is_refused(self, run, tmp_path):
         root, _, _ = run
         shutil.copytree(root / "artifacts", tmp_path / "artifacts")
